@@ -17,11 +17,13 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, qsim
-from .crypto import SigningModel
+from .crypto import SignaturePackage, SigningModel
 from .protocol import (
     ComparisonMode,
     Message,
+    MessageKnowledge,
     MtMode,
+    RPrimeSource,
     RunConfig,
     Verdict,
     haar_product_message,
@@ -103,15 +105,15 @@ def _orthogonal_qubit(state: StateVector) -> StateVector:
 
 def forge(message: Message, strategy: ForgeryStrategy, rng: np.random.Generator) -> Message:
     """Produce the substituted message for one trial."""
-    n = message.n
+    n = qsim.qubit_count(message)
     strategy.validate(n)
     if strategy.kind is StrategyKind.REPLACE_WHOLE_REGISTER:
-        return Message.from_register(qsim.haar_random_state(n, rng))
+        return (qsim.haar_random_state(n, rng),)
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
-        factors = list(message.require_factors())
+        blocks = list(qsim.qubit_blocks(message, "qubit replacement"))
         for i in rng.choice(n, size=strategy.m, replace=False):
-            factors[i] = strategy.sampler(rng)
-        return Message.from_factors(factors)
+            blocks[i] = strategy.sampler(rng)
+        return tuple(blocks)
     raise ValueError(f"{strategy.kind} does not substitute the message")
 
 
@@ -121,17 +123,27 @@ def _garble_tap(message, sig, rng):
     The pads are Pauli, so in-ciphertext orthogonality survives decryption and
     the arbitrator's comparison sees an exactly orthogonal first qubit.
     """
-    from .crypto import SignaturePackage
-
-    factors = list(qsim.product_factors(sig.enc_state))
-    factors[0] = _orthogonal_qubit(factors[0])
-    garbled = Message.from_factors(factors).register
-    return message, SignaturePackage(sig.enc_bell, garbled, sig.qubit_count)
+    first, *rest = sig.enc_state
+    if first.qubit_count != 1:
+        raise ValueError("garbling needs the signature's first qubit in a block of its own")
+    garbled = (_orthogonal_qubit(first), *rest)
+    return message, SignaturePackage(sig.enc_bell, garbled)
 
 
 def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float | None:
-    """Prediction for the two reference attack configurations, else None."""
+    """Prediction for the reference attack configurations, else None.
+
+    Each assumes the arbitrator's comparison against R' built from the
+    forwarded message is the forgery's only test: not so for the GHZ R'
+    source (R' carries the true message) or for forward-particle with
+    alice-only knowledge (Bob SWAP-tests the true message against the forgery).
+    """
     v = config.variant
+    if v.r_prime_source is not RPrimeSource.FROM_MESSAGE_P or (
+        v.m_t_mode is MtMode.FORWARD_PARTICLE
+        and v.message_knowledge is MessageKnowledge.ALICE_ONLY
+    ):
+        return None
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
         if (
             v.comparison_mode is ComparisonMode.PER_QUBIT
@@ -155,21 +167,20 @@ def _trial_seed_sequence(seed: int, i: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(i,))
 
 
+def trial_run_seed(seed: int, i: int) -> int:
+    """The run_protocol seed of trial i: the first draw of the trial's stream."""
+    return int(np.random.default_rng(_trial_seed_sequence(seed, i)).integers(0, 2**63))
+
+
 def _attack_trial(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: int):
-    ss = _trial_seed_sequence(seed, i)
-    rng = np.random.default_rng(ss)
-    run_seed = int(rng.integers(0, 2**63))
     if strategy.kind is StrategyKind.GARBLE_SIGNATURE:
         tap = _garble_tap
     else:
-        forged_holder = {}
 
-        def tap(message, sig, tap_rng, _holder=forged_holder):
-            forged = forge(message, strategy, tap_rng)
-            _holder["forged"] = forged
-            return forged, sig
+        def tap(message, sig, tap_rng):
+            return forge(message, strategy, tap_rng), sig
 
-    transcript = run_protocol(config, run_seed, channel_tap=tap)
+    transcript = run_protocol(config, trial_run_seed(seed, i), channel_tap=tap)
     accepted = transcript.verdict is Verdict.ACCEPTED
     return accepted, transcript.gamma, transcript.extras["message_fidelity"]
 
@@ -218,20 +229,17 @@ def fidelity_drop(
     p: Message, strategy: ForgeryStrategy, trials: int, seed: int
 ) -> float:
     """Mean fidelity between the original message and its forged replacement."""
-    strategy.validate(p.n)
+    strategy.validate(qsim.qubit_count(p))
     total = 0.0
     for i in range(trials):
         rng = np.random.default_rng(_trial_seed_sequence(seed, i))
         forged = forge(p, strategy, rng)
-        total += qsim.fidelity(p.register, forged.register)
+        total += qsim.register_fidelity(p, forged)
     return total / trials
 
 
 def _recovery_trial(config: RunConfig, seed: int, i: int):
-    rng = np.random.default_rng(_trial_seed_sequence(seed, i))
-    run_seed = int(rng.integers(0, 2**63))
-    transcript = run_protocol(config, run_seed)
-    return transcript.extras["candidate_fidelity"]
+    return run_protocol(config, trial_run_seed(seed, i)).extras["candidate_fidelity"]
 
 
 def recovery_failure_experiment(

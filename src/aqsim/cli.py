@@ -39,6 +39,12 @@ from .protocol import (
 OUTPUT_DIR_ENV = "AQSIM_OUT_DIR"
 DEFAULT_SEED = 0
 
+# Largest --n per path. Per-qubit keys and comparison touch at most 4 qubits at
+# a time, so cost is linear in n. Whole-register paths act on 2^n amplitudes; at
+# n = 6 the SWAP test's joint state has 12 qubits, the most qsim.ATOL allows.
+MAX_N_PER_QUBIT = 64
+MAX_N_WHOLE_REGISTER = 6
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -186,6 +192,12 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
         out = os.path.join(out_dir, f"{scenario.value}.{fmt}")
 
+    if scenario is Scenario.Q_ESTIMATE and n > MAX_N_WHOLE_REGISTER:
+        errors.append(f"--n {n} exceeds {MAX_N_WHOLE_REGISTER}, the largest n for --scenario q-estimate")
+    if n >= 1 and scenario in (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE):
+        attack = strategy if scenario is Scenario.FORGERY else None
+        errors += conflicts(RunConfig(n, variant, idealized), attack)
+
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
@@ -203,13 +215,39 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def conflicts(config: RunConfig, strategy: StrategyKind | None) -> list[str]:
+    """Why `config` under `strategy` (None for honest runs) cannot run: one
+    message per conflict, naming its flags."""
+    v, n = config.variant, config.n
+    per_qubit_cmp = v.comparison_mode is ComparisonMode.PER_QUBIT
+    general = v.key_model is SigningModel.GENERAL_UNITARY
+    disturbed_ghz = not config.idealized_comparison and v.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
+    if per_qubit_cmp and not general:
+        limit, path = MAX_N_PER_QUBIT, "--key-model per-qubit with --comparison per-qubit"
+    else:
+        limit, path = MAX_N_WHOLE_REGISTER, "--comparison whole-register or --key-model general"
+    rules = [
+        (n > limit, f"--n {n} exceeds {limit}, the largest n for {path}"),
+        (n > 1 and per_qubit_cmp and general,
+         f"--key-model general entangles the signature at --n {n}, so --comparison per-qubit cannot split it"),
+        (n > 1 and per_qubit_cmp and strategy is StrategyKind.REPLACE_WHOLE_REGISTER,
+         f"--strategy replace-whole-register sends an entangled message at --n {n}, which --comparison per-qubit cannot split"),
+        (n > 1 and general and strategy is StrategyKind.GARBLE_SIGNATURE,
+         f"--strategy garble-signature replaces the signature's first qubit, which --key-model general entangles at --n {n}"),
+        (disturbed_ghz and not per_qubit_cmp,
+         "--idealized-comparison false with --comparison whole-register and --r-prime ghz leaves the GHZ particles entangled with the discarded register"),
+        (disturbed_ghz and v.m_t_mode is MtMode.FORWARD_PARTICLE,
+         "--idealized-comparison false with --r-prime ghz disturbs the GHZ particles, which --mt forward-particle cannot forward"),
+    ]
+    return [message for broken, message in rules if broken]
+
+
 # ---------------------------------------------------------------------------
 # Scenarios. Each returns (results dict, csv header, csv rows, summary lines).
 
 
 def _honest_trial(config: RunConfig, seed: int, i: int):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-    t = run_protocol(config, int(rng.integers(0, 2**63)))
+    t = run_protocol(config, attacks.trial_run_seed(seed, i))
     return t.gamma, t.verdict is Verdict.ACCEPTED
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qsim import StateVector, fidelity, product_factors, tensor
+from .qsim import StateVector, fidelity, qubit_blocks, tensor
 
 
 class Verdict(Enum):
@@ -61,17 +61,16 @@ def average_q(n: int) -> float:
     return 0.5 * (1.0 - 2.0**-n)
 
 
-def compare_product(
-    a: StateVector, b: StateVector, n: int, rng: np.random.Generator
-) -> Verdict:
-    """Compare two n-qubit product registers qubit-by-qubit.
+def compare_product(a, b, rng: np.random.Generator) -> Verdict:
+    """Compare two product registers, given as one-qubit blocks, qubit by qubit.
 
     One SWAP test per qubit pair; any conclusive mismatch settles it. Raises
-    if either register is entangled or the sizes disagree.
+    if either register has a multi-qubit block or the sizes disagree.
     """
-    if a.qubit_count != n or b.qubit_count != n:
-        raise ValueError(f"expected two {n}-qubit registers")
-    for fa, fb in zip(product_factors(a), product_factors(b)):
+    a, b = qubit_blocks(a, "per-qubit comparison"), qubit_blocks(b, "per-qubit comparison")
+    if len(a) != len(b):
+        raise ValueError(f"cannot compare {len(a)} qubits with {len(b)}")
+    for fa, fb in zip(a, b):
         if swap_test(fa, fb, rng).verdict is Verdict.DEFINITELY_DIFFERENT:
             return Verdict.DEFINITELY_DIFFERENT
     return Verdict.POSSIBLY_SAME

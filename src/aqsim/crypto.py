@@ -16,13 +16,13 @@ Disjointness is what makes the pads one-time; nothing here models key reuse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .qsim import (
-    ATOL,
     HADAMARD,
     PHASE_S,
     BellOutcome,
@@ -31,6 +31,9 @@ from .qsim import (
     apply_pauli,
     apply_unitary,
     haar_random_unitary,
+    join,
+    per_block,
+    qubit_count,
 )
 
 
@@ -142,21 +145,15 @@ class SigningTransform:
     model: SigningModel
     unitaries: tuple[np.ndarray, ...]  # one 2x2 per qubit, or a single 2^n x 2^n
 
-    def apply(self, state: StateVector) -> StateVector:
-        return apply_unitary(state, self.as_matrix())
-
-    def apply_factor(self, factor: StateVector, i: int) -> StateVector:
-        if self.model is not SigningModel.PER_QUBIT_PRODUCT:
-            raise ValueError("per-factor application only defined for the per-qubit model")
-        return apply_unitary(factor, self.unitaries[i])
-
-    def as_matrix(self) -> np.ndarray:
+    def apply(self, blocks) -> tuple[StateVector, ...]:
+        """Per-qubit unitaries act within each block; a general unitary acts on
+        the joined register and returns it as one block."""
         if self.model is SigningModel.GENERAL_UNITARY:
-            return self.unitaries[0]
-        m = self.unitaries[0]
-        for u in self.unitaries[1:]:
-            m = np.kron(m, u)
-        return m
+            return (apply_unitary(join(blocks), self.unitaries[0]),)
+        return tuple(
+            apply_unitary(b, functools.reduce(np.kron, us))
+            for b, us in per_block(blocks, self.unitaries)
+        )
 
     def inverse(self) -> "SigningTransform":
         return SigningTransform(self.model, tuple(u.conj().T for u in self.unitaries))
@@ -183,41 +180,31 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
     return SigningTransform(model, (u,))
 
 
-def sign_state(p: StateVector, t: SigningTransform) -> StateVector:
-    """The keyed signature state: transform applied to the message."""
-    return t.apply(p)
+def qotp_encrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
+    """Quantum one-time pad on a register's blocks: X^a Z^b on qubit i with
+    (a, b) = pad[2i], pad[2i+1]."""
+    out = []
+    for block, bits in per_block(blocks, np.asarray(pad_bits, dtype=np.uint8), 2):
+        for j in range(block.qubit_count):
+            if bits[2 * j + 1]:
+                block = apply_pauli(block, PauliOp.Z, j)
+            if bits[2 * j]:
+                block = apply_pauli(block, PauliOp.X, j)
+        out.append(block)
+    return tuple(out)
 
 
-def qotp_encrypt(state: StateVector, pad_bits: np.ndarray) -> StateVector:
-    """Quantum one-time pad: X^a Z^b on qubit i with (a, b) = pad[2i], pad[2i+1]."""
-    pad_bits = np.asarray(pad_bits, dtype=np.uint8)
-    if pad_bits.size != 2 * state.qubit_count:
-        raise ValueError(
-            f"pad has {pad_bits.size} bits, need {2 * state.qubit_count}"
-        )
-    out = state
-    for i in range(state.qubit_count):
-        if pad_bits[2 * i + 1]:
-            out = apply_pauli(out, PauliOp.Z, i)
-        if pad_bits[2 * i]:
-            out = apply_pauli(out, PauliOp.X, i)
-    return out
-
-
-def qotp_decrypt(state: StateVector, pad_bits: np.ndarray) -> StateVector:
+def qotp_decrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
     """Inverse of qotp_encrypt (undoes X before Z per qubit)."""
-    pad_bits = np.asarray(pad_bits, dtype=np.uint8)
-    if pad_bits.size != 2 * state.qubit_count:
-        raise ValueError(
-            f"pad has {pad_bits.size} bits, need {2 * state.qubit_count}"
-        )
-    out = state
-    for i in range(state.qubit_count):
-        if pad_bits[2 * i]:
-            out = apply_pauli(out, PauliOp.X, i)
-        if pad_bits[2 * i + 1]:
-            out = apply_pauli(out, PauliOp.Z, i)
-    return out
+    out = []
+    for block, bits in per_block(blocks, np.asarray(pad_bits, dtype=np.uint8), 2):
+        for j in range(block.qubit_count):
+            if bits[2 * j]:
+                block = apply_pauli(block, PauliOp.X, j)
+            if bits[2 * j + 1]:
+                block = apply_pauli(block, PauliOp.Z, j)
+        out.append(block)
+    return tuple(out)
 
 
 def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -249,8 +236,7 @@ class SignaturePackage:
     """K_a-encrypted (Bell outcome, signature state) pair."""
 
     enc_bell: np.ndarray  # 2n XOR-padded classical bits
-    enc_state: StateVector  # quantum-one-time-padded signature state
-    qubit_count: int
+    enc_state: tuple[StateVector, ...]  # quantum-one-time-padded signature blocks
 
     def __post_init__(self):
         enc = np.asarray(self.enc_bell, dtype=np.uint8)
@@ -260,21 +246,22 @@ class SignaturePackage:
 
 def make_signature(
     m_a: tuple[BellOutcome, ...],
-    r: StateVector,
+    r,
     key: KeyMaterial,
     model: SigningModel,
 ) -> SignaturePackage:
-    n = r.qubit_count
+    """Package M_a and the signature blocks `r` under K_a."""
+    n = qubit_count(r)
     layout = ka_layout(n, model)
     enc_bell = classical_encrypt(bell_outcomes_to_bits(m_a), key.slice(*layout["sig_bell_pad"]))
     enc_state = qotp_encrypt(r, key.slice(*layout["sig_state_pad"]))
-    return SignaturePackage(enc_bell, enc_state, n)
+    return SignaturePackage(enc_bell, enc_state)
 
 
 def open_signature(
     sig: SignaturePackage, key: KeyMaterial, model: SigningModel
-) -> tuple[tuple[BellOutcome, ...], StateVector]:
-    n = sig.qubit_count
+) -> tuple[tuple[BellOutcome, ...], tuple[StateVector, ...]]:
+    n = qubit_count(sig.enc_state)
     layout = ka_layout(n, model)
     bell_bits = classical_decrypt(sig.enc_bell, key.slice(*layout["sig_bell_pad"]))
     r = qotp_decrypt(sig.enc_state, key.slice(*layout["sig_state_pad"]))

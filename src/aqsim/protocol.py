@@ -84,38 +84,14 @@ class Verdict(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class Message:
-    """An n-qubit message register, with single-qubit factors when it is a product."""
-
-    register: StateVector
-    factors: tuple[StateVector, ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.register.qubit_count
-
-    @staticmethod
-    def from_factors(factors) -> "Message":
-        factors = tuple(factors)
-        reg = factors[0]
-        for f in factors[1:]:
-            reg = qsim.tensor(reg, f)
-        return Message(reg, factors)
-
-    @staticmethod
-    def from_register(register: StateVector) -> "Message":
-        return Message(register, None)
-
-    def require_factors(self) -> tuple[StateVector, ...]:
-        if self.factors is not None:
-            return self.factors
-        return qsim.product_factors(self.register)
+# A message register as blocks (see qsim): one block per qubit for the product
+# messages Alice signs, a single block for an entangled substitute.
+Message = tuple[StateVector, ...]
 
 
 def haar_product_message(n: int, rng: np.random.Generator) -> Message:
     """Independent Haar single-qubit factors, the product form the scheme signs."""
-    return Message.from_factors(qsim.haar_random_state(1, rng) for _ in range(n))
+    return tuple(qsim.haar_random_state(1, rng) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +168,7 @@ class EncryptedYb:
 
     mb_bits: np.ndarray
     sig: SignaturePackage  # the K_a-encrypted package, rewrapped under K_b
-    msg_state: StateVector  # quantum-padded received message register
-    n: int
+    msg_state: Message  # quantum-padded blocks of the received message
 
 
 @dataclass(frozen=True)
@@ -205,8 +180,7 @@ class EncryptedYtb:
     mt_bits: np.ndarray | None  # MeasureX mode
     gamma_bit: np.ndarray  # 1 padded bit
     sig: SignaturePackage
-    particles: tuple[StateVector, ...] | None  # ForwardParticle mode, padded
-    n: int
+    particles: Message | None  # ForwardParticle mode, padded, one block per qubit
 
 
 @dataclass
@@ -224,18 +198,6 @@ class Transcript:
     y_tb: EncryptedYtb | None = None
     verdict: Verdict | None = None
     extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class Channel:
-    """Ordered in-process message log; the tap models an attacker in transit."""
-
-    log: list = field(default_factory=list)
-    tap: object = None  # callable (message, sig, rng) -> (message, sig)
-
-    def send(self, sender: str, receiver: str, payload) -> object:
-        self.log.append((sender, receiver, payload))
-        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +232,18 @@ def alice_sign(
     keyed transform of another fresh copy. Returns
     (SignaturePackage, message to transmit, M_a, shared Bob/arbitrator pairs).
     """
-    factors = message.require_factors()
-    if len(factors) != len(ghz_triples):
+    qsim.qubit_blocks(message, "signing")
+    if len(message) != len(ghz_triples):
         raise ValueError("message size does not match GHZ share count")
     m_a = []
     shared_pairs = []
-    for p_i, ghz in zip(factors, ghz_triples):
+    for p_i, ghz in zip(message, ghz_triples):
         joint = qsim.tensor(p_i, ghz)
         outcome, residual = qsim.bell_measure(joint, 0, 1, rng)
         m_a.append(outcome)
         shared_pairs.append(residual)  # qubits (Bob, arbitrator)
-    transform = crypto.derive_signing_transform(k_a, message.n, variant.key_model)
-    r = crypto.sign_state(message.register, transform)
+    transform = crypto.derive_signing_transform(k_a, len(message), variant.key_model)
+    r = transform.apply(message)
     sig = crypto.make_signature(tuple(m_a), r, k_a, variant.key_model)
     return sig, message, tuple(m_a), tuple(shared_pairs)
 
@@ -297,9 +259,9 @@ def bob_receive_and_forward(
 
     Returns (y_b, M_b, arbitrator particles).
     """
-    if len(shared_pairs) != p_received.n:
+    n = qsim.qubit_count(p_received)
+    if len(shared_pairs) != n:
         raise ValueError("GHZ share count does not match message size")
-    n = p_received.n
     layout = crypto.kb_layout(n)
     m_b = []
     particles = []
@@ -313,39 +275,30 @@ def bob_receive_and_forward(
     wrapped_sig = SignaturePackage(
         crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
         crypto.qotp_encrypt(sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
-        n,
     )
-    msg_state = crypto.qotp_encrypt(p_received.register, k_b.slice(*layout["yb_msg_state_pad"]))
-    y_b = EncryptedYb(mb_bits, wrapped_sig, msg_state, n)
+    msg_state = crypto.qotp_encrypt(p_received, k_b.slice(*layout["yb_msg_state_pad"]))
+    y_b = EncryptedYb(mb_bits, wrapped_sig, msg_state)
     return y_b, tuple(m_b), tuple(particles)
 
 
 def _signature_reference(
-    r: StateVector,
     p_received: Message,
     particles,
     m_a,
     m_b,
     transform: SigningTransform,
     variant: ProtocolVariant,
-):
+) -> Message:
     """Build the arbitrator's comparison candidate R' per the variant."""
-    frame = pauli_frame()
     if variant.r_prime_source is RPrimeSource.FROM_MESSAGE_P:
-        if variant.key_model is SigningModel.PER_QUBIT_PRODUCT:
-            factors = p_received.require_factors()
-            r_factors = tuple(transform.apply_factor(f, i) for i, f in enumerate(factors))
-            return Message.from_factors(r_factors)
-        return Message.from_register(transform.apply(p_received.register))
-    corrected = tuple(
-        qsim.apply_pauli(t, frame.correction(a, b), 0)
-        for t, a, b in zip(particles, m_a, m_b)
-    )
-    if variant.key_model is SigningModel.PER_QUBIT_PRODUCT:
-        return Message.from_factors(
-            transform.apply_factor(c, i) for i, c in enumerate(corrected)
+        source = p_received
+    else:
+        frame = pauli_frame()
+        source = tuple(
+            qsim.apply_pauli(t, frame.correction(a, b), 0)
+            for t, a, b in zip(particles, m_a, m_b)
         )
-    return Message.from_register(transform.apply(Message.from_factors(corrected).register))
+    return transform.apply(source)
 
 
 def arbitrator_verify(
@@ -362,37 +315,33 @@ def arbitrator_verify(
     Returns (gamma, m_t or None, y_tb).
     """
     variant = config.variant
-    n = y_b.n
+    n = qsim.qubit_count(y_b.sig.enc_state)
     layout = crypto.kb_layout(n)
     mb_bits = crypto.classical_decrypt(y_b.mb_bits, k_b.slice(*layout["yb_mb_pad"]))
     m_b = tuple(XOutcome.from_bit(int(b)) for b in mb_bits)
     sig = SignaturePackage(
         crypto.classical_decrypt(y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
         crypto.qotp_decrypt(y_b.sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
-        n,
     )
-    p_received = Message.from_register(
-        crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
-    )
+    p_received = crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
     m_a, r = crypto.open_signature(sig, k_a, variant.key_model)
     transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
-    r_prime = _signature_reference(r, p_received, particles, m_a, m_b, transform, variant)
+    r_prime = _signature_reference(p_received, particles, m_a, m_b, transform, variant)
 
     post_particles = particles
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        r_factors = qsim.product_factors(r)
-        rp_factors = r_prime.require_factors()
+        qsim.qubit_blocks(r + r_prime, "per-qubit comparison")
         gamma = 1
         disturbed = []
-        for i, (fa, fb) in enumerate(zip(r_factors, rp_factors)):
+        for fa, fb in zip(r, r_prime):
             result = comparison.swap_test(fa, fb, rng)
             if result.verdict is CompareVerdict.DEFINITELY_DIFFERENT:
                 gamma = 0
             disturbed.append(result.post_state)
         if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
-            post_particles = _recover_particles(disturbed, transform, m_a, m_b, variant)
+            post_particles = _recover_particles(disturbed, transform, m_a, m_b)
     else:
-        result = comparison.swap_test(r, r_prime.register, rng)
+        result = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
         gamma = 1 if result.verdict is CompareVerdict.POSSIBLY_SAME else 0
         if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
             raise ValueError(
@@ -403,7 +352,8 @@ def arbitrator_verify(
     m_t = None
     out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
-        m_t = tuple(_measure_particle_x(t, rng) for t in post_particles)
+        # the particle is the last qubit, also inside a post-comparison joint
+        m_t = tuple(qsim.measure_x(t, t.qubit_count - 1, rng)[0] for t in post_particles)
     else:
         if post_particles is not particles:
             raise ValueError(
@@ -426,51 +376,27 @@ def arbitrator_verify(
         sig=SignaturePackage(
             crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["ytb_sig_bell_pad"])),
             crypto.qotp_encrypt(sig.enc_state, k_b.slice(*layout["ytb_sig_state_pad"])),
-            n,
         ),
         particles=None
         if out_particles is None
-        else tuple(
-            crypto.qotp_encrypt(t, k_b.bits[_particle_pad(layout, i)])
-            for i, t in enumerate(out_particles)
-        ),
-        n=n,
+        else crypto.qotp_encrypt(out_particles, k_b.slice(*layout["ytb_particle_pad"])),
     )
     return gamma, m_t, y_tb
 
 
-def _particle_pad(layout, i):
-    start, _ = layout["ytb_particle_pad"]
-    return slice(start + 2 * i, start + 2 * i + 2)
-
-
-def _recover_particles(disturbed_joints, transform, m_a, m_b, variant):
+def _recover_particles(disturbed_joints, transform, m_a, m_b):
     """After a disturbing per-qubit comparison, undo the transform and the
     Pauli correction on the particle half of each post-measurement pair.
 
-    The particle stays entangled with the discarded comparison register; its
-    x-measurement statistics are obtained by measuring inside the joint state.
+    The particle stays entangled with the discarded comparison register, so
+    each result is the 2-qubit joint state with the particle last.
     """
     frame = pauli_frame()
     out = []
     for i, (joint, a, b) in enumerate(zip(disturbed_joints, m_a, m_b)):
         undone = qsim.apply_one_qubit(joint, transform.unitaries[i].conj().T, 1)
-        undone = qsim.apply_pauli(undone, frame.correction(a, b), 1)
-        out.append(_JointParticle(undone))
+        out.append(qsim.apply_pauli(undone, frame.correction(a, b), 1))
     return tuple(out)
-
-
-class _JointParticle:
-    """Particle embedded in a 2-qubit post-comparison register (qubit 1)."""
-
-    def __init__(self, joint: StateVector):
-        self.joint = joint
-
-
-def _measure_particle_x(particle, rng):
-    if isinstance(particle, _JointParticle):
-        return qsim.measure_x(particle.joint, 1, rng)[0]
-    return qsim.measure_x(particle, 0, rng)[0]
 
 
 def bob_final_verify(
@@ -489,7 +415,7 @@ def bob_final_verify(
     forwarded particles and SWAP-tests them against the reference.
     """
     variant = config.variant
-    n = y_tb.n
+    n = qsim.qubit_count(y_tb.sig.enc_state)
     layout = crypto.kb_layout(n)
     frame = pauli_frame()
     ma_bits = crypto.classical_decrypt(y_tb.ma_bits, k_b.slice(*layout["ytb_ma_pad"]))
@@ -505,7 +431,7 @@ def bob_final_verify(
     if variant.m_t_mode is MtMode.MEASURE_X:
         mt_bits = crypto.classical_decrypt(y_tb.mt_bits, k_b.slice(*layout["ytb_mt_pad"]))
         m_t = tuple(XOutcome.from_bit(int(b)) for b in mt_bits)
-        candidate = Message.from_factors(
+        candidate = tuple(
             qsim.apply_pauli(qsim.x_state(t), frame.correction(a, b), 0)
             for t, a, b in zip(m_t, m_a, m_b)
         )
@@ -513,22 +439,17 @@ def bob_final_verify(
         # there is nothing more to test against, so the gamma gate decides.
         return Verdict.ACCEPTED, candidate
 
-    particles = tuple(
-        crypto.qotp_decrypt(t, k_b.bits[_particle_pad(layout, i)])
-        for i, t in enumerate(y_tb.particles)
-    )
-    p_prime = Message.from_factors(
+    particles = crypto.qotp_decrypt(y_tb.particles, k_b.slice(*layout["ytb_particle_pad"]))
+    p_prime = tuple(
         qsim.apply_pauli(t, frame.correction(a, b), 0)
         for t, a, b in zip(particles, m_a, m_b)
     )
     if reference is None:
         raise ValueError("final comparison needs a reference message")
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        verdict_cmp = comparison.compare_product(
-            p_prime.register, reference.register, n, rng
-        )
+        verdict_cmp = comparison.compare_product(p_prime, reference, rng)
     else:
-        verdict_cmp = comparison.swap_test(p_prime.register, reference.register, rng).verdict
+        verdict_cmp = comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).verdict
     verdict = (
         Verdict.ACCEPTED if verdict_cmp is CompareVerdict.POSSIBLY_SAME else Verdict.REJECTED
     )
@@ -555,24 +476,20 @@ def run_protocol(
     k_a, k_b, ghz_triples, transcript = initialize(config.n, seed, variant)
     if message is None:
         message = haar_product_message(config.n, rng)
-    channel = Channel(tap=channel_tap)
 
     sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, ghz_triples, variant, rng)
     transcript.m_a = m_a
     if channel_tap is not None:
         p_out, sig = channel_tap(p_out, sig, rng)
-    channel.send("alice", "bob", (p_out, sig))
 
     y_b, m_b, particles = bob_receive_and_forward(p_out, sig, shared_pairs, k_b, rng)
     transcript.m_b = m_b
-    channel.send("bob", "arbitrator", y_b)
 
     gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, config, rng)
     transcript.gamma = gamma
     transcript.m_t = m_t
     transcript.y_b = y_b
     transcript.y_tb = y_tb
-    channel.send("arbitrator", "bob", y_tb)
 
     if variant.message_knowledge is MessageKnowledge.KNOWN_TO_ALL:
         reference = message  # Bob mints fresh copies from the known description
@@ -582,12 +499,8 @@ def run_protocol(
     transcript.verdict = verdict
 
     if candidate is not None:
-        true_factors = message.require_factors()
-        cand_factors = candidate.require_factors()
-        per_qubit = [qsim.fidelity(c, t) for c, t in zip(cand_factors, true_factors)]
+        per_qubit = [qsim.fidelity(c, t) for c, t in zip(candidate, message)]
         transcript.extras["candidate_fidelity"] = float(np.prod(per_qubit))
         transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
-    transcript.extras["message_fidelity"] = qsim.fidelity(
-        p_out.register, message.register
-    )
+    transcript.extras["message_fidelity"] = qsim.register_fidelity(p_out, message)
     return transcript

@@ -14,6 +14,9 @@ Convention notes:
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -171,18 +174,26 @@ def _check_target(state: StateVector, target: int) -> None:
 
 # Unitarity checks dominate the Monte Carlo hot path and the same few gate
 # matrices recur millions of times, so verified matrices are memoized by value.
+# The bound is in bytes because general-key unitaries are fresh Haar draws
+# (64 KiB each at n = 6) that never recur across trials.
 _UNITARY_CACHE: set[bytes] = set()
+_UNITARY_CACHE_MAX_BYTES = 4 * 2**20
+_unitary_cache_bytes = 0  # total key length in _UNITARY_CACHE
 
 
 def _check_unitary(matrix: np.ndarray, atol: float) -> None:
+    global _unitary_cache_bytes
     key = matrix.tobytes()
     if key in _UNITARY_CACHE:
         return
     d = matrix.shape[0]
     if not np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=atol):
         raise ValueError("matrix is not unitary")
-    if len(_UNITARY_CACHE) < 4096:
+    if not _UNITARY_CACHE:  # emptied by a caller's clear()
+        _unitary_cache_bytes = 0
+    if _unitary_cache_bytes + len(key) <= _UNITARY_CACHE_MAX_BYTES:
         _UNITARY_CACHE.add(key)
+        _unitary_cache_bytes += len(key)
 
 
 def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
@@ -232,6 +243,44 @@ def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's qubits come first."""
     return StateVector(np.kron(a.amplitudes, b.amplitudes))
+
+
+# ---------------------------------------------------------------------------
+# Registers as blocks. Every multi-qubit payload is a tuple of StateVector
+# blocks whose tensor product, in order, is the register: one block per qubit
+# for a product register, a single block for an entangled one. Only this
+# section maps blocks to qubit positions.
+
+
+def qubit_count(blocks) -> int:
+    return sum(b.qubit_count for b in blocks)
+
+
+def per_block(blocks, per_qubit, width: int = 1) -> list:
+    """Pair each block with its slice of a sequence holding `width` items per qubit."""
+    ends = [0, *itertools.accumulate(width * b.qubit_count for b in blocks)]
+    if ends[-1] != len(per_qubit):
+        raise ValueError(f"{len(per_qubit)} items for {ends[-1] // width} qubits at {width} each")
+    return [(b, per_qubit[start:end]) for b, start, end in zip(blocks, ends, ends[1:])]
+
+
+def join(blocks) -> StateVector:
+    """The register as one state: the tensor product of its blocks."""
+    return functools.reduce(tensor, blocks)
+
+
+def qubit_blocks(blocks, what: str) -> tuple[StateVector, ...]:
+    """`blocks` if every block is one qubit, else ValueError naming `what`."""
+    if any(b.qubit_count != 1 for b in blocks):
+        raise ValueError(f"{what} needs one-qubit blocks, got {[b.qubit_count for b in blocks]}")
+    return tuple(blocks)
+
+
+def register_fidelity(a, b) -> float:
+    """|<a|b>|^2 of two registers: blockwise if they split alike, else joined."""
+    if [x.qubit_count for x in a] != [y.qubit_count for y in b]:
+        a, b = (join(a),), (join(b),)
+    return math.prod(fidelity(x, y) for x, y in zip(a, b))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -26,8 +26,8 @@ def yb_to_dict(y_b: EncryptedYb) -> dict:
     return {
         "mb_bits": _bits(y_b.mb_bits),
         "sig_bell_bits": _bits(y_b.sig.enc_bell),
-        "sig_state": state_to_list(y_b.sig.enc_state),
-        "msg_state": state_to_list(y_b.msg_state),
+        "sig_state": [state_to_list(b) for b in y_b.sig.enc_state],
+        "msg_state": [state_to_list(b) for b in y_b.msg_state],
     }
 
 
@@ -38,7 +38,7 @@ def ytb_to_dict(y_tb: EncryptedYtb) -> dict:
         "mt_bits": None if y_tb.mt_bits is None else _bits(y_tb.mt_bits),
         "gamma_bit": _bits(y_tb.gamma_bit),
         "sig_bell_bits": _bits(y_tb.sig.enc_bell),
-        "sig_state": state_to_list(y_tb.sig.enc_state),
+        "sig_state": [state_to_list(b) for b in y_tb.sig.enc_state],
         "particles": None
         if y_tb.particles is None
         else [state_to_list(t) for t in y_tb.particles],

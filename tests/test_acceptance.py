@@ -234,16 +234,16 @@ def test_criterion_10_property_bundle():
         key = crypto.KeyMaterial.random(
             crypto.ka_bits_required(2, model), crypto.OwnerPair.ALICE_ARBITRATOR, rng
         )
-        mat = crypto.derive_signing_transform(key, 2, model).as_matrix()
-        unit_ok = unit_ok and np.allclose(mat @ mat.conj().T, np.eye(4), atol=ATOL)
+        for mat in crypto.derive_signing_transform(key, 2, model).unitaries:
+            unit_ok = unit_ok and np.allclose(mat @ mat.conj().T, np.eye(len(mat)), atol=ATOL)
     checks["transform unitarity"] = unit_ok
 
     # encryption roundtrips, quantum and classical
     round_ok = True
     for _ in range(50):
-        s = qsim.haar_random_state(2, rng)
+        s = (qsim.haar_random_state(2, rng),)
         pad = rng.integers(0, 2, size=4).astype(np.uint8)
-        round_ok = round_ok and qsim.fidelity(
+        round_ok = round_ok and qsim.register_fidelity(
             crypto.qotp_decrypt(crypto.qotp_encrypt(s, pad), pad), s
         ) >= 1 - ATOL
         bits = rng.integers(0, 2, size=8).astype(np.uint8)
@@ -258,7 +258,7 @@ def test_criterion_10_property_bundle():
     avg = np.zeros((2, 2), dtype=complex)
     for a in (0, 1):
         for b in (0, 1):
-            amps = crypto.qotp_encrypt(s, np.array([a, b], dtype=np.uint8)).amplitudes
+            amps = crypto.qotp_encrypt((s,), np.array([a, b], dtype=np.uint8))[0].amplitudes
             avg += np.outer(amps, amps.conj()) / 4
     checks["qotp pad average I/2"] = bool(np.allclose(avg, np.eye(2) / 2, atol=1e-10))
 

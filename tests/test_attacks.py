@@ -1,5 +1,7 @@
 """Forgery strategies and Monte Carlo estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestForge:
             forged = forge(msg, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m), r)
             changed = sum(
                 qsim.fidelity(a, b) < 1 - 1e-9
-                for a, b in zip(msg.factors, forged.factors)
+                for a, b in zip(msg, forged)
             )
             assert changed == m
 
@@ -74,7 +76,7 @@ class TestForge:
         forged = forge(
             msg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER), rng(5)
         )
-        assert forged.n == 2 and forged.factors is None
+        assert [b.qubit_count for b in forged] == [2]  # one entangled block
 
     def test_garble_does_not_forge_message(self):
         msg = haar_product_message(1, rng(6))
@@ -91,7 +93,7 @@ class TestForge:
         plus = qsim.x_state(qsim.XOutcome.PLUS_X)
         strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r: plus)
         forged = forge(haar_product_message(1, rng(9)), strat, rng(10))
-        assert qsim.fidelity(forged.register, plus) >= 1 - 1e-12
+        assert qsim.fidelity(forged[0], plus) >= 1 - 1e-12
 
 
 class TestFidelityDrop:
@@ -99,7 +101,7 @@ class TestFidelityDrop:
         # a sampler that hands back the original factor leaves fidelity at 1
         msg1 = haar_product_message(1, rng(13))
         keep = ForgeryStrategy(
-            StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r: msg1.factors[0]
+            StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r: msg1[0]
         )
         assert fidelity_drop(msg1, keep, trials=50, seed=1) == pytest.approx(1.0)
 
@@ -135,6 +137,15 @@ class TestAnalytics:
             analytic_acceptance(cfg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER))
             is None
         )
+        # R' from the GHZ particles carries the true message (measured 1.0), and
+        # Bob's second SWAP test under forward-particle/alice-only adds a
+        # detection chance (measured ~7/12): neither is the 3/4 derived above
+        replace_one = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1)
+        for v in (
+            replace(PER_QUBIT_VARIANT, r_prime_source=RPrimeSource.FROM_GHZ_PARTICLE),
+            replace(PER_QUBIT_VARIANT, m_t_mode=MtMode.FORWARD_PARTICLE),
+        ):
+            assert analytic_acceptance(RunConfig(1, v), replace_one) is None
 
     def test_binomial_ci(self):
         low, high = binomial_ci(750, 1000)
@@ -169,6 +180,17 @@ class TestEstimators:
         report = estimate_forgery_acceptance(cfg, strat, trials=3000, seed=5)
         assert report.analytic_prediction == pytest.approx(0.625)
         assert report.ci_low <= 0.625 <= report.ci_high
+
+    def test_general_key_cache_bounded(self, monkeypatch):
+        # fresh Haar signing unitaries never recur, so only the byte bound
+        # stops them accumulating; 50 trials of 1 KiB unitaries overrun 16 KiB
+        cfg = RunConfig(3, WHOLE_REGISTER_VARIANT)
+        strat = ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)
+        for bound in (qsim._UNITARY_CACHE_MAX_BYTES, 16 * 2**10):
+            monkeypatch.setattr(qsim, "_UNITARY_CACHE_MAX_BYTES", bound)
+            qsim._UNITARY_CACHE.clear()
+            estimate_forgery_acceptance(cfg, strat, trials=50, seed=11)
+            assert 0 < sum(map(len, qsim._UNITARY_CACHE)) <= bound
 
     def test_garble_acceptance(self):
         cfg = RunConfig(1, PER_QUBIT_VARIANT)

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from aqsim.cli import (
+    MAX_N_PER_QUBIT,
+    MAX_N_WHOLE_REGISTER,
     ConfigError,
     ExperimentConfig,
     Scenario,
@@ -91,6 +93,26 @@ class TestValidateConfig:
         cfg = parse(["--scenario", "honest", "--format", "csv"])
         assert cfg.output_path == str(tmp_path / "honest.csv")
 
+    @pytest.mark.parametrize(
+        "flags, limit",
+        [
+            ([], MAX_N_PER_QUBIT),
+            (["--comparison", "whole-register"], MAX_N_WHOLE_REGISTER),
+            (["--key-model", "general", "--comparison", "whole-register"], MAX_N_WHOLE_REGISTER),
+        ],
+    )
+    def test_max_n(self, flags, limit):
+        argv = ["--scenario", "forgery", *flags]
+        assert parse([*argv, "--n", str(limit)]).n == limit
+        with pytest.raises(ConfigError, match=f"--n {limit + 1} exceeds {limit}"):
+            parse([*argv, "--n", str(limit + 1)])
+        assert main([*argv, "--n", str(limit + 1)]) == 2
+
+    def test_max_n_q_estimate(self):
+        argv = ["--scenario", "q-estimate", "--n"]
+        assert parse([*argv, str(MAX_N_WHOLE_REGISTER)]).n == MAX_N_WHOLE_REGISTER
+        assert main([*argv, str(MAX_N_WHOLE_REGISTER + 1)]) == 2
+
 
 def run_main(tmp_path, argv, name="out.json"):
     out = tmp_path / name
@@ -149,6 +171,13 @@ class TestScenarios:
         _, b = run_main(tmp_path, argv, name="b.json")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_forgery_report_independent_of_workers(self, tmp_path):
+        argv = ["--scenario", "forgery", "--n", "3", "--m", "2", "--trials", "40", "--seed", "5"]
+        code_a, a = run_main(tmp_path, [*argv, "--workers", "1"], name="a.json")
+        code_b, b = run_main(tmp_path, [*argv, "--workers", "2"], name="b.json")
+        assert code_a == code_b == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestExitCodes:
     def test_invalid_config(self, capsys):
@@ -156,17 +185,29 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_incompatible_variant(self, tmp_path, capsys):
-        code = main(
-            [
-                "--scenario", "honest",
-                "--n", "2",
-                "--trials", "2",
-                "--key-model", "general",
-                "--comparison", "per-qubit",
-                "--out", str(tmp_path / "x.json"),
-            ]
-        )
-        assert code == 2
+        # each combination fails before trial 1, naming its conflicting flags
+        cases = [
+            (["--scenario", "honest", "--key-model", "general", "--comparison", "per-qubit"],
+             ["--key-model general", "--comparison per-qubit", "--n 2"]),
+            (["--scenario", "forgery", "--strategy", "replace-whole-register"],
+             ["--strategy replace-whole-register", "--comparison per-qubit", "--n 2"]),
+            (["--scenario", "forgery", "--strategy", "garble-signature",
+              "--key-model", "general", "--comparison", "whole-register"],
+             ["--strategy garble-signature", "--key-model general", "--n 2"]),
+            (["--scenario", "honest", "--idealized-comparison", "false",
+              "--comparison", "whole-register", "--r-prime", "ghz"],
+             ["--idealized-comparison false", "--comparison whole-register", "--r-prime ghz"]),
+        ]
+        for argv, flags in cases:
+            for workers in ("1", "2"):
+                out = tmp_path / f"x{workers}.json"
+                code = main(
+                    [*argv, "--n", "2", "--trials", "2", "--workers", workers, "--out", str(out)]
+                )
+                err = capsys.readouterr().err
+                assert code == 2, argv
+                assert all(flag in err for flag in flags), err
+                assert not out.exists()
 
     def test_io_failure(self, tmp_path, capsys):
         code = main(

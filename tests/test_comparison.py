@@ -11,7 +11,7 @@ from aqsim.comparison import (
     detect_probability,
     swap_test,
 )
-from aqsim.qsim import ATOL, StateVector, fidelity, haar_random_state, new_basis_state, tensor
+from aqsim.qsim import ATOL, StateVector, fidelity, haar_random_state, new_basis_state
 
 
 def rng(seed=0):
@@ -145,20 +145,18 @@ class TestAverageQ:
 class TestCompareProduct:
     def test_identical_products_never_differ(self):
         r = rng(9)
-        factors = [haar_random_state(1, r) for _ in range(3)]
-        reg = tensor(tensor(factors[0], factors[1]), factors[2])
+        reg = tuple(haar_random_state(1, r) for _ in range(3))
         for _ in range(500):
-            assert compare_product(reg, reg, 3, r) is Verdict.POSSIBLY_SAME
+            assert compare_product(reg, reg, r) is Verdict.POSSIBLY_SAME
 
     def test_one_forged_qubit_detection_quarter(self):
         r = rng(10)
         trials = 20000
         detections = 0
-        base = [haar_random_state(1, r) for _ in range(2)]
-        reg = tensor(base[0], base[1])
+        reg = tuple(haar_random_state(1, r) for _ in range(2))
         for _ in range(trials):
-            forged = tensor(base[0], haar_random_state(1, r))
-            if compare_product(reg, forged, 2, r) is Verdict.DEFINITELY_DIFFERENT:
+            forged = (reg[0], haar_random_state(1, r))
+            if compare_product(reg, forged, r) is Verdict.DEFINITELY_DIFFERENT:
                 detections += 1
         # acceptance (no detection) should be near 3/4 for Haar replacement
         assert 1 - detections / trials == pytest.approx(0.75, abs=0.02)
@@ -166,19 +164,20 @@ class TestCompareProduct:
     def test_m_forged_qubits_acceptance_power(self):
         r = rng(11)
         n, trials = 3, 20000
-        base = [haar_random_state(1, r) for _ in range(n)]
-        reg = tensor(tensor(base[0], base[1]), base[2])
+        reg = tuple(haar_random_state(1, r) for _ in range(n))
         for m in (1, 2, 3):
             accepted = 0
             for _ in range(trials):
-                factors = list(base)
+                forged = list(reg)
                 for i in r.choice(n, size=m, replace=False):
-                    factors[i] = haar_random_state(1, r)
-                forged = tensor(tensor(factors[0], factors[1]), factors[2])
-                if compare_product(reg, forged, n, r) is Verdict.POSSIBLY_SAME:
+                    forged[i] = haar_random_state(1, r)
+                if compare_product(reg, forged, r) is Verdict.POSSIBLY_SAME:
                     accepted += 1
             assert accepted / trials == pytest.approx(0.75**m, abs=0.02)
 
     def test_dimension_mismatch(self):
+        one = new_basis_state(1, 0)
         with pytest.raises(ValueError):
-            compare_product(new_basis_state(1, 0), new_basis_state(2, 0), 2, rng())
+            compare_product((one,), (one, one), rng())
+        with pytest.raises(ValueError):  # an entangled block has no per-qubit comparison
+            compare_product((new_basis_state(2, 0),), (new_basis_state(2, 0),), rng())

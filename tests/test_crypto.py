@@ -17,7 +17,6 @@ from aqsim.crypto import (
     open_signature,
     qotp_decrypt,
     qotp_encrypt,
-    sign_state,
 )
 from aqsim.qsim import ATOL, BellOutcome, fidelity, haar_random_state, new_basis_state
 
@@ -86,8 +85,8 @@ class TestSigningTransform:
         for seed in range(10):
             for model in SigningModel:
                 key = random_ka(3, model, seed=seed)
-                m = derive_signing_transform(key, 3, model).as_matrix()
-                assert np.allclose(m.conj().T @ m, np.eye(8), atol=1e-9)
+                for u in derive_signing_transform(key, 3, model).unitaries:
+                    assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-9)
 
     def test_key_too_short(self):
         with pytest.raises(ValueError):
@@ -96,46 +95,64 @@ class TestSigningTransform:
     def test_sign_and_invert(self):
         key = random_ka(2, SigningModel.PER_QUBIT_PRODUCT, seed=7)
         t = derive_signing_transform(key, 2, SigningModel.PER_QUBIT_PRODUCT)
-        p = haar_random_state(2, rng(8))
-        r = sign_state(p, t)
-        back = t.inverse().apply(r)
-        assert fidelity(back, p) >= 1 - ATOL
+        p = (haar_random_state(2, rng(8)),)  # one entangled block
+        (back,) = t.inverse().apply(t.apply(p))
+        assert fidelity(back, p[0]) >= 1 - ATOL
 
     def test_hadamard_entry(self):
         # key bits 01 select the Hadamard slot
         key = make_key([0, 1, 0, 0, 0, 0])
         t = derive_signing_transform(key, 1, SigningModel.PER_QUBIT_PRODUCT)
-        r = sign_state(new_basis_state(1, 0), t)
+        (r,) = t.apply((new_basis_state(1, 0),))
         assert np.allclose(r.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=ATOL)
 
     def test_product_transform_preserves_product(self):
         key = random_ka(3, SigningModel.PER_QUBIT_PRODUCT, seed=9)
         t = derive_signing_transform(key, 3, SigningModel.PER_QUBIT_PRODUCT)
-        factors = [haar_random_state(1, rng(10 + i)) for i in range(3)]
-        reg = qsim.tensor(qsim.tensor(factors[0], factors[1]), factors[2])
-        signed = sign_state(reg, t)
-        # Schmidt rank 1 across every qubit-vs-rest bipartition
-        recovered = qsim.product_factors(signed)
-        assert len(recovered) == 3
+        factors = tuple(haar_random_state(1, rng(10 + i)) for i in range(3))
+        signed = t.apply(factors)
+        assert [b.qubit_count for b in signed] == [1, 1, 1]
+        # blockwise signing equals the kron transform on the joined register,
+        # which stays Schmidt rank 1 across every qubit-vs-rest bipartition
+        kron = np.kron(np.kron(t.unitaries[0], t.unitaries[1]), t.unitaries[2])
+        (whole,) = t.apply((qsim.join(factors),))
+        assert np.allclose(whole.amplitudes, kron @ qsim.join(factors).amplitudes, atol=ATOL)
+        assert fidelity(qsim.join(signed), whole) >= 1 - ATOL
+        assert len(qsim.product_factors(whole)) == 3
 
 
 class TestQotp:
     def test_zero_pad_identity(self):
         s = haar_random_state(2, rng(11))
-        out = qotp_encrypt(s, np.zeros(4, dtype=np.uint8))
+        (out,) = qotp_encrypt((s,), np.zeros(4, dtype=np.uint8))
         assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
 
     def test_roundtrip_many(self):
         r = rng(12)
         for _ in range(100):
-            s = haar_random_state(3, r)
+            s = (haar_random_state(3, r),)
             pad = r.integers(0, 2, size=6, dtype=np.uint8)
             back = qotp_decrypt(qotp_encrypt(s, pad), pad)
-            assert fidelity(back, s) >= 1 - ATOL
+            assert qsim.register_fidelity(back, s) >= 1 - ATOL
 
     def test_pad_length_mismatch(self):
         with pytest.raises(ValueError):
-            qotp_encrypt(haar_random_state(2, rng()), np.zeros(3, dtype=np.uint8))
+            qotp_encrypt((haar_random_state(2, rng()),), np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            qotp_encrypt((haar_random_state(1, rng()),), np.zeros(4, dtype=np.uint8))
+
+    def test_blocks_padded_at_their_qubit_offsets(self):
+        # blocks of 1, 2 and 1 qubits take pad bits [0:2], [2:6] and [6:8]
+        r = rng(20)
+        blocks = (haar_random_state(1, r), haar_random_state(2, r), haar_random_state(1, r))
+        for _ in range(20):
+            pad = r.integers(0, 2, size=8, dtype=np.uint8)
+            enc = qotp_encrypt(blocks, pad)
+            assert [b.qubit_count for b in enc] == [1, 2, 1]
+            (whole,) = qotp_encrypt((qsim.join(blocks),), pad)
+            assert np.allclose(qsim.join(enc).amplitudes, whole.amplitudes, atol=ATOL)
+            back = qotp_decrypt(enc, pad)
+            assert qsim.register_fidelity(back, blocks) >= 1 - ATOL
 
     def test_exhaustive_pad_average_is_maximally_mixed(self):
         # Average the encrypted projector over every single-qubit pad.
@@ -143,7 +160,7 @@ class TestQotp:
         acc = np.zeros((2, 2), dtype=complex)
         pads = [(a, b) for a in (0, 1) for b in (0, 1)]
         for pad in pads:
-            enc = qotp_encrypt(s, np.array(pad, dtype=np.uint8)).amplitudes
+            enc = qotp_encrypt((s,), np.array(pad, dtype=np.uint8))[0].amplitudes
             acc += np.outer(enc, enc.conj())
         acc /= len(pads)
         assert np.allclose(acc, np.eye(2) / 2, atol=ATOL)
@@ -156,7 +173,8 @@ class TestQotp:
             s = haar_random_state(1, r)
             pad = r.integers(0, 2, size=2, dtype=np.uint8)
             wrong = r.integers(0, 2, size=2, dtype=np.uint8)
-            total += fidelity(qotp_decrypt(qotp_encrypt(s, pad), wrong), s)
+            (back,) = qotp_decrypt(qotp_encrypt((s,), pad), wrong)
+            total += fidelity(back, s)
         assert total / trials == pytest.approx(0.5, abs=0.01)
 
 
@@ -184,11 +202,11 @@ class TestSignaturePackage:
         for model in SigningModel:
             key = random_ka(2, model, seed=16)
             m_a = (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)
-            state = haar_random_state(2, r)
+            state = (haar_random_state(2, r),)
             sig = make_signature(m_a, state, key, model)
             m_a_back, state_back = open_signature(sig, key, model)
             assert m_a_back == m_a
-            assert fidelity(state_back, state) >= 1 - ATOL
+            assert qsim.register_fidelity(state_back, state) >= 1 - ATOL
 
     def test_wrong_key_bell_bits_quarter(self):
         r = rng(17)
@@ -198,7 +216,7 @@ class TestSignaturePackage:
         hits = 0
         for _ in range(trials):
             m_a = (list(BellOutcome)[r.integers(0, 4)],)
-            sig = make_signature(m_a, haar_random_state(1, r), key, model)
+            sig = make_signature(m_a, (haar_random_state(1, r),), key, model)
             wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
             m_a_back, _ = open_signature(sig, wrong, model)
             hits += m_a_back == m_a
@@ -213,8 +231,8 @@ class TestSignaturePackage:
         for _ in range(trials):
             key = random_ka(1, model, seed=int(r.integers(0, 2**31)))
             state = haar_random_state(1, r)
-            sig = make_signature((BellOutcome.PSI_PLUS,), state, key, model)
+            sig = make_signature((BellOutcome.PSI_PLUS,), (state,), key, model)
             wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
-            _, state_back = open_signature(sig, wrong, model)
+            _, (state_back,) = open_signature(sig, wrong, model)
             total += fidelity(state_back, state)
         assert total / trials == pytest.approx(0.5, abs=0.015)

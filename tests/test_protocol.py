@@ -5,10 +5,10 @@ import pytest
 import scipy.stats
 
 from aqsim import crypto, qsim, serialize
+from aqsim.attacks import ForgeryStrategy, StrategyKind, forge
 from aqsim.crypto import SigningModel
 from aqsim.protocol import (
     ComparisonMode,
-    Message,
     MessageKnowledge,
     MtMode,
     ProtocolVariant,
@@ -115,7 +115,7 @@ class TestAliceSign:
         sig, _, m_a, _ = alice_sign(msg, zero_ka, triples, v, rng(3))
         opened_ma, r = crypto.open_signature(sig, zero_ka, v.key_model)
         assert opened_ma == m_a
-        assert fidelity(r, msg.register) >= 1 - ATOL
+        assert qsim.register_fidelity(r, msg) >= 1 - ATOL
 
     def test_shared_pair_matches_outcome(self):
         # Whatever M_a was sampled, the Bob/arbitrator pair must equal the
@@ -126,7 +126,7 @@ class TestAliceSign:
             msg = haar_product_message(1, r)
             k_a, _, triples, _ = initialize(1, int(r.integers(0, 2**31)), v)
             _, _, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
-            joint = qsim.tensor(msg.factors[0], qsim.ghz_state())
+            joint = qsim.tensor(msg[0], qsim.ghz_state())
             _, expected = qsim.project_bell(joint, 0, 1, m_a[0])
             assert fidelity(pairs[0], expected) >= 1 - ATOL
 
@@ -169,12 +169,11 @@ class TestBobForward:
                 y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])
             ),
             crypto.qotp_decrypt(y_b.sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
-            n,
         )
         assert np.array_equal(sig_back.enc_bell, sig.enc_bell)
-        assert fidelity(sig_back.enc_state, sig.enc_state) >= 1 - ATOL
+        assert qsim.register_fidelity(sig_back.enc_state, sig.enc_state) >= 1 - ATOL
         p_back = crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
-        assert fidelity(p_back, msg.register) >= 1 - ATOL
+        assert qsim.register_fidelity(p_back, msg) >= 1 - ATOL
         assert len(particles) == n
 
     def test_x_outcomes_uniform(self):
@@ -310,12 +309,38 @@ class TestNonIdealizedComparison:
             run_protocol(cfg, 0)
 
 
+class TestBlockWidths:
+    @pytest.mark.parametrize("v", [variant(), REPAIRED], ids=["measure-x", "forward-all"])
+    def test_per_qubit_run_stays_narrow(self, v, monkeypatch):
+        # Every step of a per-qubit run acts on one message qubit at a time, so
+        # the widest state is a GHZ triple plus one message qubit, whatever n.
+        widths = []
+        post_init = qsim.StateVector.__post_init__
+
+        def recording(state):
+            post_init(state)
+            widths.append(state.qubit_count)
+
+        monkeypatch.setattr(qsim.StateVector, "__post_init__", recording)
+        strategy = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=3)
+
+        def tap(message, sig, r):
+            return forge(message, strategy, r), sig
+
+        for seed in range(3):
+            assert run_protocol(RunConfig(10, v), seed).gamma == 1
+            run_protocol(RunConfig(10, v), seed, channel_tap=tap)
+        assert max(widths) == 4
+
+
 class TestMessage:
     def test_factor_register_consistency(self):
         msg = haar_product_message(3, rng(14))
-        refactored = Message.from_register(msg.register).require_factors()
-        for a, b in zip(msg.factors, refactored):
+        assert [b.qubit_count for b in msg] == [1, 1, 1]
+        refactored = qsim.product_factors(qsim.join(msg))
+        for a, b in zip(msg, refactored):
             assert fidelity(a, b) >= 1 - 1e-9
+        assert qsim.register_fidelity(msg, (qsim.join(msg),)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
