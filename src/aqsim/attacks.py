@@ -186,10 +186,19 @@ def _attack_trial(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: in
 
 
 def binomial_ci(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Normal-approximation binomial interval at z sigma (default 3, ~99.7%)."""
+    """Wilson score binomial interval at z sigma (default 3, ~99.7%).
+
+    Unlike the normal approximation it keeps its width at 0 or n successes
+    (Wilson 1927; Brown, Cai & DasGupta 2001, Stat. Sci. 16:101). There the
+    bound at the data is exactly 0 or 1; it is set so, not left to rounding.
+    """
     rate = successes / trials
-    half = z * math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
-    return max(0.0, rate - half), min(1.0, rate + half)
+    shrink = z * z / trials
+    center = (rate + shrink / 2) / (1 + shrink)
+    half = z * math.sqrt(rate * (1 - rate) / trials + shrink / (4 * trials)) / (1 + shrink)
+    low = 0.0 if successes == 0 else center - half
+    high = 1.0 if successes == trials else center + half
+    return low, high
 
 
 def estimate_forgery_acceptance(

@@ -17,8 +17,10 @@ Disjointness is what makes the pads one-time; nothing here models key reuse.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,8 +108,9 @@ def ka_bits_required(n: int, model: SigningModel) -> int:
     return start + length
 
 
-def kb_layout(n: int) -> dict[str, tuple[int, int]]:
-    """(start, length) slices of K_b, in consumption order.
+@functools.cache
+def kb_layout(n: int) -> Mapping[str, tuple[int, int]]:
+    """(start, length) slices of K_b, in consumption order; read-only, built once per n.
 
     The y_b bundle pads come first, then the y_tb pads. The signature travels
     in both bundles and gets an independent wrapping pad each time.
@@ -130,7 +133,7 @@ def kb_layout(n: int) -> dict[str, tuple[int, int]]:
     for name, length in sizes:
         layout[name] = (start, length)
         start += length
-    return layout
+    return MappingProxyType(layout)
 
 
 def kb_bits_required(n: int) -> int:
@@ -167,16 +170,31 @@ _PER_QUBIT_SET = (
     PHASE_S,
     HADAMARD @ PHASE_S,
 )
+for _u in _PER_QUBIT_SET:
+    _u.setflags(write=False)  # shared by every per-qubit transform
 
 
 def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> SigningTransform:
-    """Deterministically derive the signing unitary from the key's signing slice."""
+    """Deterministically derive the signing unitary from the key's signing slice.
+
+    Alice and the arbitrator each derive it from the same K_a slice within one
+    run, so the last derivation is memoized: the second call skips the Haar
+    draw and QR. The unitaries are read-only, so no caller can alter what the
+    next one is handed.
+    """
     bits = key.slice(*ka_layout(n, model)["signing"])
+    return _transform_from_bits(bits.tobytes(), n, model)
+
+
+@functools.lru_cache(maxsize=1)
+def _transform_from_bits(signing: bytes, n: int, model: SigningModel) -> SigningTransform:
+    bits = np.frombuffer(signing, dtype=np.uint8)
     if model is SigningModel.PER_QUBIT_PRODUCT:
         unitaries = tuple(_PER_QUBIT_SET[2 * bits[2 * i] + bits[2 * i + 1]] for i in range(n))
         return SigningTransform(model, unitaries)
     seed = int(np.packbits(bits).tobytes().hex(), 16)
     u = haar_random_unitary(2**n, np.random.default_rng(seed))
+    u.setflags(write=False)
     return SigningTransform(model, (u,))
 
 

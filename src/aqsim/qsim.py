@@ -100,15 +100,20 @@ class XOutcome(Enum):
 
     @property
     def vector(self) -> np.ndarray:
-        sign = 1.0 if self is XOutcome.PLUS_X else -1.0
-        return np.array([1, sign], dtype=complex) * _SQRT2_INV
+        return _X_VECTORS[self]
 
     @staticmethod
     def from_bit(b: int) -> "XOutcome":
         return XOutcome.PLUS_X if b == 0 else XOutcome.MINUS_X
 
 
-_X_ORDER = [XOutcome.PLUS_X, XOutcome.MINUS_X]
+_X_VECTORS = {
+    XOutcome.PLUS_X: np.array([1, 1], dtype=complex) * _SQRT2_INV,
+    XOutcome.MINUS_X: np.array([1, -1], dtype=complex) * _SQRT2_INV,
+}
+_X_ORDER = list(_X_VECTORS)
+for _v in (*_BELL_VECTORS.values(), *_X_VECTORS.values()):
+    _v.setflags(write=False)  # shared by every caller and StateVector
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,20 @@ def _check_unitary(matrix: np.ndarray, atol: float) -> None:
         _unitary_cache_bytes += len(key)
 
 
+def _targets_first(amps: np.ndarray, k: int, targets: tuple[int, ...]) -> np.ndarray:
+    """The k-qubit amplitudes as a (2^t, 2^(k-t)) matrix whose rows index `targets`.
+
+    This is the operand np.tensordot builds for a contraction over `targets`,
+    so one np.dot with it gives tensordot's result bit for bit; the transpose
+    (a copy) is skipped when the targets already lead in order.
+    """
+    t = len(targets)
+    if targets != tuple(range(t)):
+        rest = [q for q in range(k) if q not in targets]
+        amps = amps.reshape([2] * k).transpose([*targets, *rest])
+    return amps.reshape(2**t, -1)
+
+
 def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
     """Apply a 2x2 unitary to one qubit of the register."""
     gate = np.asarray(gate, dtype=complex)
@@ -206,10 +225,9 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
     k = state.qubit_count
     if k == 1:
         return StateVector(gate @ state.amplitudes)
-    tensor_form = state.amplitudes.reshape([2] * k)
-    out = np.tensordot(gate, tensor_form, axes=([1], [target]))
-    # tensordot puts the acted-on axis first; move it back.
-    out = np.moveaxis(out, 0, target)
+    out = np.dot(gate, _targets_first(state.amplitudes, k, (target,)))
+    if target:  # the product has the acted-on axis first; move it back
+        out = np.moveaxis(out.reshape([2] * k), 0, target)
     return StateVector(out.reshape(-1))
 
 
@@ -242,7 +260,8 @@ def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's qubits come first."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    # np.kron's products, without its generic n-d bookkeeping
+    return StateVector(np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +316,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def _project_out(state: StateVector, targets: tuple[int, ...], basis_vector: np.ndarray):
     """Contract `targets` against basis_vector's conjugate; returns (residual array, probability)."""
-    k = state.qubit_count
-    tensor_form = state.amplitudes.reshape([2] * k)
-    bra = basis_vector.conj().reshape([2] * len(targets))
-    residual = np.tensordot(bra, tensor_form, axes=(list(range(len(targets))), list(targets)))
+    bra = basis_vector.conj().reshape(1, -1)
+    residual = np.dot(bra, _targets_first(state.amplitudes, state.qubit_count, targets))
     residual = residual.reshape(-1)
     prob = float(np.vdot(residual, residual).real)
     return residual, prob

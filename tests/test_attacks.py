@@ -150,9 +150,13 @@ class TestAnalytics:
     def test_binomial_ci(self):
         low, high = binomial_ci(750, 1000)
         assert low < 0.75 < high
-        assert high - low == pytest.approx(2 * 3 * np.sqrt(0.75 * 0.25 / 1000))
+        # Wilson score width at z = 3
+        shrink = 9 / 1000
+        width = 2 * 3 * np.sqrt(0.75 * 0.25 / 1000 + shrink / 4000) / (1 + shrink)
+        assert high - low == pytest.approx(width)
         assert binomial_ci(0, 10)[0] == 0.0
         assert binomial_ci(10, 10)[1] == 1.0
+        assert binomial_ci(2000, 2000)[0] < 0.999  # no collapse at n successes
 
 
 class TestEstimators:

@@ -179,6 +179,62 @@ class TestScenarios:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Fixed-seed reports at 300 trials. An engine change that moves one random
+# draw, one branch or one rounding of a fidelity moves these numbers, so a
+# speed-up must leave them as they are. Confidence intervals are left out:
+# they are a formula over the counts, not an output of the engine.
+PINNED_REPORTS = {
+    "forge-n1-m1": (
+        ["--scenario", "forgery", "--n", "1", "--m", "1", "--seed", "11"],
+        {"accepted": 239, "gamma": 239, "mean_fidelity": 0.5040815373241033},
+    ),
+    "forge-n3-m2": (
+        ["--scenario", "forgery", "--n", "3", "--m", "2", "--seed", "12"],
+        {"accepted": 156, "gamma": 156, "mean_fidelity": 0.25198202322429397},
+    ),
+    "forge-n6-m2": (
+        ["--scenario", "forgery", "--n", "6", "--m", "2", "--seed", "13"],
+        {"accepted": 159, "gamma": 159, "mean_fidelity": 0.2441235080341348},
+    ),
+    "whole-n3-general": (
+        [
+            "--scenario", "forgery", "--n", "3", "--strategy", "replace-whole-register",
+            "--key-model", "general", "--comparison", "whole-register", "--seed", "14",
+        ],
+        {"accepted": 163, "gamma": 163, "mean_fidelity": 0.12195871188652811},
+    ),
+    "garble-n2": (
+        ["--scenario", "forgery", "--n", "2", "--strategy", "garble-signature", "--seed", "15"],
+        {"accepted": 160, "gamma": 160, "mean_fidelity": 1.0},
+    ),
+    "honest-forward-all": (
+        ["--scenario", "honest", "--n", "3", "--mt", "forward-particle", "--knowledge", "all", "--seed", "16"],
+        {"accepted": 300, "gamma": 300},
+    ),
+    "recovery-n2": (
+        ["--scenario", "recovery-failure", "--n", "2", "--seed", "17"],
+        {"mean_candidate_fidelity": 0.45250442884057446},
+    ),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_unchanged(self, tmp_path, name):
+        argv, expected = PINNED_REPORTS[name]
+        code, out = run_main(tmp_path, [*argv, "--trials", "300"])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        got = {}
+        if "acceptance_rate" in res:
+            got["accepted"] = round(res["acceptance_rate"] * 300)
+            got["gamma"] = round(res["gamma_rate"] * 300)
+        for key in ("mean_fidelity", "mean_candidate_fidelity"):
+            if key in res:
+                got[key] = pytest.approx(res[key], abs=1e-12)
+        assert got == expected
+
+
 class TestExitCodes:
     def test_invalid_config(self, capsys):
         assert main(["--scenario", "forgery", "--n", "1", "--m", "2"]) == 2

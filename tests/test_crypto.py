@@ -59,6 +59,11 @@ class TestKeyMaterial:
         for (s1, l1), (s2, _) in zip(kb, kb[1:]):
             assert s1 + l1 == s2
 
+    def test_kb_layout_built_once_and_read_only(self):
+        assert crypto.kb_layout(3) is crypto.kb_layout(3)
+        with pytest.raises(TypeError):
+            crypto.kb_layout(3)["yb_mb_pad"] = (0, 0)
+
 
 class TestSigningTransform:
     def test_zero_key_gives_identity(self):
@@ -73,6 +78,23 @@ class TestSigningTransform:
             t2 = derive_signing_transform(key, 2, model)
             for u1, u2 in zip(t1.unitaries, t2.unitaries):
                 assert np.array_equal(u1, u2)
+
+    def test_memo_matches_fresh_derivation(self):
+        for model in SigningModel:
+            key = random_ka(3, model, seed=11)
+            memoized = derive_signing_transform(key, 3, model)
+            crypto._transform_from_bits.cache_clear()
+            fresh = derive_signing_transform(key, 3, model)
+            assert fresh is not memoized
+            for u1, u2 in zip(memoized.unitaries, fresh.unitaries):
+                assert np.array_equal(u1, u2)
+
+    def test_derived_unitaries_read_only(self):
+        # they are shared through the memo, so a write must not reach the next caller
+        for model in SigningModel:
+            for u in derive_signing_transform(random_ka(2, model, seed=12), 2, model).unitaries:
+                with pytest.raises(ValueError):
+                    u[0, 0] = 0
 
     def test_general_unitary_is_unitary(self):
         key = random_ka(2, SigningModel.GENERAL_UNITARY, seed=6)

@@ -217,6 +217,22 @@ class TestEndToEnd:
                 t = run_protocol(RunConfig(n, REPAIRED), seed)
                 assert t.gamma == 1 and t.verdict is Verdict.ACCEPTED
 
+    def test_general_key_draws_one_unitary_per_run(self, monkeypatch):
+        # Alice and the arbitrator both derive the signing transform from K_a;
+        # the Haar unitary behind it is drawn and QR-factored once
+        draws = []
+        draw = crypto.haar_random_unitary
+
+        def counted(dim, generator):
+            draws.append(dim)
+            return draw(dim, generator)
+
+        monkeypatch.setattr(crypto, "haar_random_unitary", counted)
+        crypto._transform_from_bits.cache_clear()
+        general = variant(keys=SigningModel.GENERAL_UNITARY, cmp=ComparisonMode.WHOLE_REGISTER)
+        run_protocol(RunConfig(3, general), 21)
+        assert draws == [8]
+
     def test_deterministic_transcripts(self):
         cfg = RunConfig(2, REPAIRED)
         t1 = serialize.dumps(serialize.transcript_to_dict(run_protocol(cfg, 99)))

@@ -1,5 +1,7 @@
 """Unit and property tests for the statevector engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,3 +358,57 @@ class TestTeleportation:
     def test_product_factors_rejects_entangled(self):
         with pytest.raises(ValueError):
             qsim.product_factors(StateVector(np.array([SQRT2_INV, 0, 0, SQRT2_INV])))
+
+
+def _tensordot_project_out(state, targets, basis_vector):
+    """The generic contraction _project_out must reproduce bit for bit."""
+    k = state.qubit_count
+    bra = basis_vector.conj().reshape([2] * len(targets))
+    residual = np.tensordot(
+        bra, state.amplitudes.reshape([2] * k), axes=(list(range(len(targets))), list(targets))
+    ).reshape(-1)
+    return residual, float(np.vdot(residual, residual).real)
+
+
+class TestPrimitivesMatchNumpy:
+    """qsim's hand-rolled products against the generic numpy formulas they
+    replace, compared exactly: reports stay byte-identical only if every
+    amplitude does."""
+
+    def test_tensor_equals_kron(self):
+        r = rng(30)
+        for ka in range(1, 5):
+            for kb in range(1, 5):
+                a, b = haar_random_state(ka, r), haar_random_state(kb, r)
+                expected = StateVector(np.kron(a.amplitudes, b.amplitudes))
+                assert np.array_equal(tensor(a, b).amplitudes, expected.amplitudes)
+
+    def test_project_out_equals_tensordot(self):
+        r = rng(31)
+        bras = {
+            1: [o.vector for o in XOutcome] + [np.array([1, 0j]), np.array([0, 1 + 0j])],
+            2: [o.vector for o in BellOutcome],
+        }
+        for k in range(1, 7):
+            for _ in range(3):
+                state = haar_random_state(k, r)
+                for t in (1, 2):
+                    for targets in itertools.permutations(range(k), t):
+                        for vec in [*bras[t], haar_random_state(t, r).amplitudes]:
+                            res, p = qsim._project_out(state, targets, vec)
+                            ref_res, ref_p = _tensordot_project_out(state, targets, vec)
+                            assert np.array_equal(res, ref_res), (k, targets)
+                            assert p == ref_p, (k, targets)
+
+    def test_apply_one_qubit_equals_tensordot(self):
+        r = rng(32)
+        gates = [qsim.HADAMARD, qsim.PHASE_S, PauliOp.Y.matrix, qsim.haar_random_unitary(2, r)]
+        for k in range(2, 7):
+            state = haar_random_state(k, r)
+            tensor_form = state.amplitudes.reshape([2] * k)
+            for target in range(k):
+                for gate in gates:
+                    out = np.tensordot(gate, tensor_form, axes=([1], [target]))
+                    expected = StateVector(np.moveaxis(out, 0, target).reshape(-1))
+                    got = apply_one_qubit(state, gate, target)
+                    assert np.array_equal(got.amplitudes, expected.amplitudes), (k, target)
