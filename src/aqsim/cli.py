@@ -33,6 +33,7 @@ from .protocol import (
     RunConfig,
     Verdict,
     build_pauli_frame,
+    corrected_share_fidelity,
     run_protocol,
 )
 
@@ -337,12 +338,7 @@ def scenario_correlation_table(cfg: ExperimentConfig):
     for (m_a, m_b), pauli in sorted(
         frame.table.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
-        worst = 1.0
-        for p in probes:
-            joint = qsim.tensor(p, qsim.ghz_state())
-            _, phi = qsim.project_bell(joint, 0, 1, m_a)
-            _, particle = qsim.project_x(phi, 0, m_b)
-            worst = min(worst, qsim.fidelity(qsim.apply_pauli(particle, pauli, 0), p))
+        worst = min(1.0, *(corrected_share_fidelity(p, m_a, m_b, pauli) for p in probes))
         rows_data.append(
             {
                 "bell": m_a.value,

@@ -113,23 +113,26 @@ class PauliFrame:
         return self.table[(m_a, m_b)]
 
 
+def corrected_share_fidelity(
+    probe: StateVector, m_a: BellOutcome, m_b: XOutcome, pauli: PauliOp
+) -> float:
+    """One message qubit through the GHZ correlation, on fixed outcomes.
+
+    probe (x) GHZ is projected on Bell outcome m_a of (probe, Alice's share),
+    then on x outcome m_b of Bob's share; returns the fidelity of the
+    arbitrator's share, corrected by `pauli`, with the probe (0.0 if either
+    branch has probability below qsim.ATOL).
+    """
+    _, pair = qsim.project(qsim.tensor(probe, qsim.ghz_state()), (0, 1), m_a)
+    share = None if pair is None else qsim.project(pair, (0,), m_b)[1]
+    if share is None:
+        return 0.0
+    return qsim.fidelity(qsim.apply_pauli(share, pauli, 0), probe)
+
+
 def _solve_correction(m_a: BellOutcome, m_b: XOutcome, probes) -> PauliOp:
     for pauli in PauliOp:
-        ok = True
-        for p in probes:
-            joint = qsim.tensor(p, qsim.ghz_state())
-            prob, phi = qsim.project_bell(joint, 0, 1, m_a)
-            if prob < 1e-12:
-                ok = False
-                break
-            prob, particle = qsim.project_x(phi, 0, m_b)
-            if prob < 1e-12 or particle is None:
-                ok = False
-                break
-            if qsim.fidelity(qsim.apply_pauli(particle, pauli, 0), p) < 1.0 - qsim.ATOL:
-                ok = False
-                break
-        if ok:
+        if all(corrected_share_fidelity(p, m_a, m_b, pauli) >= 1.0 - qsim.ATOL for p in probes):
             return pauli
     raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
 

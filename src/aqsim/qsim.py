@@ -85,7 +85,7 @@ _BELL_BITS = {
     BellOutcome.PHI_MINUS: (1, 1),
 }
 _BELL_FROM_BITS = {bits: o for o, bits in _BELL_BITS.items()}
-_BELL_ORDER = list(_BELL_VECTORS)
+_BELL_ORDER = tuple(_BELL_VECTORS)
 
 
 class XOutcome(Enum):
@@ -111,8 +111,9 @@ _X_VECTORS = {
     XOutcome.PLUS_X: np.array([1, 1], dtype=complex) * _SQRT2_INV,
     XOutcome.MINUS_X: np.array([1, -1], dtype=complex) * _SQRT2_INV,
 }
-_X_ORDER = list(_X_VECTORS)
-for _v in (*_BELL_VECTORS.values(), *_X_VECTORS.values()):
+_X_ORDER = tuple(_X_VECTORS)
+_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # Y: flip the qubit, then -i on |0>, +i on |1>
+for _v in (*_BELL_VECTORS.values(), *_X_VECTORS.values(), _Y_PHASES):
     _v.setflags(write=False)  # shared by every caller and StateVector
 
 
@@ -168,13 +169,16 @@ def x_state(outcome: XOutcome) -> StateVector:
     return StateVector(outcome.vector)
 
 
-def bell_state(outcome: BellOutcome) -> StateVector:
-    return StateVector(outcome.vector)
-
-
 def _check_target(state: StateVector, target: int) -> None:
     if not 0 <= target < state.qubit_count:
         raise ValueError(f"qubit index {target} out of range for {state.qubit_count} qubits")
+
+
+def _check_targets(state: StateVector, targets: tuple[int, ...]) -> None:
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"measured qubits {targets} are not distinct")
+    for target in targets:
+        _check_target(state, target)
 
 
 # Unitarity checks dominate the Monte Carlo hot path and the same few gate
@@ -243,8 +247,8 @@ def apply_pauli(state: StateVector, pauli: PauliOp, target: int) -> StateVector:
     elif pauli is PauliOp.Z:
         out = block.copy()
         out[:, 1, :] *= -1
-    else:  # Y = iXZ up to the phase convention of the matrix
-        out = block[:, ::-1, :].astype(complex) * np.array([-1j, 1j]).reshape(1, 2, 1)
+    else:
+        out = block[:, ::-1, :] * _Y_PHASES
     return StateVector(out.reshape(-1))
 
 
@@ -323,98 +327,53 @@ def _project_out(state: StateVector, targets: tuple[int, ...], basis_vector: np.
     return residual, prob
 
 
-def measure_computational(state: StateVector, target: int, rng: np.random.Generator):
-    """Projective Z-basis measurement; measured qubit is removed from the register."""
-    _check_target(state, target)
-    if state.qubit_count == 1:
-        p0 = float(abs(state.amplitudes[0]) ** 2)
-        bit = 0 if rng.random() < p0 else 1
-        return bit, None
-    res0, p0 = _project_out(state, (target,), np.array([1, 0], dtype=complex))
-    if rng.random() < p0:
-        return 0, StateVector(res0 / np.sqrt(p0))
-    res1, p1 = _project_out(state, (target,), np.array([0, 1], dtype=complex))
-    return 1, StateVector(res1 / np.sqrt(p1))
+def _post_measurement(state: StateVector, targets, residual: np.ndarray, p: float):
+    """The renormalized residual of a branch of probability p; None if no qubit remains."""
+    if len(targets) == state.qubit_count:
+        return None
+    return StateVector(residual / np.sqrt(p))
 
 
-def x_probabilities(state: StateVector, target: int) -> dict[XOutcome, float]:
-    """Born probabilities of an x-basis measurement on `target`."""
-    _check_target(state, target)
-    return {o: _project_out(state, (target,), o.vector)[1] for o in _X_ORDER}
+def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.random.Generator):
+    """Born-rule draw of one of `outcomes` on `targets`; the targets leave the register.
+
+    `outcomes` is an ordered basis of the targets' space, each item carrying
+    its basis `.vector`. One uniform u is drawn and the first outcome whose
+    cumulative probability exceeds u is taken (the last one if u lands in the
+    float slack past every bin); later outcomes are never projected.
+    Returns (outcome, renormalized residual or None if no qubit remains).
+    """
+    _check_targets(state, targets)
+    u = rng.random()
+    acc = 0.0
+    for outcome in outcomes:
+        residual, p = _project_out(state, targets, outcome.vector)
+        acc += p
+        if u < acc:
+            break
+    return outcome, _post_measurement(state, targets, residual, p)
+
+
+def project(state: StateVector, targets: tuple[int, ...], outcome):
+    """The branch of one outcome, without sampling: (probability, residual or None).
+
+    The residual is what `measure` returns on drawing `outcome`; it is None
+    also when the branch's probability is below ATOL. Oracles enumerate
+    branches with it.
+    """
+    _check_targets(state, targets)
+    residual, p = _project_out(state, targets, outcome.vector)
+    return p, None if p < ATOL else _post_measurement(state, targets, residual, p)
 
 
 def measure_x(state: StateVector, target: int, rng: np.random.Generator):
-    """x-basis measurement; measured qubit removed. Returns (XOutcome, residual or None)."""
-    _check_target(state, target)
-    res_plus, p_plus = _project_out(state, (target,), XOutcome.PLUS_X.vector)
-    if rng.random() < p_plus:
-        outcome, residual, p = XOutcome.PLUS_X, res_plus, p_plus
-    else:
-        outcome = XOutcome.MINUS_X
-        residual, p = _project_out(state, (target,), XOutcome.MINUS_X.vector)
-    if state.qubit_count == 1:
-        return outcome, None
-    return outcome, StateVector(residual / np.sqrt(p))
-
-
-def bell_probabilities(state: StateVector, q1: int, q2: int) -> dict[BellOutcome, float]:
-    """Born probabilities of a Bell measurement on the ordered qubit pair (q1, q2)."""
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    _check_target(state, q1)
-    _check_target(state, q2)
-    return {o: _project_out(state, (q1, q2), o.vector)[1] for o in _BELL_ORDER}
+    """x-basis measurement of `target`: measure() over (+x, -x)."""
+    return measure(state, (target,), _X_ORDER, rng)
 
 
 def bell_measure(state: StateVector, q1: int, q2: int, rng: np.random.Generator):
-    """Bell measurement on (q1, q2); the pair is removed from the register.
-
-    Returns (BellOutcome, residual StateVector or None if nothing remains).
-    """
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    _check_target(state, q1)
-    _check_target(state, q2)
-    u = rng.random()
-    acc = 0.0
-    chosen = None
-    for outcome in _BELL_ORDER:
-        residual, p = _project_out(state, (q1, q2), outcome.vector)
-        acc += p
-        if u < acc:
-            chosen = (outcome, residual, p)
-            break
-    if chosen is None:  # u landed in the float slack past the last bin
-        chosen = (outcome, residual, p)
-    outcome, residual, p = chosen
-    if state.qubit_count == 2:
-        return outcome, None
-    return outcome, StateVector(residual / np.sqrt(p))
-
-
-def project_bell(state: StateVector, q1: int, q2: int, outcome: BellOutcome):
-    """Deterministic projection onto one Bell outcome.
-
-    Returns (probability, residual StateVector or None). Used by oracles that
-    enumerate outcome branches instead of sampling them.
-    """
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    _check_target(state, q1)
-    _check_target(state, q2)
-    residual, p = _project_out(state, (q1, q2), outcome.vector)
-    if p < ATOL or state.qubit_count == 2:
-        return p, None
-    return p, StateVector(residual / np.sqrt(p))
-
-
-def project_x(state: StateVector, target: int, outcome: XOutcome):
-    """Deterministic projection onto one x-basis outcome; see project_bell."""
-    _check_target(state, target)
-    residual, p = _project_out(state, (target,), outcome.vector)
-    if p < ATOL or state.qubit_count == 1:
-        return p, None
-    return p, StateVector(residual / np.sqrt(p))
+    """Bell measurement of the ordered pair (q1, q2): measure() over psi+, psi-, phi+, phi-."""
+    return measure(state, (q1, q2), _BELL_ORDER, rng)
 
 
 def haar_random_state(k: int, rng: np.random.Generator) -> StateVector:

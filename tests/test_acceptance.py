@@ -22,6 +22,7 @@ from aqsim.protocol import (
     RunConfig,
     Verdict,
     build_pauli_frame,
+    corrected_share_fidelity,
     haar_product_message,
     run_protocol,
 )
@@ -150,13 +151,11 @@ def test_criterion_6_correlation_oracle():
     frame = build_pauli_frame()
     rng = np.random.default_rng(600)
     probes = [qsim.haar_random_state(1, rng) for _ in range(100)]
-    worst = 1.0
-    for (m_a, m_b), pauli in frame.table.items():
-        for p in probes:
-            joint = qsim.tensor(p, qsim.ghz_state())
-            _, phi = qsim.project_bell(joint, 0, 1, m_a)
-            _, particle = qsim.project_x(phi, 0, m_b)
-            worst = min(worst, qsim.fidelity(qsim.apply_pauli(particle, pauli, 0), p))
+    worst = min(
+        corrected_share_fidelity(p, m_a, m_b, pauli)
+        for (m_a, m_b), pauli in frame.table.items()
+        for p in probes
+    )
     anchor = frame.correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) is PauliOp.Z
     ok = worst >= 1.0 - 1e-10 and anchor
     report(

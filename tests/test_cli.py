@@ -285,3 +285,4 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "report written" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr  # the package must not import cli first

@@ -72,21 +72,26 @@ class TestSigningTransform:
         assert np.allclose(t.unitaries[0], np.eye(2))
 
     def test_deterministic(self):
+        # the memo is cleared in between, so the second derivation is computed afresh
         for model in SigningModel:
             key = random_ka(2, model, seed=5)
             t1 = derive_signing_transform(key, 2, model)
+            crypto._transform_from_bits.cache_clear()
             t2 = derive_signing_transform(key, 2, model)
-            for u1, u2 in zip(t1.unitaries, t2.unitaries):
+            assert t2 is not t1
+            for u1, u2 in zip(t1.unitaries, t2.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
 
     def test_memo_matches_fresh_derivation(self):
+        # a repeat hands back the memoized object; a fresh derivation reproduces it
         for model in SigningModel:
             key = random_ka(3, model, seed=11)
             memoized = derive_signing_transform(key, 3, model)
+            assert derive_signing_transform(key, 3, model) is memoized
             crypto._transform_from_bits.cache_clear()
             fresh = derive_signing_transform(key, 3, model)
             assert fresh is not memoized
-            for u1, u2 in zip(memoized.unitaries, fresh.unitaries):
+            for u1, u2 in zip(memoized.unitaries, fresh.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
 
     def test_derived_unitaries_read_only(self):

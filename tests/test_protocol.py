@@ -1,5 +1,7 @@
 """Protocol phase and end-to-end run tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -26,6 +28,9 @@ from aqsim.protocol import (
     run_protocol,
 )
 from aqsim.qsim import ATOL, BellOutcome, PauliOp, XOutcome, fidelity
+
+# Computational-basis outcomes in the form qsim.measure takes: |0> first, then |1>.
+Z_BASIS = tuple(SimpleNamespace(bit=b, vector=qsim.new_basis_state(1, b).amplitudes) for b in (0, 1))
 
 
 def rng(seed=0):
@@ -85,13 +90,9 @@ class TestInitialize:
             for _ in range(50):
                 state = ghz
                 bits = []
-                for _ in range(3):
-                    bit, state = (
-                        qsim.measure_computational(state, 0, r)
-                        if state is not None
-                        else (None, None)
-                    )
-                    bits.append(bit)
+                for _ in range(3):  # the last measurement leaves no state
+                    outcome, state = qsim.measure(state, (0,), Z_BASIS, r)
+                    bits.append(outcome.bit)
                 assert bits in ([0, 0, 0], [1, 1, 1])
 
     def test_deterministic(self):
@@ -127,7 +128,7 @@ class TestAliceSign:
             k_a, _, triples, _ = initialize(1, int(r.integers(0, 2**31)), v)
             _, _, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
             joint = qsim.tensor(msg[0], qsim.ghz_state())
-            _, expected = qsim.project_bell(joint, 0, 1, m_a[0])
+            _, expected = qsim.project(joint, (0, 1), m_a[0])
             assert fidelity(pairs[0], expected) >= 1 - ATOL
 
     def test_outcome_frequencies_uniform(self):

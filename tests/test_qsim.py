@@ -1,6 +1,7 @@
 """Unit and property tests for the statevector engine."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,20 +18,22 @@ from aqsim.qsim import (
     apply_one_qubit,
     apply_pauli,
     bell_measure,
-    bell_probabilities,
     fidelity,
     ghz_state,
     haar_random_state,
     inner_product,
-    measure_computational,
+    measure,
     measure_x,
     new_basis_state,
-    project_bell,
-    project_x,
+    project,
     tensor,
 )
+from aqsim.protocol import corrected_share_fidelity
 
 SQRT2_INV = 1 / np.sqrt(2)
+
+# Computational-basis outcomes in the form measure() takes: |0> first, then |1>.
+Z_BASIS = tuple(SimpleNamespace(bit=b, vector=new_basis_state(1, b).amplitudes) for b in (0, 1))
 
 
 def rng(seed=0):
@@ -91,7 +94,7 @@ class TestGhz:
 
     def test_first_qubit_measurement_uniform(self):
         r = rng(11)
-        outcomes = [measure_computational(ghz_state(), 0, r)[0] for _ in range(20000)]
+        outcomes = [measure(ghz_state(), (0,), Z_BASIS, r)[0].bit for _ in range(20000)]
         freq = np.mean(outcomes)
         sigma = 0.5 / np.sqrt(20000)
         assert abs(freq - 0.5) < 3 * sigma
@@ -101,7 +104,7 @@ class TestGhz:
         a, b = 0.6, 0.8
         p = StateVector(np.array([a, b], dtype=complex))
         joint = tensor(p, ghz_state())
-        prob, residual = project_bell(joint, 0, 1, BellOutcome.PSI_MINUS)
+        prob, residual = project(joint, (0, 1), BellOutcome.PSI_MINUS)
         assert prob == pytest.approx(0.25, abs=ATOL)
         expected = np.zeros(4, dtype=complex)
         expected[0], expected[3] = a, -b
@@ -162,28 +165,28 @@ class TestTensor:
 
 class TestMeasurement:
     def test_deterministic_computational(self):
-        bit, residual = measure_computational(new_basis_state(1, 1), 0, rng())
-        assert bit == 1 and residual is None
+        outcome, residual = measure(new_basis_state(1, 1), (0,), Z_BASIS, rng())
+        assert outcome.bit == 1 and residual is None
 
     def test_born_rule(self):
         s = StateVector(np.array([0.6, 0.8], dtype=complex))
         r = rng(6)
-        hits = sum(measure_computational(s, 0, r)[0] == 0 for _ in range(20000))
+        hits = sum(measure(s, (0,), Z_BASIS, r)[0].bit == 0 for _ in range(20000))
         sigma = np.sqrt(0.36 * 0.64 / 20000)
         assert abs(hits / 20000 - 0.36) < 3 * sigma
 
     def test_ghz_projection_residual(self):
         r = rng(7)
         for _ in range(20):
-            bit, residual = measure_computational(ghz_state(), 0, r)
-            expected = new_basis_state(2, 0 if bit == 0 else 3)
+            outcome, residual = measure(ghz_state(), (0,), Z_BASIS, r)
+            expected = new_basis_state(2, 0 if outcome.bit == 0 else 3)
             assert fidelity(residual, expected) == pytest.approx(1.0, abs=ATOL)
 
     def test_x_measurement_on_correlated_pair(self):
         a, b = 0.6, 0.8
         phi = StateVector(np.array([a, 0, 0, -b], dtype=complex))
-        p_plus, res_plus = project_x(phi, 0, XOutcome.PLUS_X)
-        p_minus, res_minus = project_x(phi, 0, XOutcome.MINUS_X)
+        p_plus, res_plus = project(phi, (0,), XOutcome.PLUS_X)
+        p_minus, res_minus = project(phi, (0,), XOutcome.MINUS_X)
         assert p_plus == pytest.approx(0.5, abs=ATOL)
         assert p_minus == pytest.approx(0.5, abs=ATOL)
         sigma_z_p = StateVector(np.array([a, -b], dtype=complex))
@@ -211,23 +214,22 @@ class TestBellMeasurement:
         for _ in range(10):
             p = haar_random_state(1, r)
             joint = tensor(p, ghz_state())
-            probs = bell_probabilities(joint, 0, 1)
             for o in BellOutcome:
-                assert probs[o] == pytest.approx(0.25, abs=ATOL)
+                assert project(joint, (0, 1), o)[0] == pytest.approx(0.25, abs=ATOL)
 
     def test_psi_minus_residual(self):
         r = rng(10)
         for _ in range(10):
             p = haar_random_state(1, r)
             joint = tensor(p, ghz_state())
-            _, residual = project_bell(joint, 0, 1, BellOutcome.PSI_MINUS)
+            _, residual = project(joint, (0, 1), BellOutcome.PSI_MINUS)
             a, b = p.amplitudes
             expected = StateVector(np.array([a, 0, 0, -b]))
             assert fidelity(residual, expected) == pytest.approx(1.0, abs=ATOL)
 
     @pytest.mark.parametrize("outcome", list(BellOutcome))
     def test_eigenstate(self, outcome):
-        result, residual = bell_measure(qsim.bell_state(outcome), 0, 1, rng())
+        result, residual = bell_measure(StateVector(outcome.vector), 0, 1, rng())
         assert result is outcome and residual is None
 
     def test_empirical_uniformity(self):
@@ -248,6 +250,62 @@ class TestBellMeasurement:
             bell_measure(joint, 1, 1, rng())
         with pytest.raises(ValueError):
             bell_measure(joint, 0, 4, rng())
+
+
+class _FixedUniform:
+    """An rng stand-in whose every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def _measurement_cases(seed):
+    """(state, targets, outcomes) for every Bell pair and x target of random 2-4 qubit states."""
+    r = rng(seed)
+    for k in (2, 3, 4):
+        for _ in range(3):
+            state = haar_random_state(k, r)
+            for targets in itertools.permutations(range(k), 2):
+                yield state, targets, tuple(BellOutcome)
+            for target in range(k):
+                yield state, (target,), tuple(XOutcome)
+
+
+class TestMeasureContract:
+    """measure() draws one uniform, takes the first outcome whose cumulative
+    probability exceeds it, and leaves exactly project()'s residual."""
+
+    def test_drawn_residual_equals_projection(self, monkeypatch):
+        project_out = qsim._project_out
+        projected = []
+        monkeypatch.setattr(qsim, "_project_out", lambda *a: projected.append(a) or project_out(*a))
+        for state, targets, outcomes in _measurement_cases(40):
+            branches = [project(state, targets, o) for o in outcomes]
+            cumulative = np.cumsum([p for p, _ in branches])
+            for i, (o, (_, expected)) in enumerate(zip(outcomes, branches)):
+                low = cumulative[i - 1] if i else 0.0
+                uniform = _FixedUniform((low + cumulative[i]) / 2)
+                projected.clear()
+                drawn, residual = measure(state, targets, outcomes, uniform)
+                assert drawn is o and uniform.draws == 1
+                assert len(projected) == i + 1  # later outcomes are never projected
+                if expected is None:  # every qubit was measured
+                    assert residual is None
+                else:
+                    assert np.array_equal(residual.amplitudes, expected.amplitudes)
+
+    def test_consumes_one_uniform(self):
+        for seed, (state, targets, outcomes) in enumerate(_measurement_cases(41)):
+            r, reference = rng(seed), rng(seed)
+            measure(state, targets, outcomes, r)
+            reference.random()
+            assert r.bit_generator.state == reference.bit_generator.state
+            assert r.random() == reference.random()
 
 
 class TestOverlap:
@@ -325,27 +383,10 @@ class TestTeleportation:
         probes = [haar_random_state(1, r) for _ in range(25)]
         for m_a in BellOutcome:
             for m_b in XOutcome:
-                found = None
-                for pauli in PauliOp:
-                    if all(
-                        fidelity(
-                            apply_pauli(
-                                project_x(
-                                    project_bell(tensor(p, ghz_state()), 0, 1, m_a)[1],
-                                    0,
-                                    m_b,
-                                )[1],
-                                pauli,
-                                0,
-                            ),
-                            p,
-                        )
-                        >= 1 - ATOL
-                        for p in probes
-                    ):
-                        found = pauli
-                        break
-                assert found is not None, (m_a, m_b)
+                assert any(
+                    all(corrected_share_fidelity(p, m_a, m_b, pauli) >= 1 - ATOL for p in probes)
+                    for pauli in PauliOp
+                ), (m_a, m_b)
 
     def test_product_factors_roundtrip(self):
         r = rng(20)
