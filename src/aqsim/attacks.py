@@ -6,6 +6,10 @@ reports the empirical acceptance rate against the analytic prediction:
 (3/4)^m for m replaced qubits under per-qubit keys and per-qubit comparison,
 1 - q(n) = 1/2 (1 + 2^-n) for a whole-register replacement under
 general-unitary keys.
+
+Trials run in fixed blocks of BLOCK_TRIALS (`map_trials`): a block is one
+`run_protocol` call over a trial axis, drawing from one generator seeded by
+(seed, block index).
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .protocol import (
     MtMode,
     RPrimeSource,
     RunConfig,
-    Verdict,
-    haar_product_message,
     run_protocol,
 )
 from .qsim import StateVector
@@ -38,15 +40,17 @@ class StrategyKind(Enum):
     GARBLE_SIGNATURE = "garble-signature"
 
 
-def haar_qubit_sampler(rng: np.random.Generator) -> StateVector:
-    return qsim.haar_random_state(1, rng)
+def haar_qubit_sampler(rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
+    return qsim.haar_random_state(1, rng, batch)
 
 
 @dataclass(frozen=True)
 class ForgeryStrategy:
     kind: StrategyKind
     m: int | None = None  # replaced qubit count, ReplaceQubits only
-    sampler: object = haar_qubit_sampler  # rng -> replacement single-qubit state
+    # (rng, batch) -> replacement single-qubit states, one per trial of batch
+    # (or one state for every trial)
+    sampler: object = haar_qubit_sampler
 
     def validate(self, n: int) -> None:
         if self.kind is StrategyKind.REPLACE_QUBITS:
@@ -99,21 +103,29 @@ CSV_HEADER = ["strategy", "n", "m", "trials", "acceptance", "prediction", "ci_lo
 
 
 def _orthogonal_qubit(state: StateVector) -> StateVector:
-    a, b = state.amplitudes
-    return StateVector(np.array([-np.conj(b), np.conj(a)]))
+    a, b = state.amplitudes[..., 0], state.amplitudes[..., 1]
+    return StateVector(np.stack([-np.conj(b), np.conj(a)], axis=-1))
 
 
 def forge(message: Message, strategy: ForgeryStrategy, rng: np.random.Generator) -> Message:
-    """Produce the substituted message for one trial."""
+    """Produce the substituted message in every trial of the message's block."""
     n = qsim.qubit_count(message)
     strategy.validate(n)
+    batch = message[0].batch
     if strategy.kind is StrategyKind.REPLACE_WHOLE_REGISTER:
-        return (qsim.haar_random_state(n, rng),)
+        return (qsim.haar_random_state(n, rng, batch),)
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
-        blocks = list(qsim.qubit_blocks(message, "qubit replacement"))
-        for i in rng.choice(n, size=strategy.m, replace=False):
-            blocks[i] = strategy.sampler(rng)
-        return tuple(blocks)
+        blocks = qsim.qubit_blocks(message, "qubit replacement")
+        # each trial's m replaced qubits: the first m of a uniformly random order
+        replaced = np.argsort(rng.random(batch + (n,)), axis=-1)[..., : strategy.m]
+        samples = [strategy.sampler(rng, batch) for _ in range(strategy.m)]
+        out = []
+        for q, block in enumerate(blocks):
+            amps = block.amplitudes
+            for j, sample in enumerate(samples):
+                amps = np.where((replaced[..., j] == q)[..., None], sample.amplitudes, amps)
+            out.append(StateVector(amps))
+        return tuple(out)
     raise ValueError(f"{strategy.kind} does not substitute the message")
 
 
@@ -163,16 +175,7 @@ def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float |
     return None
 
 
-def _trial_seed_sequence(seed: int, i: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-
-
-def trial_run_seed(seed: int, i: int) -> int:
-    """The run_protocol seed of trial i: the first draw of the trial's stream."""
-    return int(np.random.default_rng(_trial_seed_sequence(seed, i)).integers(0, 2**63))
-
-
-def _attack_trial(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: int):
+def _attack_trials(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: int, size: int):
     if strategy.kind is StrategyKind.GARBLE_SIGNATURE:
         tap = _garble_tap
     else:
@@ -180,9 +183,8 @@ def _attack_trial(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: in
         def tap(message, sig, tap_rng):
             return forge(message, strategy, tap_rng), sig
 
-    transcript = run_protocol(config, trial_run_seed(seed, i), channel_tap=tap)
-    accepted = transcript.verdict is Verdict.ACCEPTED
-    return accepted, transcript.gamma, transcript.extras["message_fidelity"]
+    t = run_protocol(config, block_rng(seed, i), channel_tap=tap, size=size)
+    return t.accepted, t.gamma, t.extras["message_fidelity"]
 
 
 def binomial_ci(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -212,12 +214,10 @@ def estimate_forgery_acceptance(
     if trials < 1:
         raise ValueError("need at least one trial")
     strategy.validate(config.n)
-    results = map_trials(
-        _attack_trial, trials, seed, workers, config=config, strategy=strategy
+    accepted, gammas, fids = map_trials(
+        _attack_trials, trials, seed, workers, config=config, strategy=strategy
     )
-    accepted = sum(1 for a, _, _ in results if a)
-    gammas = sum(g for _, g, _ in results)
-    mean_fid = float(np.mean([f for _, _, f in results]))
+    accepted, gammas = int(accepted.sum()), int(gammas.sum())
     ci_low, ci_high = binomial_ci(accepted, trials)
     return AttackReport(
         strategy=strategy.kind,
@@ -228,7 +228,7 @@ def estimate_forgery_acceptance(
         ci_low=ci_low,
         ci_high=ci_high,
         gamma_rate=gammas / trials,
-        mean_fidelity=mean_fid,
+        mean_fidelity=float(np.mean(fids)),
         analytic_prediction=analytic_acceptance(config, strategy),
         variant=config.variant,
     )
@@ -239,16 +239,17 @@ def fidelity_drop(
 ) -> float:
     """Mean fidelity between the original message and its forged replacement."""
     strategy.validate(qsim.qubit_count(p))
-    total = 0.0
-    for i in range(trials):
-        rng = np.random.default_rng(_trial_seed_sequence(seed, i))
-        forged = forge(p, strategy, rng)
-        total += qsim.register_fidelity(p, forged)
-    return total / trials
+    (fids,) = map_trials(_drop_trials, trials, seed, message=p, strategy=strategy)
+    return float(np.mean(fids))
 
 
-def _recovery_trial(config: RunConfig, seed: int, i: int):
-    return run_protocol(config, trial_run_seed(seed, i)).extras["candidate_fidelity"]
+def _drop_trials(message: Message, strategy: ForgeryStrategy, seed: int, i: int, size: int):
+    block = tuple(StateVector(np.broadcast_to(b.amplitudes, (size, b.dim))) for b in message)
+    return (qsim.register_fidelity(message, forge(block, strategy, block_rng(seed, i))),)
+
+
+def _recovery_trials(config: RunConfig, seed: int, i: int, size: int):
+    return (run_protocol(config, block_rng(seed, i), size=size).extras["candidate_fidelity"],)
 
 
 def recovery_failure_experiment(
@@ -261,33 +262,47 @@ def recovery_failure_experiment(
     """
     if config.variant.m_t_mode is not MtMode.MEASURE_X:
         raise ValueError("recovery failure is only defined for the MeasureX variant")
-    vals = map_trials(_recovery_trial, trials, seed, workers, config=config)
-    return float(np.mean(vals))
+    (fids,) = map_trials(_recovery_trials, trials, seed, workers, config=config)
+    return float(np.mean(fids))
 
 
 # ---------------------------------------------------------------------------
 # Deterministic trial fan-out
 
+# Trials per block. Results are a function of the seed and the block index
+# for this size, so changing it changes every report.
+BLOCK_TRIALS = 256
+
+
+def block_rng(seed: int, i: int) -> np.random.Generator:
+    """The one generator of the block that trial i belongs to."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i // BLOCK_TRIALS,)))
+
 
 def _run_chunk(args):
-    fn, kwargs, seed, indices = args
-    return [fn(seed=seed, i=i, **kwargs) for i in indices]
+    fn, kwargs, seed, starts, trials = args
+    return [fn(seed=seed, i=i, size=min(BLOCK_TRIALS, trials - i), **kwargs) for i in starts]
 
 
-def map_trials(fn, trials: int, seed: int, workers: int = 1, **kwargs) -> list:
-    """Run fn(seed=seed, i=i, **kwargs) for i in range(trials).
+def map_trials(fn, trials: int, seed: int, workers: int = 1, **kwargs) -> tuple:
+    """Run fn(seed=seed, i=i, size=size, **kwargs) on each block of trials.
 
-    Per-trial seeding depends only on (seed, i), and results are concatenated
-    in trial order, so the worker count never changes the output.
+    Blocks are BLOCK_TRIALS long (the last one may be shorter): i is the
+    block's first trial and size its length. fn returns a tuple of arrays
+    with the block's trials along the first axis; they are concatenated in
+    trial order. Each block draws from `block_rng(seed, i)` alone, so the
+    worker count never changes the output.
     """
+    starts = range(0, trials, BLOCK_TRIALS)
     if workers <= 1:
-        return [fn(seed=seed, i=i, **kwargs) for i in range(trials)]
-    from concurrent.futures import ProcessPoolExecutor
+        blocks = _run_chunk((fn, kwargs, seed, starts, trials))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunks = np.array_split(np.arange(trials), workers * 4)
-    jobs = [(fn, kwargs, seed, [int(i) for i in c]) for c in chunks if c.size]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_chunk, jobs):
-            out.extend(part)
-    return out
+        chunks = np.array_split(np.asarray(starts), workers * 4)
+        jobs = [(fn, kwargs, seed, [int(i) for i in c], trials) for c in chunks if c.size]
+        blocks = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_run_chunk, jobs):
+                blocks.extend(part)
+    return tuple(np.concatenate(column) for column in zip(*blocks))

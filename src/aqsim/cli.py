@@ -31,7 +31,6 @@ from .protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
-    Verdict,
     build_pauli_frame,
     corrected_share_fidelity,
     run_protocol,
@@ -247,17 +246,16 @@ def conflicts(config: RunConfig, strategy: StrategyKind | None) -> list[str]:
 # Scenarios. Each returns (results dict, csv header, csv rows, summary lines).
 
 
-def _honest_trial(config: RunConfig, seed: int, i: int):
-    t = run_protocol(config, attacks.trial_run_seed(seed, i))
-    return t.gamma, t.verdict is Verdict.ACCEPTED
+def _honest_trials(config: RunConfig, seed: int, i: int, size: int):
+    t = run_protocol(config, attacks.block_rng(seed, i), size=size)
+    return t.gamma, t.accepted
 
 
 def scenario_honest(cfg: ExperimentConfig):
-    results = map_trials(
-        _honest_trial, cfg.trials, cfg.seed, cfg.workers, config=cfg.run_config()
+    gammas, accepted = map_trials(
+        _honest_trials, cfg.trials, cfg.seed, cfg.workers, config=cfg.run_config()
     )
-    gamma_count = sum(g for g, _ in results)
-    accepted = sum(1 for _, a in results if a)
+    gamma_count, accepted = int(gammas.sum()), int(accepted.sum())
     g_lo, g_hi = binomial_ci(gamma_count, cfg.trials)
     a_lo, a_hi = binomial_ci(accepted, cfg.trials)
     res = {
@@ -293,20 +291,18 @@ def scenario_forgery(cfg: ExperimentConfig):
     return res, attacks.CSV_HEADER, [report.csv_row()], summary
 
 
-def _q_trial(n: int, seed: int, i: int):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n, i)))
-    a = qsim.haar_random_state(n, rng)
-    b = qsim.haar_random_state(n, rng)
-    r = comparison.swap_test(a, b, rng)
-    return r.verdict is comparison.Verdict.DEFINITELY_DIFFERENT
+def _q_trials(n: int, seed: int, i: int, size: int):
+    rng = attacks.block_rng(seed, i)
+    a = qsim.haar_random_state(n, rng, (size,))
+    b = qsim.haar_random_state(n, rng, (size,))
+    return (comparison.swap_test(a, b, rng).different,)
 
 
 def scenario_q_estimate(cfg: ExperimentConfig):
     rows_data = []
     for n in range(1, cfg.n + 1):
-        hits = sum(
-            map_trials(_q_trial, cfg.trials, cfg.seed, cfg.workers, n=n)
-        )
+        (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, n=n)
+        hits = int(different.sum())
         lo, hi = binomial_ci(hits, cfg.trials)
         rows_data.append(
             {

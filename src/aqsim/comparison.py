@@ -5,31 +5,32 @@ subspaces. Landing in the antisymmetric subspace proves the inputs differ;
 the symmetric outcome is inconclusive. The one-sided detection probability is
 (1 - |<a|b>|^2)/2, so it never exceeds 1/2: no measurement conclusively
 confirms that two unknown pure states are identical.
+
+Like qsim, every function acts trial by trial on a block (trial axis first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .qsim import StateVector, fidelity, qubit_blocks, tensor
+from .qsim import Ordered, StateVector, _norm_sq, fidelity, labels, qubit_blocks, tensor
 
 
-class Verdict(Enum):
+class Verdict(Ordered):
     POSSIBLY_SAME = "possibly-same"
     DEFINITELY_DIFFERENT = "definitely-different"
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    verdict: Verdict
+    different: np.ndarray  # per trial: the antisymmetric outcome, which proves the inputs differ
     post_state: StateVector  # joint (a, b) register after the projection
 
-
-def _swap_halves(joint: np.ndarray, d: int) -> np.ndarray:
-    return joint.reshape(d, d).T.reshape(-1)
+    @property
+    def verdict(self) -> Verdict:
+        return labels(tuple(Verdict), self.different)
 
 
 def detect_probability(a: StateVector, b: StateVector) -> float:
@@ -38,20 +39,20 @@ def detect_probability(a: StateVector, b: StateVector) -> float:
 
 
 def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> ComparisonResult:
-    """One SWAP test on the pair; post_state is the projected joint register."""
+    """One SWAP test on each trial's pair, one uniform per trial; post_state
+    is the projected joint register."""
     if a.qubit_count != b.qubit_count:
         raise ValueError("cannot compare states on different qubit counts")
     joint = tensor(a, b).amplitudes
-    swapped = _swap_halves(joint, a.dim)
-    anti = (joint - swapped) / 2.0
-    p_anti = float(np.vdot(anti, anti).real)
-    if rng.random() < p_anti:
-        return ComparisonResult(
-            Verdict.DEFINITELY_DIFFERENT, StateVector(anti / np.sqrt(p_anti))
-        )
-    sym = (joint + swapped) / 2.0
-    p_sym = float(np.vdot(sym, sym).real)
-    return ComparisonResult(Verdict.POSSIBLY_SAME, StateVector(sym / np.sqrt(p_sym)))
+    batch = joint.shape[:-1]
+    square = joint.reshape(batch + (a.dim, a.dim))  # rows index a's basis, columns b's
+    swapped = np.swapaxes(square, -1, -2)  # SWAP, as a view
+    branch = (square - swapped).reshape(joint.shape)  # twice the antisymmetric projection
+    different = rng.random(batch)[()] < _norm_sq(branch) / 4.0
+    sym = ~different[..., None, None]  # else the symmetric one
+    np.add(square, swapped, out=branch.reshape(square.shape), where=sym)
+    branch /= np.sqrt(_norm_sq(branch))[..., None]
+    return ComparisonResult(different, StateVector.owning(branch))
 
 
 def average_q(n: int) -> float:
@@ -64,13 +65,12 @@ def average_q(n: int) -> float:
 def compare_product(a, b, rng: np.random.Generator) -> Verdict:
     """Compare two product registers, given as one-qubit blocks, qubit by qubit.
 
-    One SWAP test per qubit pair; any conclusive mismatch settles it. Raises
-    if either register has a multi-qubit block or the sizes disagree.
+    One SWAP test per qubit pair, every pair tested in every trial; any
+    conclusive mismatch settles it. Raises if either register has a
+    multi-qubit block or the sizes disagree.
     """
     a, b = qubit_blocks(a, "per-qubit comparison"), qubit_blocks(b, "per-qubit comparison")
     if len(a) != len(b):
         raise ValueError(f"cannot compare {len(a)} qubits with {len(b)}")
-    for fa, fb in zip(a, b):
-        if swap_test(fa, fb, rng).verdict is Verdict.DEFINITELY_DIFFERENT:
-            return Verdict.DEFINITELY_DIFFERENT
-    return Verdict.POSSIBLY_SAME
+    different = np.any([swap_test(fa, fb, rng).different for fa, fb in zip(a, b)], axis=0)
+    return labels(tuple(Verdict), different)

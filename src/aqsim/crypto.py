@@ -12,11 +12,15 @@ Key bits are consumed as disjoint slices in a fixed, documented order:
   the two protocol bundles, quantum pads sized at 2 bits per qubit.
 
 Disjointness is what makes the pads one-time; nothing here models key reuse.
+
+Key bits carry the trial axis first (see qsim): a block of T trials holds
+T keys as a (T, length) array, and every pad and transform acts trial by trial.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -30,10 +34,14 @@ from .qsim import (
     BellOutcome,
     PauliOp,
     StateVector,
+    XOutcome,
+    _some,
     apply_pauli,
     apply_unitary,
     haar_random_unitary,
     join,
+    kron,
+    labels,
     per_block,
     qubit_count,
 )
@@ -51,27 +59,28 @@ class SigningModel(Enum):
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Shared classical bitstring; sub-keys are disjoint slices of `bits`."""
+    """Shared classical bitstrings, one per trial (`bits` has shape batch +
+    (length,)); sub-keys are disjoint slices of the last axis."""
 
     bits: np.ndarray
     owner_pair: OwnerPair
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or not np.all(bits <= 1):
-            raise ValueError("key bits must be a flat 0/1 array")
+        if bits.ndim < 1 or not np.all(bits <= 1):
+            raise ValueError("key bits must be a 0/1 array")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self.bits.shape[-1]
 
     def slice(self, start: int, length: int) -> np.ndarray:
-        if start + length > self.bits.size:
+        if start + length > len(self):
             raise ValueError(
-                f"key too short: need bits [{start}, {start + length}), have {self.bits.size}"
+                f"key too short: need bits [{start}, {start + length}), have {len(self)}"
             )
-        return self.bits[start : start + length]
+        return self.bits[..., start : start + length]
 
     def to_hex(self) -> str:
         return np.packbits(self.bits).tobytes().hex()
@@ -82,8 +91,10 @@ class KeyMaterial:
         return KeyMaterial(bits, owner_pair)
 
     @staticmethod
-    def random(n_bits: int, owner_pair: OwnerPair, rng: np.random.Generator) -> "KeyMaterial":
-        return KeyMaterial(rng.integers(0, 2, size=n_bits, dtype=np.uint8), owner_pair)
+    def random(
+        n_bits: int, owner_pair: OwnerPair, rng: np.random.Generator, batch: tuple[int, ...] = ()
+    ) -> "KeyMaterial":
+        return KeyMaterial(rng.integers(0, 2, size=batch + (n_bits,), dtype=np.uint8), owner_pair)
 
 
 GENERAL_UNITARY_SEED_BITS = 64
@@ -146,7 +157,7 @@ class SigningTransform:
     """Deterministic keyed unitary applied to the message register."""
 
     model: SigningModel
-    unitaries: tuple[np.ndarray, ...]  # one 2x2 per qubit, or a single 2^n x 2^n
+    unitaries: tuple[np.ndarray, ...]  # one 2x2 per qubit, or a single 2^n x 2^n; trial axis first
 
     def apply(self, blocks) -> tuple[StateVector, ...]:
         """Per-qubit unitaries act within each block; a general unitary acts on
@@ -154,99 +165,116 @@ class SigningTransform:
         if self.model is SigningModel.GENERAL_UNITARY:
             return (apply_unitary(join(blocks), self.unitaries[0]),)
         return tuple(
-            apply_unitary(b, functools.reduce(np.kron, us))
+            apply_unitary(b, functools.reduce(kron, us))
             for b, us in per_block(blocks, self.unitaries)
         )
 
     def inverse(self) -> "SigningTransform":
-        return SigningTransform(self.model, tuple(u.conj().T for u in self.unitaries))
+        return SigningTransform(self.model, tuple(np.swapaxes(u.conj(), -1, -2) for u in self.unitaries))
 
 
 # Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
 # and generates non-commuting transforms.
-_PER_QUBIT_SET = (
-    np.eye(2, dtype=complex),
-    HADAMARD,
-    PHASE_S,
-    HADAMARD @ PHASE_S,
-)
-for _u in _PER_QUBIT_SET:
-    _u.setflags(write=False)  # shared by every per-qubit transform
+_PER_QUBIT_SET = np.stack([np.eye(2, dtype=complex), HADAMARD, PHASE_S, HADAMARD @ PHASE_S])
+_PER_QUBIT_SET.setflags(write=False)  # shared by every per-qubit transform
 
 
 def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> SigningTransform:
     """Deterministically derive the signing unitary from the key's signing slice.
 
-    Alice and the arbitrator each derive it from the same K_a slice within one
-    run, so the last derivation is memoized: the second call skips the Haar
-    draw and QR. The unitaries are read-only, so no caller can alter what the
-    next one is handed.
+    Each trial's transform comes from its own key. Alice and the arbitrator
+    each derive it from the same K_a slice within one block, so the last
+    derivation is memoized: the second call skips the Haar draws and QR. The
+    unitaries are read-only, so no caller can alter what the next one is handed.
     """
     bits = key.slice(*ka_layout(n, model)["signing"])
-    return _transform_from_bits(bits.tobytes(), n, model)
+    return _transform_from_bits(bits.tobytes(), bits.shape, n, model)
 
 
 @functools.lru_cache(maxsize=1)
-def _transform_from_bits(signing: bytes, n: int, model: SigningModel) -> SigningTransform:
-    bits = np.frombuffer(signing, dtype=np.uint8)
+def _transform_from_bits(signing: bytes, shape, n: int, model: SigningModel) -> SigningTransform:
+    bits = np.frombuffer(signing, dtype=np.uint8).reshape(shape)
     if model is SigningModel.PER_QUBIT_PRODUCT:
-        unitaries = tuple(_PER_QUBIT_SET[2 * bits[2 * i] + bits[2 * i + 1]] for i in range(n))
-        return SigningTransform(model, unitaries)
-    seed = int(np.packbits(bits).tobytes().hex(), 16)
-    u = haar_random_unitary(2**n, np.random.default_rng(seed))
-    u.setflags(write=False)
-    return SigningTransform(model, (u,))
+        index = 2 * bits[..., 0::2] + bits[..., 1::2]
+        unitaries = tuple(_PER_QUBIT_SET[index[..., i]] for i in range(n))
+    else:
+        # each trial's 64 bits seed its own Ginibre draw; the QR runs on the stack
+        seeds = [int.from_bytes(np.packbits(b).tobytes(), "big") for b in bits.reshape(-1, shape[-1])]
+        u = haar_random_unitary(2**n, [np.random.default_rng(s) for s in seeds])
+        unitaries = (u.reshape(shape[:-1] + u.shape[-2:]),)
+    for u in unitaries:
+        u.setflags(write=False)
+    return SigningTransform(model, unitaries)
+
+
+# A pad bit selects the identity or its Pauli, as a PauliOp position.
+_Z_IF_SET = operator.index(PauliOp.Z)
+_X_IF_SET = operator.index(PauliOp.X)
+
+
+def _qotp(blocks, pad_bits: np.ndarray, order: tuple[int, int]) -> tuple[StateVector, ...]:
+    """Per qubit i, the Paulis of pad bits (a, b) = pad[2i], pad[2i+1] in the
+    given order (0: X^a, 1: Z^b), each trial with its own pad."""
+    pad = np.asarray(pad_bits, dtype=np.uint8).T  # bits first, then trials
+    out = []
+    for block, bits in per_block(blocks, pad, 2):
+        for j in range(block.qubit_count):
+            for half in order:
+                bit = bits[2 * j + half]
+                if _some(bit):  # skipped when no trial's pad sets this bit
+                    block = apply_pauli(block, (_Z_IF_SET if half else _X_IF_SET) * bit, j)
+        out.append(block)
+    return tuple(out)
 
 
 def qotp_encrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
     """Quantum one-time pad on a register's blocks: X^a Z^b on qubit i with
     (a, b) = pad[2i], pad[2i+1]."""
-    out = []
-    for block, bits in per_block(blocks, np.asarray(pad_bits, dtype=np.uint8), 2):
-        for j in range(block.qubit_count):
-            if bits[2 * j + 1]:
-                block = apply_pauli(block, PauliOp.Z, j)
-            if bits[2 * j]:
-                block = apply_pauli(block, PauliOp.X, j)
-        out.append(block)
-    return tuple(out)
+    return _qotp(blocks, pad_bits, (1, 0))
 
 
 def qotp_decrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
     """Inverse of qotp_encrypt (undoes X before Z per qubit)."""
-    out = []
-    for block, bits in per_block(blocks, np.asarray(pad_bits, dtype=np.uint8), 2):
-        for j in range(block.qubit_count):
-            if bits[2 * j]:
-                block = apply_pauli(block, PauliOp.X, j)
-            if bits[2 * j + 1]:
-                block = apply_pauli(block, PauliOp.Z, j)
-        out.append(block)
-    return tuple(out)
+    return _qotp(blocks, pad_bits, (0, 1))
 
 
 def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Bitwise XOR pad."""
+    """Bitwise XOR pad along the last axis."""
     bits = np.asarray(bits, dtype=np.uint8)
     pad = np.asarray(pad, dtype=np.uint8)
-    if pad.size < bits.size:
-        raise ValueError(f"pad of {pad.size} bits too short for {bits.size} bits")
-    return bits ^ pad[: bits.size]
+    if pad.shape[-1] < bits.shape[-1]:
+        raise ValueError(f"pad of {pad.shape[-1]} bits too short for {bits.shape[-1]} bits")
+    return bits ^ pad[..., : bits.shape[-1]]
 
 
 classical_decrypt = classical_encrypt  # XOR is an involution
 
+_BELL_ORDER = tuple(BellOutcome)
+_X_ORDER = tuple(XOutcome)
+_BELL_BITS = np.array([o.bits for o in _BELL_ORDER], dtype=np.uint8)
+_X_BITS = np.array([o.bit for o in _X_ORDER], dtype=np.uint8)
+
 
 def bell_outcomes_to_bits(outcomes) -> np.ndarray:
-    return np.array([b for o in outcomes for b in o.bits], dtype=np.uint8)
+    """Two bits per outcome along the last axis."""
+    bits = np.stack([_BELL_BITS[o] for o in outcomes], axis=-2)
+    return bits.reshape(bits.shape[:-2] + (-1,))
 
 
 def bits_to_bell_outcomes(bits: np.ndarray) -> tuple[BellOutcome, ...]:
     bits = np.asarray(bits, dtype=np.uint8)
-    return tuple(
-        BellOutcome.from_bits(int(bits[2 * i]), int(bits[2 * i + 1]))
-        for i in range(bits.size // 2)
-    )
+    index = 2 * bits[..., 0::2] + bits[..., 1::2]
+    return tuple(labels(_BELL_ORDER, index[..., i]) for i in range(index.shape[-1]))
+
+
+def x_outcomes_to_bits(outcomes) -> np.ndarray:
+    """One bit per outcome along the last axis."""
+    return np.stack([_X_BITS[o] for o in outcomes], axis=-1)
+
+
+def bits_to_x_outcomes(bits: np.ndarray):
+    bits = np.asarray(bits, dtype=np.uint8)
+    return tuple(labels(_X_ORDER, bits[..., i]) for i in range(bits.shape[-1]))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,17 @@ covers the three phases:
 
 Every step the underlying scheme leaves ambiguous is an explicit
 ProtocolVariant field; there is no default variant.
+
+Each phase acts on a block of trials at once (the trial axis of qsim): keys,
+states, outcomes and verdicts carry one entry per trial. The variant is fixed
+for the block, so its choices are plain `if`s; a single run is the case with
+no trial axis.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,9 +86,9 @@ class RunConfig:
             raise ValueError("message needs at least one qubit")
 
 
-class Verdict(Enum):
-    ACCEPTED = "accepted"
+class Verdict(qsim.Ordered):
     REJECTED = "rejected"
+    ACCEPTED = "accepted"
 
 
 # A message register as blocks (see qsim): one block per qubit for the product
@@ -89,9 +96,9 @@ class Verdict(Enum):
 Message = tuple[StateVector, ...]
 
 
-def haar_product_message(n: int, rng: np.random.Generator) -> Message:
+def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> Message:
     """Independent Haar single-qubit factors, the product form the scheme signs."""
-    return tuple(qsim.haar_random_state(1, rng) for _ in range(n))
+    return tuple(qsim.haar_random_state(1, rng, batch) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +115,19 @@ class PauliFrame:
     """
 
     table: dict[tuple[BellOutcome, XOutcome], PauliOp]
+    # the table as PauliOp positions indexed by (Bell, x) positions
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def correction(self, m_a: BellOutcome, m_b: XOutcome) -> PauliOp:
-        return self.table[(m_a, m_b)]
+    def __post_init__(self):
+        positions = np.zeros((len(BellOutcome), len(XOutcome)), dtype=np.intp)
+        for (m_a, m_b), pauli in self.table.items():
+            positions[m_a, m_b] = operator.index(pauli)
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+
+    def correction(self, m_a, m_b):
+        """The Pauli for each trial's outcome pair (see qsim.labels)."""
+        return qsim.labels(tuple(PauliOp), self.positions[m_a, m_b])
 
 
 def corrected_share_fidelity(
@@ -188,35 +205,46 @@ class EncryptedYtb:
 
 @dataclass
 class Transcript:
-    """Full record of one protocol run."""
+    """Full record of a block of protocol runs, one entry per trial in every
+    field (outcomes as qsim.labels: members for a single run)."""
 
-    seed: int
+    seed: object  # the int seed or the Generator the block drew from
     n: int
     variant: ProtocolVariant
     m_a: tuple[BellOutcome, ...] | None = None
     m_b: tuple[XOutcome, ...] | None = None
     m_t: tuple[XOutcome, ...] | None = None
-    gamma: int | None = None
+    gamma: np.ndarray | None = None
     y_b: EncryptedYb | None = None
     y_tb: EncryptedYtb | None = None
-    verdict: Verdict | None = None
+    accepted: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> Verdict | None:
+        return None if self.accepted is None else qsim.labels(tuple(Verdict), self.accepted)
 
 
 # ---------------------------------------------------------------------------
 # Phases
 
 
-def initialize(n: int, seed: int, variant: ProtocolVariant):
-    """Initial phase: fresh keys and one GHZ triple per message qubit."""
+def initialize(n: int, seed, variant: ProtocolVariant, size: int | None = None):
+    """Initial phase: fresh keys for each of `size` trials (None: one run, no
+    trial axis) and one GHZ triple per message qubit.
+
+    `seed` is an int or a Generator, as numpy's default_rng takes it. The GHZ
+    triples are single states that every trial of the block shares.
+    """
     if n < 1:
         raise ValueError("message needs at least one qubit")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA0,)))
+    rng = np.random.default_rng(seed)
+    batch = () if size is None else (size,)
     k_a = KeyMaterial.random(
-        crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng
+        crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng, batch
     )
-    k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng)
-    ghz_triples = tuple(qsim.ghz_state() for _ in range(n))
+    k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, batch)
+    ghz_triples = (qsim.ghz_state(),) * n
     stub = Transcript(seed=seed, n=n, variant=variant)
     return k_a, k_b, ghz_triples, stub
 
@@ -273,7 +301,7 @@ def bob_receive_and_forward(
         m_b.append(outcome)
         particles.append(particle)
     mb_bits = crypto.classical_encrypt(
-        np.array([o.bit for o in m_b], dtype=np.uint8), k_b.slice(*layout["yb_mb_pad"])
+        crypto.x_outcomes_to_bits(m_b), k_b.slice(*layout["yb_mb_pad"])
     )
     wrapped_sig = SignaturePackage(
         crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
@@ -321,7 +349,7 @@ def arbitrator_verify(
     n = qsim.qubit_count(y_b.sig.enc_state)
     layout = crypto.kb_layout(n)
     mb_bits = crypto.classical_decrypt(y_b.mb_bits, k_b.slice(*layout["yb_mb_pad"]))
-    m_b = tuple(XOutcome.from_bit(int(b)) for b in mb_bits)
+    m_b = crypto.bits_to_x_outcomes(mb_bits)
     sig = SignaturePackage(
         crypto.classical_decrypt(y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
         crypto.qotp_decrypt(y_b.sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
@@ -334,18 +362,14 @@ def arbitrator_verify(
     post_particles = particles
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
         qsim.qubit_blocks(r + r_prime, "per-qubit comparison")
-        gamma = 1
-        disturbed = []
-        for fa, fb in zip(r, r_prime):
-            result = comparison.swap_test(fa, fb, rng)
-            if result.verdict is CompareVerdict.DEFINITELY_DIFFERENT:
-                gamma = 0
-            disturbed.append(result.post_state)
+        results = [comparison.swap_test(fa, fb, rng) for fa, fb in zip(r, r_prime)]
+        different = np.any([result.different for result in results], axis=0)
         if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
+            disturbed = [result.post_state for result in results]
             post_particles = _recover_particles(disturbed, transform, m_a, m_b)
     else:
         result = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
-        gamma = 1 if result.verdict is CompareVerdict.POSSIBLY_SAME else 0
+        different = result.different
         if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
             raise ValueError(
                 "non-idealized comparison with whole-register GHZ-sourced R' "
@@ -364,6 +388,7 @@ def arbitrator_verify(
             )
         out_particles = particles
 
+    gamma = (~different).astype(np.uint8)
     ma_bits = crypto.bell_outcomes_to_bits(m_a)
     y_tb = EncryptedYtb(
         ma_bits=crypto.classical_encrypt(ma_bits, k_b.slice(*layout["ytb_ma_pad"])),
@@ -371,11 +396,9 @@ def arbitrator_verify(
         mt_bits=None
         if m_t is None
         else crypto.classical_encrypt(
-            np.array([o.bit for o in m_t], dtype=np.uint8), k_b.slice(*layout["ytb_mt_pad"])
+            crypto.x_outcomes_to_bits(m_t), k_b.slice(*layout["ytb_mt_pad"])
         ),
-        gamma_bit=crypto.classical_encrypt(
-            np.array([gamma], dtype=np.uint8), k_b.slice(*layout["ytb_gamma_pad"])
-        ),
+        gamma_bit=crypto.classical_encrypt(gamma[..., None], k_b.slice(*layout["ytb_gamma_pad"])),
         sig=SignaturePackage(
             crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["ytb_sig_bell_pad"])),
             crypto.qotp_encrypt(sig.enc_state, k_b.slice(*layout["ytb_sig_state_pad"])),
@@ -392,14 +415,19 @@ def _recover_particles(disturbed_joints, transform, m_a, m_b):
     Pauli correction on the particle half of each post-measurement pair.
 
     The particle stays entangled with the discarded comparison register, so
-    each result is the 2-qubit joint state with the particle last.
+    each result is the 2-qubit joint state with the particle last. Each trial
+    undoes its own transform.
     """
     frame = pauli_frame()
     out = []
-    for i, (joint, a, b) in enumerate(zip(disturbed_joints, m_a, m_b)):
-        undone = qsim.apply_one_qubit(joint, transform.unitaries[i].conj().T, 1)
+    for joint, inverse, a, b in zip(disturbed_joints, transform.inverse().unitaries, m_a, m_b):
+        undone = qsim.apply_unitary(joint, qsim.kron(np.eye(2), inverse))
         out.append(qsim.apply_pauli(undone, frame.correction(a, b), 1))
     return tuple(out)
+
+
+# indexed by comparison.Verdict position
+_POSSIBLY_SAME = np.array([verdict is CompareVerdict.POSSIBLY_SAME for verdict in CompareVerdict])
 
 
 def bob_final_verify(
@@ -411,11 +439,13 @@ def bob_final_verify(
 ):
     """Bob's final test.
 
-    Returns (verdict, candidate Message or None). In MeasureX mode no faithful
-    reconstruction of the message from (M_a, M_b, M_t) exists; the candidate
-    records the best x-basis guess so its failure can be quantified, and the
-    verdict reduces to the gamma gate. In ForwardParticle mode Bob corrects the
-    forwarded particles and SWAP-tests them against the reference.
+    Returns (accepted per trial, candidate Message). A trial with gamma = 0
+    is rejected; its candidate is computed like any other but means nothing.
+    In MeasureX mode no faithful reconstruction of the message from
+    (M_a, M_b, M_t) exists; the candidate records the best x-basis guess so
+    its failure can be quantified, and the verdict reduces to the gamma gate.
+    In ForwardParticle mode Bob corrects the forwarded particles and
+    SWAP-tests them against the reference.
     """
     variant = config.variant
     n = qsim.qubit_count(y_tb.sig.enc_state)
@@ -424,23 +454,20 @@ def bob_final_verify(
     ma_bits = crypto.classical_decrypt(y_tb.ma_bits, k_b.slice(*layout["ytb_ma_pad"]))
     m_a = crypto.bits_to_bell_outcomes(ma_bits)
     mb_bits = crypto.classical_decrypt(y_tb.mb_bits, k_b.slice(*layout["ytb_mb_pad"]))
-    m_b = tuple(XOutcome.from_bit(int(b)) for b in mb_bits)
-    gamma = int(
-        crypto.classical_decrypt(y_tb.gamma_bit, k_b.slice(*layout["ytb_gamma_pad"]))[0]
-    )
-    if gamma == 0:
-        return Verdict.REJECTED, None
+    m_b = crypto.bits_to_x_outcomes(mb_bits)
+    gamma = crypto.classical_decrypt(y_tb.gamma_bit, k_b.slice(*layout["ytb_gamma_pad"]))[..., 0]
+    passed = gamma.astype(bool)
 
     if variant.m_t_mode is MtMode.MEASURE_X:
         mt_bits = crypto.classical_decrypt(y_tb.mt_bits, k_b.slice(*layout["ytb_mt_pad"]))
-        m_t = tuple(XOutcome.from_bit(int(b)) for b in mt_bits)
+        m_t = crypto.bits_to_x_outcomes(mt_bits)
         candidate = tuple(
             qsim.apply_pauli(qsim.x_state(t), frame.correction(a, b), 0)
             for t, a, b in zip(m_t, m_a, m_b)
         )
         # M_t only tells Bob the particle was not orthogonal to one x state;
         # there is nothing more to test against, so the gamma gate decides.
-        return Verdict.ACCEPTED, candidate
+        return passed, candidate
 
     particles = crypto.qotp_decrypt(y_tb.particles, k_b.slice(*layout["ytb_particle_pad"]))
     p_prime = tuple(
@@ -453,10 +480,7 @@ def bob_final_verify(
         verdict_cmp = comparison.compare_product(p_prime, reference, rng)
     else:
         verdict_cmp = comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).verdict
-    verdict = (
-        Verdict.ACCEPTED if verdict_cmp is CompareVerdict.POSSIBLY_SAME else Verdict.REJECTED
-    )
-    return verdict, p_prime
+    return passed & _POSSIBLY_SAME[verdict_cmp], p_prime
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +489,24 @@ def bob_final_verify(
 
 def run_protocol(
     config: RunConfig,
-    seed: int,
+    seed,
     message: Message | None = None,
     channel_tap=None,
+    size: int | None = None,
 ) -> Transcript:
-    """Execute one full run; deterministic given (config, seed, message).
+    """Execute a block of `size` full runs, or one run (no trial axis) when
+    `size` is None; deterministic given (config, seed, message, size).
 
-    `channel_tap`, when given, intercepts the Alice -> Bob transmission:
-    callable (message, sig, rng) -> (message, sig).
+    `seed` is an int or a Generator; the whole block draws from that one
+    generator, in phase order. `channel_tap`, when given, intercepts the
+    Alice -> Bob transmission: callable (message, sig, rng) -> (message, sig).
     """
     variant = config.variant
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB0,)))
-    k_a, k_b, ghz_triples, transcript = initialize(config.n, seed, variant)
+    rng = np.random.default_rng(seed)
+    k_a, k_b, ghz_triples, transcript = initialize(config.n, rng, variant, size)
+    transcript.seed = seed
     if message is None:
-        message = haar_product_message(config.n, rng)
+        message = haar_product_message(config.n, rng, k_a.bits.shape[:-1])
 
     sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, ghz_triples, variant, rng)
     transcript.m_a = m_a
@@ -498,12 +526,11 @@ def run_protocol(
         reference = message  # Bob mints fresh copies from the known description
     else:
         reference = p_out  # all Bob ever held is what arrived on the channel
-    verdict, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
-    transcript.verdict = verdict
+    transcript.accepted, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
 
-    if candidate is not None:
-        per_qubit = [qsim.fidelity(c, t) for c, t in zip(candidate, message)]
-        transcript.extras["candidate_fidelity"] = float(np.prod(per_qubit))
-        transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
+    # a rejected trial's candidate means nothing: its fidelities read NaN
+    per_qubit = [np.where(gamma, qsim.fidelity(c, t), np.nan)[()] for c, t in zip(candidate, message)]
+    transcript.extras["candidate_fidelity"] = math.prod(per_qubit)
+    transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
     transcript.extras["message_fidelity"] = qsim.register_fidelity(p_out, message)
     return transcript

@@ -1,9 +1,22 @@
-"""Minimal pure-state qubit simulator.
+"""Minimal pure-state qubit simulator, batched over Monte Carlo trials.
 
 Statevectors are immutable; every operation returns a fresh value. Qubit 0 is
 the leftmost tensor factor (most significant bit of the basis index).
 Measurements remove the measured qubits from the register and return the
 renormalized residual state, which is all the protocol layer ever needs.
+
+Trial axis. A StateVector holds one state per trial: its amplitudes have shape
+batch + (2^k,), with batch (T,) for a block of T trials and () for a single
+state. Every operation acts on each trial independently, broadcasts batch
+shapes (a single state, such as the GHZ triple, pairs with every trial of a
+block), and returns values with the same leading axes. Random draws follow
+suit: one uniform or Gaussian per trial, drawn as one array with the trial
+axis first.
+
+Outcomes. Measurement outcomes, Paulis and verdicts are `Ordered` enums: each
+member is also its position in the enum's fixed order. One trial's outcome is
+the member itself; a block's is an int array of positions. numpy tables
+indexed by either give the same rows.
 
 Convention notes:
 - |+x>, |-x> = (|0> +/- |1>)/sqrt(2).
@@ -17,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +43,34 @@ ATOL = 1e-10
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
-class PauliOp(Enum):
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller and StateVector
+
+
+class Ordered(Enum):
+    """An enum whose members are positions 0, 1, ... in definition order, so
+    that a member and an int array of positions index the same numpy tables."""
+
+    def __index__(self) -> int:
+        try:
+            return self._position
+        except AttributeError:  # first use of this enum: number its members
+            for i, member in enumerate(type(self)):
+                member._position = i
+            return self._position
+
+
+def labels(outcomes, index):
+    """`outcomes` at the drawn positions (ints or bools): the outcome itself
+    for one trial (a 0-d index), else the int array of positions, trial axis
+    first."""
+    index = np.asarray(index, dtype=np.intp)
+    return outcomes[int(index)] if index.ndim == 0 else index
+
+
+
+class PauliOp(Ordered):
     I = "I"
     X = "X"
     Y = "Y"
@@ -40,19 +81,21 @@ class PauliOp(Enum):
         return _PAULI_MATRICES[self]
 
 
-_PAULI_MATRICES = {
-    PauliOp.I: np.eye(2, dtype=complex),
-    PauliOp.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliOp.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_MATRICES = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
+# A Pauli as "flip the qubit or not, then multiply the amplitude of output bit b
+# by phase[b]", shaped to broadcast against a state viewed as (..., 2^t, 2, rest)
+_PAULI_FLIP = np.array([False, True, True, False])[:, None, None, None]
+_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)[:, None, :, None]
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
-class BellOutcome(Enum):
-    """The four Bell-measurement outcomes; serialize to 2 classical bits."""
+class BellOutcome(Ordered):
+    """The four Bell-measurement outcomes; serialize to 2 classical bits (b0, b1),
+    the outcome's position being 2*b0 + b1."""
 
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
@@ -61,82 +104,95 @@ class BellOutcome(Enum):
 
     @property
     def bits(self) -> tuple[int, int]:
-        return _BELL_BITS[self]
+        return divmod(operator.index(self), 2)
 
     @property
     def vector(self) -> np.ndarray:
-        return _BELL_VECTORS[self]
+        return _BELL_BASIS[self]
 
     @staticmethod
     def from_bits(b0: int, b1: int) -> "BellOutcome":
-        return _BELL_FROM_BITS[(b0, b1)]
+        return _BELL_ORDER[2 * b0 + b1]
 
 
-_BELL_VECTORS = {
-    BellOutcome.PSI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PSI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PHI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT2_INV,
-    BellOutcome.PHI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT2_INV,
-}
-_BELL_BITS = {
-    BellOutcome.PSI_PLUS: (0, 0),
-    BellOutcome.PSI_MINUS: (0, 1),
-    BellOutcome.PHI_PLUS: (1, 0),
-    BellOutcome.PHI_MINUS: (1, 1),
-}
-_BELL_FROM_BITS = {bits: o for o, bits in _BELL_BITS.items()}
-_BELL_ORDER = tuple(_BELL_VECTORS)
+_BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) * _SQRT2_INV
+_BELL_ORDER = tuple(BellOutcome)
 
 
-class XOutcome(Enum):
-    """x-basis measurement outcomes; serialize to 1 classical bit."""
+class XOutcome(Ordered):
+    """x-basis measurement outcomes; serialize to 1 classical bit, the position."""
 
     PLUS_X = "+x"
     MINUS_X = "-x"
 
     @property
     def bit(self) -> int:
-        return 0 if self is XOutcome.PLUS_X else 1
+        return operator.index(self)
 
     @property
     def vector(self) -> np.ndarray:
-        return _X_VECTORS[self]
+        return _X_BASIS[self]
 
     @staticmethod
     def from_bit(b: int) -> "XOutcome":
-        return XOutcome.PLUS_X if b == 0 else XOutcome.MINUS_X
+        return _X_ORDER[b]
 
 
-_X_VECTORS = {
-    XOutcome.PLUS_X: np.array([1, 1], dtype=complex) * _SQRT2_INV,
-    XOutcome.MINUS_X: np.array([1, -1], dtype=complex) * _SQRT2_INV,
-}
-_X_ORDER = tuple(_X_VECTORS)
-_Y_PHASES = np.array([-1j, 1j]).reshape(1, 2, 1)  # Y: flip the qubit, then -i on |0>, +i on |1>
-for _v in (*_BELL_VECTORS.values(), *_X_VECTORS.values(), _Y_PHASES):
-    _v.setflags(write=False)  # shared by every caller and StateVector
+_X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+_X_ORDER = tuple(XOutcome)
+_read_only(_PAULI_MATRICES, _PAULI_FLIP, _PAULI_PHASE, _BELL_BASIS, _X_BASIS)
+
+
+def _inner(a: np.ndarray, b: np.ndarray):
+    """<a|b> per trial. A block's rows get np.vdot(a, b) bit for bit, the form
+    a pair of single states takes directly."""
+    if a.ndim == b.ndim == 1:
+        return np.vdot(a, b)
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm_sq(amps: np.ndarray):
+    """<a|a> per trial: np.vdot for one state; for a block, one real product
+    over each row's (re, im) pairs, which copies nothing."""
+    if amps.ndim == 1:
+        return np.vdot(amps, amps).real
+    pairs = np.ascontiguousarray(amps).view(np.float64)
+    return np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
+
+
+def _every(mask) -> bool:
+    """mask.all(), without numpy's reduction call for one trial's scalar."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+def _some(mask) -> bool:
+    """mask.any(), without numpy's reduction call for one trial's scalar."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state over `qubit_count` qubits."""
+    """Normalized pure states over `qubit_count` qubits, one per trial:
+    `amplitudes` has shape batch + (2^k,)."""
 
     amplitudes: np.ndarray
     qubit_count: int = field(init=False)
 
     def __post_init__(self):
         amps = self.amplitudes
-        if amps.dtype != np.complex128 or amps.ndim != 1:
-            amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        size = amps.size
+        if amps.dtype != np.complex128:
+            amps = np.asarray(amps, dtype=np.complex128)
+        size = amps.shape[-1] if amps.ndim else 0
         k = size.bit_length() - 1
         if size != 1 << k or k < 1:
             raise ValueError(f"amplitude array of length {size} is not 2^k, k>=1")
-        norm_sq = np.vdot(amps, amps).real
-        if abs(norm_sq - 1.0) > 1e-8:
-            raise ValueError(f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
-        if abs(norm_sq - 1.0) > 1e-14:
-            amps = amps / np.sqrt(norm_sq)
+        norm_sq = _norm_sq(amps)
+        off = abs(norm_sq - 1.0)
+        if not _every(off <= 1e-8):  # written so that a NaN norm fails it too
+            raise ValueError(f"state not normalized: |norm^2 - 1| = {np.max(off):.3e}")
+        slack = off > 1e-14
+        if _some(slack):  # renormalize exactly the trials that need it
+            amps = amps / np.where(slack, np.sqrt(norm_sq), 1.0)[..., None]
             amps.setflags(write=False)
         elif amps.flags.writeable:
             amps = amps.copy()
@@ -144,9 +200,20 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_count", k)
 
+    @classmethod
+    def owning(cls, amps: np.ndarray) -> "StateVector":
+        """A state over `amps`, an array no caller holds: frozen in place, not copied."""
+        amps.setflags(write=False)
+        return cls(amps)
+
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The trial shape: (T,) for a block, () for a single state."""
+        return self.amplitudes.shape[:-1]
 
 
 def new_basis_state(k: int, index: int) -> StateVector:
@@ -165,8 +232,9 @@ def ghz_state() -> StateVector:
     return StateVector(amps)
 
 
-def x_state(outcome: XOutcome) -> StateVector:
-    return StateVector(outcome.vector)
+def x_state(outcome) -> StateVector:
+    """The x eigenstate of each trial's outcome."""
+    return StateVector(_X_BASIS[outcome])
 
 
 def _check_target(state: StateVector, target: int) -> None:
@@ -181,91 +249,113 @@ def _check_targets(state: StateVector, targets: tuple[int, ...]) -> None:
         _check_target(state, target)
 
 
-# Unitarity checks dominate the Monte Carlo hot path and the same few gate
-# matrices recur millions of times, so verified matrices are memoized by value.
-# The bound is in bytes because general-key unitaries are fresh Haar draws
-# (64 KiB each at n = 6) that never recur across trials.
+# The same few gate matrices recur in every block, so verified matrices are
+# memoized by value. The bound is in bytes because general-key unitaries are
+# fresh Haar draws (64 KiB each at n = 6) that never recur across trials.
 _UNITARY_CACHE: set[bytes] = set()
 _UNITARY_CACHE_MAX_BYTES = 4 * 2**20
 _unitary_cache_bytes = 0  # total key length in _UNITARY_CACHE
 
+# A stack of matrices is factored and checked in chunks of at most this many
+# bytes: a whole block of trials up to 4-qubit matrices, 16 trials at a time
+# for the 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB.
+_CHUNK_BYTES = 2**20
+
+
+def _chunks(stack: np.ndarray):
+    """Consecutive slices of a (len, d, d) stack, each within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (stack.itemsize * stack[0].size))
+    return (stack[start : start + step] for start in range(0, len(stack), step))
+
 
 def _check_unitary(matrix: np.ndarray, atol: float) -> None:
+    """Raise unless every matrix of the stack (..., d, d) is unitary."""
     global _unitary_cache_bytes
-    key = matrix.tobytes()
-    if key in _UNITARY_CACHE:
-        return
-    d = matrix.shape[0]
-    if not np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=atol):
-        raise ValueError("matrix is not unitary")
-    if not _UNITARY_CACHE:  # emptied by a caller's clear()
-        _unitary_cache_bytes = 0
-    if _unitary_cache_bytes + len(key) <= _UNITARY_CACHE_MAX_BYTES:
-        _UNITARY_CACHE.add(key)
-        _unitary_cache_bytes += len(key)
+    d = matrix.shape[-1]
+    for chunk in _chunks(np.ascontiguousarray(matrix).reshape(-1, d, d)):
+        rows = chunk.reshape(len(chunk), -1)
+        keys = dict.fromkeys(rows.view(f"V{rows.itemsize * d * d}").ravel().tolist())
+        unseen = [key for key in keys if key not in _UNITARY_CACHE]
+        if not unseen:
+            continue
+        deviation = np.matmul(np.swapaxes(chunk.conj(), -1, -2), chunk)
+        deviation -= np.eye(d)
+        # np.allclose(U^H U, I, atol) and its default rtol, without its temporaries
+        if not (np.abs(deviation) <= atol + 1e-5 * np.eye(d)).all():
+            raise ValueError("matrix is not unitary")
+        if not _UNITARY_CACHE:  # emptied by a caller's clear()
+            _unitary_cache_bytes = 0
+        for key in unseen:
+            if _unitary_cache_bytes + len(key) > _UNITARY_CACHE_MAX_BYTES:
+                break
+            _UNITARY_CACHE.add(key)
+            _unitary_cache_bytes += len(key)
 
 
 def _targets_first(amps: np.ndarray, k: int, targets: tuple[int, ...]) -> np.ndarray:
-    """The k-qubit amplitudes as a (2^t, 2^(k-t)) matrix whose rows index `targets`.
+    """The amplitudes as a (2^t, N) matrix: rows index `targets`, columns the
+    trials and then the other qubits.
 
-    This is the operand np.tensordot builds for a contraction over `targets`,
-    so one np.dot with it gives tensordot's result bit for bit; the transpose
-    (a copy) is skipped when the targets already lead in order.
+    For one state this is the operand np.tensordot builds for a contraction
+    over `targets`, so one np.dot with it gives tensordot's result bit for bit;
+    the transpose (a copy) is skipped when there is no trial axis and the
+    targets already lead in order.
     """
+    batch = amps.shape[:-1]
     t = len(targets)
-    if targets != tuple(range(t)):
-        rest = [q for q in range(k) if q not in targets]
-        amps = amps.reshape([2] * k).transpose([*targets, *rest])
+    if batch or targets != tuple(range(t)):
+        b = len(batch)
+        rest = [b + q for q in range(k) if q not in targets]
+        amps = amps.reshape(batch + (2,) * k).transpose([*(b + q for q in targets), *range(b), *rest])
     return amps.reshape(2**t, -1)
 
 
 def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
-    """Apply a 2x2 unitary to one qubit of the register."""
+    """Apply one 2x2 unitary to one qubit of the register, in every trial."""
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"gate shape {gate.shape} is not 2x2")
     _check_unitary(gate, ATOL)
     _check_target(state, target)
-    k = state.qubit_count
-    if k == 1:
-        return StateVector(gate @ state.amplitudes)
+    k, batch = state.qubit_count, state.batch
     out = np.dot(gate, _targets_first(state.amplitudes, k, (target,)))
-    if target:  # the product has the acted-on axis first; move it back
-        out = np.moveaxis(out.reshape([2] * k), 0, target)
-    return StateVector(out.reshape(-1))
+    if batch or target:  # the product has the acted-on axis first; move it back
+        out = np.moveaxis(out.reshape((2,) + batch + (2,) * (k - 1)), 0, len(batch) + target)
+    return StateVector.owning(out.reshape(batch + (-1,)))
 
 
-def apply_pauli(state: StateVector, pauli: PauliOp, target: int) -> StateVector:
-    """Apply a Pauli to one qubit (matrix-free index arithmetic)."""
-    if pauli is PauliOp.I:
-        return state
+def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
+    """Apply a Pauli to one qubit (matrix-free): one PauliOp for every trial,
+    or an int array of PauliOp positions, one per trial."""
     _check_target(state, target)
     k = state.qubit_count
-    block = state.amplitudes.reshape(2**target, 2, 2 ** (k - target - 1))
-    if pauli is PauliOp.X:
-        out = block[:, ::-1, :]
-    elif pauli is PauliOp.Z:
-        out = block.copy()
-        out[:, 1, :] *= -1
-    else:
-        out = block[:, ::-1, :] * _Y_PHASES
-    return StateVector(out.reshape(-1))
+    block = state.amplitudes.reshape(state.batch + (2**target, 2, 2 ** (k - target - 1)))
+    out = np.where(_PAULI_FLIP[pauli], block[..., ::-1, :], block) * _PAULI_PHASE[pauli]
+    return StateVector.owning(out.reshape(out.shape[:-3] + (-1,)))
 
 
 def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
-    """Apply a full-register unitary."""
+    """Apply a full-register unitary: one (d, d) matrix, or one per trial."""
     unitary = np.asarray(unitary, dtype=complex)
     d = state.dim
-    if unitary.shape != (d, d):
+    if unitary.shape[-2:] != (d, d):
         raise ValueError(f"unitary shape {unitary.shape} does not match dimension {d}")
     _check_unitary(unitary, 1e-9)
-    return StateVector(unitary @ state.amplitudes)
+    return StateVector.owning(np.matmul(unitary, state.amplitudes[..., None])[..., 0])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; a's qubits come first."""
+    """Tensor product, trial by trial; a's qubits come first."""
     # np.kron's products, without its generic n-d bookkeeping
-    return StateVector(np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    product = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
+    return StateVector.owning(product.reshape(product.shape[:-2] + (-1,)))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two operators, or of two stacks of them, trial by trial."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    d = a.shape[-1] * b.shape[-1]
+    return product.reshape(product.shape[:-4] + (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -299,71 +389,86 @@ def qubit_blocks(blocks, what: str) -> tuple[StateVector, ...]:
     return tuple(blocks)
 
 
-def register_fidelity(a, b) -> float:
+def register_fidelity(a, b):
     """|<a|b>|^2 of two registers: blockwise if they split alike, else joined."""
     if [x.qubit_count for x in a] != [y.qubit_count for y in b]:
         a, b = (join(a),), (join(b),)
     return math.prod(fidelity(x, y) for x, y in zip(a, b))
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
+def inner_product(a: StateVector, b: StateVector):
+    """<a|b> per trial, conjugate-linear in the first argument."""
     if a.qubit_count != b.qubit_count:
         raise ValueError("states live on different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return _inner(a.amplitudes, b.amplitudes)[()]
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    return float(abs(inner_product(a, b)) ** 2)
+def fidelity(a: StateVector, b: StateVector):
+    """|<a|b>|^2 per trial."""
+    return np.abs(inner_product(a, b)) ** 2
 
 
 def _project_out(state: StateVector, targets: tuple[int, ...], basis_vector: np.ndarray):
-    """Contract `targets` against basis_vector's conjugate; returns (residual array, probability)."""
+    """Contract `targets` against basis_vector's conjugate, in every trial;
+    returns (residual amplitudes, probability)."""
     bra = basis_vector.conj().reshape(1, -1)
     residual = np.dot(bra, _targets_first(state.amplitudes, state.qubit_count, targets))
-    residual = residual.reshape(-1)
-    prob = float(np.vdot(residual, residual).real)
-    return residual, prob
+    residual = residual.reshape(state.batch + (-1,))
+    return residual, _norm_sq(residual)[()]
 
 
-def _post_measurement(state: StateVector, targets, residual: np.ndarray, p: float):
+def _post_measurement(state: StateVector, targets, residual: np.ndarray, p):
     """The renormalized residual of a branch of probability p; None if no qubit remains."""
     if len(targets) == state.qubit_count:
         return None
-    return StateVector(residual / np.sqrt(p))
+    return StateVector.owning(residual / np.sqrt(p)[..., None])
 
 
 def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.random.Generator):
-    """Born-rule draw of one of `outcomes` on `targets`; the targets leave the register.
+    """Born-rule draw of one of `outcomes` on `targets` in every trial; the
+    targets leave the register.
 
     `outcomes` is an ordered basis of the targets' space, each item carrying
-    its basis `.vector`. One uniform u is drawn and the first outcome whose
-    cumulative probability exceeds u is taken (the last one if u lands in the
-    float slack past every bin); later outcomes are never projected.
-    Returns (outcome, renormalized residual or None if no qubit remains).
+    its basis `.vector`. One uniform u per trial is drawn, as one array, and
+    each trial takes the first outcome whose cumulative probability exceeds
+    its u; if u lands in the float slack past every bin, the last outcome of
+    nonzero probability. The outcomes are projected in order, and the loop
+    stops once every trial has its outcome, so for one state no outcome after
+    the drawn one is projected. Returns (outcomes drawn, see `labels`;
+    renormalized residual, or None if no qubit remains).
     """
     _check_targets(state, targets)
-    u = rng.random()
+    u = rng.random(state.batch)[()]
+    residuals, probs, cumulative = [], [], []
     acc = 0.0
     for outcome in outcomes:
         residual, p = _project_out(state, targets, outcome.vector)
-        acc += p
-        if u < acc:
+        acc = acc + p
+        residuals.append(residual)
+        probs.append(p)
+        cumulative.append(acc)
+        if _every(u < acc):
             break
-    return outcome, _post_measurement(state, targets, residual, p)
+    else:  # some u lies past every bin: move it just below the total, into the last bin of nonzero width
+        u = np.minimum(u, np.nextafter(acc, 0.0))
+    drawn = sum(c <= u for c in cumulative)  # bins wholly below u
+    if drawn.ndim == 0:
+        residual, p = residuals[drawn], probs[drawn]
+    else:
+        residual, p = np.choose(drawn[..., None], residuals), np.choose(drawn, probs)
+    return labels(outcomes, drawn), _post_measurement(state, targets, residual, p)
 
 
 def project(state: StateVector, targets: tuple[int, ...], outcome):
     """The branch of one outcome, without sampling: (probability, residual or None).
 
     The residual is what `measure` returns on drawing `outcome`; it is None
-    also when the branch's probability is below ATOL. Oracles enumerate
-    branches with it.
+    also when the branch's probability is below ATOL (in any trial). Oracles
+    enumerate branches with it.
     """
     _check_targets(state, targets)
     residual, p = _project_out(state, targets, outcome.vector)
-    return p, None if p < ATOL else _post_measurement(state, targets, residual, p)
+    return p, None if np.any(p < ATOL) else _post_measurement(state, targets, residual, p)
 
 
 def measure_x(state: StateVector, target: int, rng: np.random.Generator):
@@ -376,25 +481,36 @@ def bell_measure(state: StateVector, q1: int, q2: int, rng: np.random.Generator)
     return measure(state, (q1, q2), _BELL_ORDER, rng)
 
 
-def haar_random_state(k: int, rng: np.random.Generator) -> StateVector:
-    """Haar-distributed pure state on k qubits (normalized complex Gaussian vector)."""
+def haar_random_state(k: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
+    """Haar-distributed pure states on k qubits, one per trial of `batch`
+    (normalized complex Gaussian vectors)."""
     if k < 1:
         raise ValueError("need at least one qubit")
-    d = 2**k
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(z / np.linalg.norm(z))
+    shape = batch + (2**k,)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return StateVector.owning(z / np.sqrt(_norm_sq(z))[..., None])
 
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * _SQRT2_INV
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_random_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
+
+    Given a list of generators instead of one, draws one Ginibre matrix from
+    each and factors the (len, dim, dim) stack, chunk by chunk (_CHUNK_BYTES).
+    """
+    single = isinstance(rng, np.random.Generator)
+    gens = iter([rng] if single else rng)
+    u = np.empty((1 if single else len(rng), dim, dim), dtype=complex)
+    for chunk in _chunks(u):
+        z = np.stack([g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)) for g in itertools.islice(gens, len(chunk))])
+        z *= _SQRT2_INV
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        np.multiply(q, (d / np.abs(d))[..., None, :], out=chunk)
+    return u[0] if single else u
 
 
 def product_factors(state: StateVector) -> tuple[StateVector, ...]:
-    """Split a product state into its single-qubit factors.
+    """Split one product state (no trial axis) into its single-qubit factors.
 
     Raises ValueError if any bipartition (first qubit vs rest) has Schmidt rank
     above 1 beyond tolerance. Factor phases are fixed arbitrarily; only

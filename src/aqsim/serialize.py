@@ -22,6 +22,11 @@ def _bits(arr) -> list[int]:
     return [int(b) for b in np.asarray(arr)]
 
 
+def _plain(value):
+    """A number or array as plain JSON-ready Python values."""
+    return None if value is None else np.asarray(value).tolist()
+
+
 def yb_to_dict(y_b: EncryptedYb) -> dict:
     return {
         "mb_bits": _bits(y_b.mb_bits),
@@ -63,11 +68,11 @@ def transcript_to_dict(t: Transcript) -> dict:
         "m_a": None if t.m_a is None else [o.value for o in t.m_a],
         "m_b": None if t.m_b is None else [o.value for o in t.m_b],
         "m_t": None if t.m_t is None else [o.value for o in t.m_t],
-        "gamma": t.gamma,
+        "gamma": _plain(t.gamma),
         "y_b": None if t.y_b is None else yb_to_dict(t.y_b),
         "y_tb": None if t.y_tb is None else ytb_to_dict(t.y_tb),
         "verdict": None if t.verdict is None else t.verdict.value,
-        "extras": t.extras,
+        "extras": {key: _plain(value) for key, value in t.extras.items()},
     }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from aqsim import qsim
 from aqsim.attacks import (
+    BLOCK_TRIALS,
     AttackReport,
     CSV_HEADER,
     ForgeryStrategy,
@@ -14,6 +15,7 @@ from aqsim.attacks import (
     _orthogonal_qubit,
     analytic_acceptance,
     binomial_ci,
+    block_rng,
     estimate_forgery_acceptance,
     fidelity_drop,
     forge,
@@ -91,7 +93,7 @@ class TestForge:
 
     def test_custom_sampler(self):
         plus = qsim.x_state(qsim.XOutcome.PLUS_X)
-        strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r: plus)
+        strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r, batch: plus)
         forged = forge(haar_product_message(1, rng(9)), strat, rng(10))
         assert qsim.fidelity(forged[0], plus) >= 1 - 1e-12
 
@@ -101,7 +103,7 @@ class TestFidelityDrop:
         # a sampler that hands back the original factor leaves fidelity at 1
         msg1 = haar_product_message(1, rng(13))
         keep = ForgeryStrategy(
-            StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r: msg1[0]
+            StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r, batch: msg1[0]
         )
         assert fidelity_drop(msg1, keep, trials=50, seed=1) == pytest.approx(1.0)
 
@@ -256,16 +258,37 @@ class TestRecoveryFailure:
         assert all(abs(f - 1.0) < 1e-10 for f in fids)
 
 
-def _echo_trial(seed, i, offset):
-    return (seed, i, offset)
+def _echo_block(seed, i, size, offset):
+    """Each trial's index, and its block's (seed, first trial, size)."""
+    return np.arange(i, i + size), np.full((size, 3), (seed + offset, i, size))
+
+
+# About 2.5 blocks, so the last block is partial.
+PARTIAL_TRIALS = 2 * BLOCK_TRIALS + BLOCK_TRIALS // 2
 
 
 class TestMapTrials:
     def test_serial_order(self):
-        out = map_trials(_echo_trial, 5, 42, workers=1, offset=7)
-        assert out == [(42, i, 7) for i in range(5)]
+        index, calls = map_trials(_echo_block, PARTIAL_TRIALS, 42, workers=1, offset=7)
+        assert np.array_equal(index, np.arange(PARTIAL_TRIALS))
+        blocks = [(49, start, min(BLOCK_TRIALS, PARTIAL_TRIALS - start)) for start in range(0, PARTIAL_TRIALS, BLOCK_TRIALS)]
+        assert [tuple(row) for row in np.unique(calls, axis=0)] == blocks
+
+    def test_single_trial_is_a_block_of_one(self):
+        index, calls = map_trials(_echo_block, 1, 3, workers=1, offset=0)
+        assert index.tolist() == [0] and calls.tolist() == [[3, 0, 1]]
 
     def test_worker_count_invariant(self):
-        serial = map_trials(_echo_trial, 13, 8, workers=1, offset=0)
-        parallel = map_trials(_echo_trial, 13, 8, workers=2, offset=0)
-        assert serial == parallel
+        for trials in (1, PARTIAL_TRIALS):
+            serial = map_trials(_echo_block, trials, 8, workers=1, offset=0)
+            for workers in (2, 3):
+                pooled = map_trials(_echo_block, trials, 8, workers=workers, offset=0)
+                assert all(np.array_equal(a, b) for a, b in zip(serial, pooled, strict=True))
+
+    def test_block_streams_depend_on_seed_and_block_only(self):
+        def first_draw(seed, i):
+            return block_rng(seed, i).random()
+
+        assert first_draw(5, 0) == first_draw(5, BLOCK_TRIALS - 1)  # same block
+        assert first_draw(5, 0) != first_draw(5, BLOCK_TRIALS)  # next block
+        assert first_draw(5, 0) != first_draw(6, 0)

@@ -1,6 +1,7 @@
 """Unit and property tests for the statevector engine."""
 
 import itertools
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,18 @@ class TestStateVector:
         s = new_basis_state(1, 0)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            StateVector(np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError):  # one bad trial fails the block
+            StateVector(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+    def test_block_renormalizes_only_the_trials_that_need_it(self):
+        exact = np.array([0.6, 0.8])
+        block = StateVector(np.array([exact, exact * (1 + 1e-10)]))
+        assert np.array_equal(block.amplitudes[0], exact)
+        assert np.array_equal(block.amplitudes[1], StateVector(exact * (1 + 1e-10)).amplitudes)
 
 
 class TestGhz:
@@ -259,9 +272,20 @@ class _FixedUniform:
         self.u = u
         self.draws = 0
 
-    def random(self):
+    def random(self, size=None):
         self.draws += 1
-        return self.u
+        return np.full(size, self.u) if size is not None else self.u
+
+
+class _Replay:
+    """An rng stand-in that hands out the given uniforms, one array per call."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size=None):
+        assert size == self.uniforms.shape
+        return self.uniforms
 
 
 def _measurement_cases(seed):
@@ -298,6 +322,33 @@ class TestMeasureContract:
                     assert residual is None
                 else:
                     assert np.array_equal(residual.amplitudes, expected.amplitudes)
+
+    def test_uniform_past_every_bin_takes_last_nonzero_outcome(self):
+        # qubit 0 of |00> in the computational basis: the last outcome, |1>,
+        # has probability 0, so a uniform in the float slack past the total
+        # must land on |0>, never on the empty branch
+        zero_last = (SimpleNamespace(vector=np.array([1, 0j])), SimpleNamespace(vector=np.array([0, 1 + 0j])))
+        pair = new_basis_state(2, 0)
+        drawn, residual = measure(pair, (0,), zero_last, _FixedUniform(1.0))
+        assert drawn is zero_last[0]
+        assert np.array_equal(residual.amplitudes, [1, 0])
+        block = StateVector(np.array([pair.amplitudes, pair.amplitudes]))
+        drawn, residual = measure(block, (0,), zero_last, _FixedUniform(1.0))
+        assert drawn.tolist() == [0, 0]
+        assert np.allclose(np.linalg.norm(residual.amplitudes, axis=-1), 1.0)
+
+    def test_block_draws_match_single_draws(self):
+        # one uniform per trial, in trial order: trial t of a block draws what
+        # a single state draws from the t-th uniform
+        r = rng(42)
+        states = [haar_random_state(3, r) for _ in range(6)]
+        block = StateVector(np.array([s.amplitudes for s in states]))
+        uniforms = rng(43).random(6)
+        drawn, residual = measure(block, (2, 0), tuple(BellOutcome), _Replay(uniforms))
+        for t, state in enumerate(states):
+            one, res = measure(state, (2, 0), tuple(BellOutcome), _FixedUniform(uniforms[t]))
+            assert drawn[t] == operator.index(one)
+            assert np.allclose(residual.amplitudes[t], res.amplitudes, atol=1e-12)
 
     def test_consumes_one_uniform(self):
         for seed, (state, targets, outcomes) in enumerate(_measurement_cases(41)):
