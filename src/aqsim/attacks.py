@@ -24,7 +24,6 @@ from . import comparison, qsim
 from .crypto import SignaturePackage, SigningModel
 from .protocol import (
     ComparisonMode,
-    Message,
     MessageKnowledge,
     MtMode,
     RPrimeSource,
@@ -48,8 +47,8 @@ def haar_qubit_sampler(rng: np.random.Generator, batch: tuple[int, ...] = ()) ->
 class ForgeryStrategy:
     kind: StrategyKind
     m: int | None = None  # replaced qubit count, ReplaceQubits only
-    # (rng, batch) -> replacement single-qubit states, one per trial of batch
-    # (or one state for every trial)
+    # (rng, batch) -> replacement single-qubit states, one per entry of batch
+    # (trials, then the m replaced qubits), or one state for every entry
     sampler: object = haar_qubit_sampler
 
     def validate(self, n: int) -> None:
@@ -107,25 +106,22 @@ def _orthogonal_qubit(state: StateVector) -> StateVector:
     return StateVector(np.stack([-np.conj(b), np.conj(a)], axis=-1))
 
 
-def forge(message: Message, strategy: ForgeryStrategy, rng: np.random.Generator) -> Message:
-    """Produce the substituted message in every trial of the message's block."""
+def forge(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator) -> StateVector:
+    """Produce the substituted message register in every trial of the message's block."""
     n = qsim.qubit_count(message)
     strategy.validate(n)
-    batch = message[0].batch
+    batch = message.batch[:-1]
     if strategy.kind is StrategyKind.REPLACE_WHOLE_REGISTER:
-        return (qsim.haar_random_state(n, rng, batch),)
+        return qsim.haar_random_state(n, rng, batch + (1,))
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
-        blocks = qsim.qubit_blocks(message, "qubit replacement")
+        if message.qubit_count != 1:
+            raise ValueError(f"qubit replacement needs one-qubit blocks, got {message.qubit_count}-qubit blocks")
         # each trial's m replaced qubits: the first m of a uniformly random order
-        replaced = np.argsort(rng.random(batch + (n,)), axis=-1)[..., : strategy.m]
-        samples = [strategy.sampler(rng, batch) for _ in range(strategy.m)]
-        out = []
-        for q, block in enumerate(blocks):
-            amps = block.amplitudes
-            for j, sample in enumerate(samples):
-                amps = np.where((replaced[..., j] == q)[..., None], sample.amplitudes, amps)
-            out.append(StateVector(amps))
-        return tuple(out)
+        replaced = np.argsort(rng.random(batch + (n,)), axis=-1)[..., : strategy.m, None]
+        samples = strategy.sampler(rng, batch + (strategy.m,))
+        amps = message.amplitudes.copy()
+        np.put_along_axis(amps, replaced, samples.amplitudes, axis=-2)
+        return StateVector.owning(amps)
     raise ValueError(f"{strategy.kind} does not substitute the message")
 
 
@@ -135,11 +131,12 @@ def _garble_tap(message, sig, rng):
     The pads are Pauli, so in-ciphertext orthogonality survives decryption and
     the arbitrator's comparison sees an exactly orthogonal first qubit.
     """
-    first, *rest = sig.enc_state
-    if first.qubit_count != 1:
+    state = sig.enc_state
+    if state.qubit_count != 1:
         raise ValueError("garbling needs the signature's first qubit in a block of its own")
-    garbled = (_orthogonal_qubit(first), *rest)
-    return message, SignaturePackage(sig.enc_bell, garbled)
+    garbled = state.amplitudes.copy()
+    garbled[..., 0, :] = _orthogonal_qubit(state).amplitudes[..., 0, :]
+    return message, SignaturePackage(sig.enc_bell, StateVector.owning(garbled))
 
 
 def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float | None:
@@ -235,7 +232,7 @@ def estimate_forgery_acceptance(
 
 
 def fidelity_drop(
-    p: Message, strategy: ForgeryStrategy, trials: int, seed: int
+    p: StateVector, strategy: ForgeryStrategy, trials: int, seed: int
 ) -> float:
     """Mean fidelity between the original message and its forged replacement."""
     strategy.validate(qsim.qubit_count(p))
@@ -243,8 +240,8 @@ def fidelity_drop(
     return float(np.mean(fids))
 
 
-def _drop_trials(message: Message, strategy: ForgeryStrategy, seed: int, i: int, size: int):
-    block = tuple(StateVector(np.broadcast_to(b.amplitudes, (size, b.dim))) for b in message)
+def _drop_trials(message: StateVector, strategy: ForgeryStrategy, seed: int, i: int, size: int):
+    block = StateVector(np.broadcast_to(message.amplitudes, (size,) + message.amplitudes.shape))
     return (qsim.register_fidelity(message, forge(block, strategy, block_rng(seed, i))),)
 
 

@@ -39,9 +39,11 @@ from .protocol import (
 OUTPUT_DIR_ENV = "AQSIM_OUT_DIR"
 DEFAULT_SEED = 0
 
-# Largest --n per path. Per-qubit keys and comparison touch at most 4 qubits at
-# a time, so cost is linear in n. Whole-register paths act on 2^n amplitudes; at
-# n = 6 the SWAP test's joint state has 12 qubits, the most qsim.ATOL allows.
+# Largest --n per path. Per-qubit keys and comparison keep every register as n
+# blocks of at most 4 qubits (a message qubit and its GHZ triple), each step one
+# call over all of them, so memory is linear in n. Whole-register paths act on
+# 2^n amplitudes; at n = 6 the SWAP test's joint state has 12 qubits, the most
+# qsim.ATOL allows.
 MAX_N_PER_QUBIT = 64
 MAX_N_WHOLE_REGISTER = 6
 

@@ -6,7 +6,8 @@ the symmetric outcome is inconclusive. The one-sided detection probability is
 (1 - |<a|b>|^2)/2, so it never exceeds 1/2: no measurement conclusively
 confirms that two unknown pure states are identical.
 
-Like qsim, every function acts trial by trial on a block (trial axis first).
+Like qsim, every function acts trial by trial on a block (trial axis first),
+and block by block on a register's block axis.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import Ordered, StateVector, _norm_sq, fidelity, labels, qubit_blocks, tensor
+from .qsim import Ordered, StateVector, _norm_sq, fidelity, labels, tensor
 
 
 class Verdict(Ordered):
@@ -25,7 +26,7 @@ class Verdict(Ordered):
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    different: np.ndarray  # per trial: the antisymmetric outcome, which proves the inputs differ
+    different: np.ndarray  # per trial and block: the antisymmetric outcome, which proves the inputs differ
     post_state: StateVector  # joint (a, b) register after the projection
 
     @property
@@ -39,8 +40,8 @@ def detect_probability(a: StateVector, b: StateVector) -> float:
 
 
 def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> ComparisonResult:
-    """One SWAP test on each trial's pair, one uniform per trial; post_state
-    is the projected joint register."""
+    """One SWAP test on each trial's (and block's) pair, one uniform each;
+    post_state is the projected joint register."""
     if a.qubit_count != b.qubit_count:
         raise ValueError("cannot compare states on different qubit counts")
     joint = tensor(a, b).amplitudes
@@ -62,15 +63,15 @@ def average_q(n: int) -> float:
     return 0.5 * (1.0 - 2.0**-n)
 
 
-def compare_product(a, b, rng: np.random.Generator) -> Verdict:
-    """Compare two product registers, given as one-qubit blocks, qubit by qubit.
+def compare_product(a: StateVector, b: StateVector, rng: np.random.Generator) -> Verdict:
+    """Compare two product registers (one-qubit blocks) qubit by qubit.
 
-    One SWAP test per qubit pair, every pair tested in every trial; any
-    conclusive mismatch settles it. Raises if either register has a
-    multi-qubit block or the sizes disagree.
+    One SWAP test per qubit pair, every pair tested in every trial by one
+    swap_test call over the block axis; any conclusive mismatch settles it.
+    Raises if either register has a multi-qubit block or the sizes disagree.
     """
-    a, b = qubit_blocks(a, "per-qubit comparison"), qubit_blocks(b, "per-qubit comparison")
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare {len(a)} qubits with {len(b)}")
-    different = np.any([swap_test(fa, fb, rng).different for fa, fb in zip(a, b)], axis=0)
-    return labels(tuple(Verdict), different)
+    if a.qubit_count != 1 or b.qubit_count != 1:
+        raise ValueError(f"per-qubit comparison needs one-qubit blocks, got {a.qubit_count} and {b.qubit_count}")
+    if a.batch[-1] != b.batch[-1]:
+        raise ValueError(f"cannot compare {a.batch[-1]} qubits with {b.batch[-1]}")
+    return labels(tuple(Verdict), swap_test(a, b, rng).different.any(-1))

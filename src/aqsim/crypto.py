@@ -14,7 +14,8 @@ Key bits are consumed as disjoint slices in a fixed, documented order:
 Disjointness is what makes the pads one-time; nothing here models key reuse.
 
 Key bits carry the trial axis first (see qsim): a block of T trials holds
-T keys as a (T, length) array, and every pad and transform acts trial by trial.
+T keys as a (T, length) array, and every pad and transform acts trial by trial
+on a register (see qsim "Registers"): one StateVector with a block axis.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from .qsim import (
     apply_unitary,
     haar_random_unitary,
     join,
-    kron,
-    labels,
-    per_block,
+    kron_blocks,
     qubit_count,
 )
 
@@ -156,21 +155,22 @@ def kb_bits_required(n: int) -> int:
 class SigningTransform:
     """Deterministic keyed unitary applied to the message register."""
 
-    model: SigningModel
-    unitaries: tuple[np.ndarray, ...]  # one 2x2 per qubit, or a single 2^n x 2^n; trial axis first
+    # one unitary per block, on the register's block axis: (..., n, 2, 2) for
+    # per-qubit keys, (..., 1, 2^n, 2^n) for a general key; trial axis first
+    unitaries: np.ndarray
 
-    def apply(self, blocks) -> tuple[StateVector, ...]:
-        """Per-qubit unitaries act within each block; a general unitary acts on
-        the joined register and returns it as one block."""
-        if self.model is SigningModel.GENERAL_UNITARY:
-            return (apply_unitary(join(blocks), self.unitaries[0]),)
-        return tuple(
-            apply_unitary(b, functools.reduce(kron, us))
-            for b, us in per_block(blocks, self.unitaries)
-        )
+    def apply(self, register: StateVector) -> StateVector:
+        """One apply_unitary call, once the block widths match: a register of
+        narrower blocks is joined, a stack of narrower unitaries is kron'd."""
+        unitaries = self.unitaries
+        if register.dim < unitaries.shape[-1]:
+            register = join(register)
+        elif register.dim > unitaries.shape[-1]:
+            unitaries = kron_blocks(unitaries)
+        return apply_unitary(register, unitaries)
 
     def inverse(self) -> "SigningTransform":
-        return SigningTransform(self.model, tuple(np.swapaxes(u.conj(), -1, -2) for u in self.unitaries))
+        return SigningTransform(np.swapaxes(self.unitaries.conj(), -1, -2))
 
 
 # Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
@@ -195,16 +195,14 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
 def _transform_from_bits(signing: bytes, shape, n: int, model: SigningModel) -> SigningTransform:
     bits = np.frombuffer(signing, dtype=np.uint8).reshape(shape)
     if model is SigningModel.PER_QUBIT_PRODUCT:
-        index = 2 * bits[..., 0::2] + bits[..., 1::2]
-        unitaries = tuple(_PER_QUBIT_SET[index[..., i]] for i in range(n))
+        unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
     else:
         # each trial's 64 bits seed its own Ginibre draw; the QR runs on the stack
         seeds = [int.from_bytes(np.packbits(b).tobytes(), "big") for b in bits.reshape(-1, shape[-1])]
         u = haar_random_unitary(2**n, [np.random.default_rng(s) for s in seeds])
-        unitaries = (u.reshape(shape[:-1] + u.shape[-2:]),)
-    for u in unitaries:
-        u.setflags(write=False)
-    return SigningTransform(model, unitaries)
+        unitaries = u.reshape(shape[:-1] + (1,) + u.shape[-2:])
+    unitaries.setflags(write=False)
+    return SigningTransform(unitaries)
 
 
 # A pad bit selects the identity or its Pauli, as a PauliOp position.
@@ -212,30 +210,32 @@ _Z_IF_SET = operator.index(PauliOp.Z)
 _X_IF_SET = operator.index(PauliOp.X)
 
 
-def _qotp(blocks, pad_bits: np.ndarray, order: tuple[int, int]) -> tuple[StateVector, ...]:
+def _qotp(register: StateVector, pad_bits: np.ndarray, order: tuple[int, int]) -> StateVector:
     """Per qubit i, the Paulis of pad bits (a, b) = pad[2i], pad[2i+1] in the
-    given order (0: X^a, 1: Z^b), each trial with its own pad."""
-    pad = np.asarray(pad_bits, dtype=np.uint8).T  # bits first, then trials
-    out = []
-    for block, bits in per_block(blocks, pad, 2):
-        for j in range(block.qubit_count):
-            for half in order:
-                bit = bits[2 * j + half]
-                if _some(bit):  # skipped when no trial's pad sets this bit
-                    block = apply_pauli(block, (_Z_IF_SET if half else _X_IF_SET) * bit, j)
-        out.append(block)
-    return tuple(out)
+    given order (0: X^a, 1: Z^b), each trial with its own pad: for qubit j of
+    every block at once, one apply_pauli per half that any trial's pad sets."""
+    pad = np.asarray(pad_bits, dtype=np.uint8)
+    k = register.qubit_count
+    if pad.shape[-1] != 2 * qubit_count(register):
+        raise ValueError(f"{pad.shape[-1]} pad bits for {qubit_count(register)} qubits at 2 each")
+    bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))  # trials, blocks, qubit in block, half
+    for j in range(k):
+        for half in order:
+            bit = bits[..., j, half]
+            if _some(bit):
+                register = apply_pauli(register, (_Z_IF_SET if half else _X_IF_SET) * bit, j)
+    return register
 
 
-def qotp_encrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
-    """Quantum one-time pad on a register's blocks: X^a Z^b on qubit i with
+def qotp_encrypt(register: StateVector, pad_bits: np.ndarray) -> StateVector:
+    """Quantum one-time pad on a register: X^a Z^b on qubit i with
     (a, b) = pad[2i], pad[2i+1]."""
-    return _qotp(blocks, pad_bits, (1, 0))
+    return _qotp(register, pad_bits, (1, 0))
 
 
-def qotp_decrypt(blocks, pad_bits: np.ndarray) -> tuple[StateVector, ...]:
+def qotp_decrypt(register: StateVector, pad_bits: np.ndarray) -> StateVector:
     """Inverse of qotp_encrypt (undoes X before Z per qubit)."""
-    return _qotp(blocks, pad_bits, (0, 1))
+    return _qotp(register, pad_bits, (0, 1))
 
 
 def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -249,32 +249,29 @@ def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 classical_decrypt = classical_encrypt  # XOR is an involution
 
-_BELL_ORDER = tuple(BellOutcome)
-_X_ORDER = tuple(XOutcome)
-_BELL_BITS = np.array([o.bits for o in _BELL_ORDER], dtype=np.uint8)
-_X_BITS = np.array([o.bit for o in _X_ORDER], dtype=np.uint8)
+# Outcome positions (qubit axis last) to their classical bits, and back.
+_BELL_BITS = np.array([o.bits for o in BellOutcome], dtype=np.uint8)
+_X_BITS = np.array([o.bit for o in XOutcome], dtype=np.uint8)
 
 
-def bell_outcomes_to_bits(outcomes) -> np.ndarray:
+def bell_outcomes_to_bits(outcomes: np.ndarray) -> np.ndarray:
     """Two bits per outcome along the last axis."""
-    bits = np.stack([_BELL_BITS[o] for o in outcomes], axis=-2)
+    bits = _BELL_BITS[outcomes]
     return bits.reshape(bits.shape[:-2] + (-1,))
 
 
-def bits_to_bell_outcomes(bits: np.ndarray) -> tuple[BellOutcome, ...]:
-    bits = np.asarray(bits, dtype=np.uint8)
-    index = 2 * bits[..., 0::2] + bits[..., 1::2]
-    return tuple(labels(_BELL_ORDER, index[..., i]) for i in range(index.shape[-1]))
+def bits_to_bell_outcomes(bits: np.ndarray) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.intp)
+    return 2 * bits[..., 0::2] + bits[..., 1::2]
 
 
-def x_outcomes_to_bits(outcomes) -> np.ndarray:
+def x_outcomes_to_bits(outcomes: np.ndarray) -> np.ndarray:
     """One bit per outcome along the last axis."""
-    return np.stack([_X_BITS[o] for o in outcomes], axis=-1)
+    return _X_BITS[outcomes]
 
 
-def bits_to_x_outcomes(bits: np.ndarray):
-    bits = np.asarray(bits, dtype=np.uint8)
-    return tuple(labels(_X_ORDER, bits[..., i]) for i in range(bits.shape[-1]))
+def bits_to_x_outcomes(bits: np.ndarray) -> np.ndarray:
+    return np.asarray(bits, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,7 @@ class SignaturePackage:
     """K_a-encrypted (Bell outcome, signature state) pair."""
 
     enc_bell: np.ndarray  # 2n XOR-padded classical bits
-    enc_state: tuple[StateVector, ...]  # quantum-one-time-padded signature blocks
+    enc_state: StateVector  # quantum-one-time-padded signature register
 
     def __post_init__(self):
         enc = np.asarray(self.enc_bell, dtype=np.uint8)
@@ -291,12 +288,13 @@ class SignaturePackage:
 
 
 def make_signature(
-    m_a: tuple[BellOutcome, ...],
-    r,
+    m_a: np.ndarray,
+    r: StateVector,
     key: KeyMaterial,
     model: SigningModel,
 ) -> SignaturePackage:
-    """Package M_a and the signature blocks `r` under K_a."""
+    """Package M_a (Bell outcome positions, qubit axis last) and the signature
+    register `r` under K_a."""
     n = qubit_count(r)
     layout = ka_layout(n, model)
     enc_bell = classical_encrypt(bell_outcomes_to_bits(m_a), key.slice(*layout["sig_bell_pad"]))
@@ -306,7 +304,7 @@ def make_signature(
 
 def open_signature(
     sig: SignaturePackage, key: KeyMaterial, model: SigningModel
-) -> tuple[tuple[BellOutcome, ...], tuple[StateVector, ...]]:
+) -> tuple[np.ndarray, StateVector]:
     n = qubit_count(sig.enc_state)
     layout = ka_layout(n, model)
     bell_bits = classical_decrypt(sig.enc_bell, key.slice(*layout["sig_bell_pad"]))

@@ -17,12 +17,14 @@ ProtocolVariant field; there is no default variant.
 Each phase acts on a block of trials at once (the trial axis of qsim): keys,
 states, outcomes and verdicts carry one entry per trial. The variant is fixed
 for the block, so its choices are plain `if`s; a single run is the case with
-no trial axis.
+no trial axis. Every register (message, GHZ shares, signature, particles) is
+one StateVector with a block axis (see qsim "Registers"), so each per-qubit
+step is one call over all qubits, and per-qubit outcomes are int arrays of
+positions with the qubit axis last.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -91,14 +93,10 @@ class Verdict(qsim.Ordered):
     ACCEPTED = "accepted"
 
 
-# A message register as blocks (see qsim): one block per qubit for the product
-# messages Alice signs, a single block for an entangled substitute.
-Message = tuple[StateVector, ...]
-
-
-def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> Message:
-    """Independent Haar single-qubit factors, the product form the scheme signs."""
-    return tuple(qsim.haar_random_state(1, rng, batch) for _ in range(n))
+def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
+    """Independent Haar single-qubit factors, the product form the scheme
+    signs: a register of n one-qubit blocks."""
+    return qsim.haar_random_state(1, rng, batch + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ class EncryptedYb:
 
     mb_bits: np.ndarray
     sig: SignaturePackage  # the K_a-encrypted package, rewrapped under K_b
-    msg_state: Message  # quantum-padded blocks of the received message
+    msg_state: StateVector  # quantum-padded register of the received message
 
 
 @dataclass(frozen=True)
@@ -200,20 +198,20 @@ class EncryptedYtb:
     mt_bits: np.ndarray | None  # MeasureX mode
     gamma_bit: np.ndarray  # 1 padded bit
     sig: SignaturePackage
-    particles: Message | None  # ForwardParticle mode, padded, one block per qubit
+    particles: StateVector | None  # ForwardParticle mode, padded, one block per qubit
 
 
 @dataclass
 class Transcript:
     """Full record of a block of protocol runs, one entry per trial in every
-    field (outcomes as qsim.labels: members for a single run)."""
+    field. Outcomes are int arrays of positions, qubit axis last."""
 
     seed: object  # the int seed or the Generator the block drew from
     n: int
     variant: ProtocolVariant
-    m_a: tuple[BellOutcome, ...] | None = None
-    m_b: tuple[XOutcome, ...] | None = None
-    m_t: tuple[XOutcome, ...] | None = None
+    m_a: np.ndarray | None = None  # BellOutcome positions
+    m_b: np.ndarray | None = None  # XOutcome positions
+    m_t: np.ndarray | None = None  # XOutcome positions
     gamma: np.ndarray | None = None
     y_b: EncryptedYb | None = None
     y_tb: EncryptedYtb | None = None
@@ -234,7 +232,8 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int | None = None):
     trial axis) and one GHZ triple per message qubit.
 
     `seed` is an int or a Generator, as numpy's default_rng takes it. The GHZ
-    triples are single states that every trial of the block shares.
+    triples are a register of n three-qubit blocks that every trial of the
+    block shares.
     """
     if n < 1:
         raise ValueError("message needs at least one qubit")
@@ -244,45 +243,44 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int | None = None):
         crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng, batch
     )
     k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, batch)
-    ghz_triples = (qsim.ghz_state(),) * n
+    ghz = qsim.ghz_state().amplitudes
+    ghz_triples = StateVector(np.broadcast_to(ghz, (n,) + ghz.shape))
     stub = Transcript(seed=seed, n=n, variant=variant)
     return k_a, k_b, ghz_triples, stub
 
 
 def alice_sign(
-    message: Message,
+    message: StateVector,
     k_a: KeyMaterial,
-    ghz_triples,
+    ghz_triples: StateVector,
     variant: ProtocolVariant,
     rng: np.random.Generator,
 ):
     """Signing phase.
 
     Per qubit: Bell-measure (fresh message copy, Alice's GHZ share), leaving
-    Bob and the arbitrator their correlated pair. The signature state is the
-    keyed transform of another fresh copy. Returns
-    (SignaturePackage, message to transmit, M_a, shared Bob/arbitrator pairs).
+    Bob and the arbitrator their correlated pair; one bell_measure call covers
+    every qubit. The signature state is the keyed transform of another fresh
+    copy. Returns (SignaturePackage, message to transmit, M_a, shared
+    Bob/arbitrator pairs).
     """
-    qsim.qubit_blocks(message, "signing")
-    if len(message) != len(ghz_triples):
+    if message.qubit_count != 1:
+        raise ValueError(f"signing needs a product message, got {message.qubit_count}-qubit blocks")
+    n = message.batch[-1]
+    if n != ghz_triples.batch[-1]:
         raise ValueError("message size does not match GHZ share count")
-    m_a = []
-    shared_pairs = []
-    for p_i, ghz in zip(message, ghz_triples):
-        joint = qsim.tensor(p_i, ghz)
-        outcome, residual = qsim.bell_measure(joint, 0, 1, rng)
-        m_a.append(outcome)
-        shared_pairs.append(residual)  # qubits (Bob, arbitrator)
-    transform = crypto.derive_signing_transform(k_a, len(message), variant.key_model)
+    # shared pairs: qubits (Bob, arbitrator) of each triple
+    m_a, shared_pairs = qsim.bell_measure(qsim.tensor(message, ghz_triples), 0, 1, rng)
+    transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
     r = transform.apply(message)
-    sig = crypto.make_signature(tuple(m_a), r, k_a, variant.key_model)
-    return sig, message, tuple(m_a), tuple(shared_pairs)
+    sig = crypto.make_signature(m_a, r, k_a, variant.key_model)
+    return sig, message, m_a, shared_pairs
 
 
 def bob_receive_and_forward(
-    p_received: Message,
+    p_received: StateVector,
     sig: SignaturePackage,
-    shared_pairs,
+    shared_pairs: StateVector,
     k_b: KeyMaterial,
     rng: np.random.Generator,
 ):
@@ -291,15 +289,10 @@ def bob_receive_and_forward(
     Returns (y_b, M_b, arbitrator particles).
     """
     n = qsim.qubit_count(p_received)
-    if len(shared_pairs) != n:
+    if shared_pairs.batch[-1] != n:
         raise ValueError("GHZ share count does not match message size")
     layout = crypto.kb_layout(n)
-    m_b = []
-    particles = []
-    for pair in shared_pairs:
-        outcome, particle = qsim.measure_x(pair, 0, rng)
-        m_b.append(outcome)
-        particles.append(particle)
+    m_b, particles = qsim.measure_x(shared_pairs, 0, rng)
     mb_bits = crypto.classical_encrypt(
         crypto.x_outcomes_to_bits(m_b), k_b.slice(*layout["yb_mb_pad"])
     )
@@ -309,26 +302,22 @@ def bob_receive_and_forward(
     )
     msg_state = crypto.qotp_encrypt(p_received, k_b.slice(*layout["yb_msg_state_pad"]))
     y_b = EncryptedYb(mb_bits, wrapped_sig, msg_state)
-    return y_b, tuple(m_b), tuple(particles)
+    return y_b, m_b, particles
 
 
 def _signature_reference(
-    p_received: Message,
-    particles,
+    p_received: StateVector,
+    particles: StateVector,
     m_a,
     m_b,
     transform: SigningTransform,
     variant: ProtocolVariant,
-) -> Message:
+) -> StateVector:
     """Build the arbitrator's comparison candidate R' per the variant."""
     if variant.r_prime_source is RPrimeSource.FROM_MESSAGE_P:
         source = p_received
     else:
-        frame = pauli_frame()
-        source = tuple(
-            qsim.apply_pauli(t, frame.correction(a, b), 0)
-            for t, a, b in zip(particles, m_a, m_b)
-        )
+        source = qsim.apply_pauli(particles, pauli_frame().correction(m_a, m_b), 0)
     return transform.apply(source)
 
 
@@ -360,27 +349,27 @@ def arbitrator_verify(
     r_prime = _signature_reference(p_received, particles, m_a, m_b, transform, variant)
 
     post_particles = particles
+    disturbed_ghz = not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        qsim.qubit_blocks(r + r_prime, "per-qubit comparison")
-        results = [comparison.swap_test(fa, fb, rng) for fa, fb in zip(r, r_prime)]
-        different = np.any([result.different for result in results], axis=0)
-        if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
-            disturbed = [result.post_state for result in results]
-            post_particles = _recover_particles(disturbed, transform, m_a, m_b)
+        if r.qubit_count != 1 or r_prime.qubit_count != 1:
+            raise ValueError("per-qubit comparison needs one-qubit blocks in R and R'")
+        result = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
+        if disturbed_ghz:
+            post_particles = _recover_particles(result.post_state, transform, m_a, m_b)
     else:
         result = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
-        different = result.different
-        if not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
+        if disturbed_ghz:
             raise ValueError(
                 "non-idealized comparison with whole-register GHZ-sourced R' "
                 "leaves the particles entangled with the discarded register"
             )
+    different = result.different.any(-1)
 
     m_t = None
     out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
         # the particle is the last qubit, also inside a post-comparison joint
-        m_t = tuple(qsim.measure_x(t, t.qubit_count - 1, rng)[0] for t in post_particles)
+        m_t, _ = qsim.measure_x(post_particles, post_particles.qubit_count - 1, rng)
     else:
         if post_particles is not particles:
             raise ValueError(
@@ -410,20 +399,16 @@ def arbitrator_verify(
     return gamma, m_t, y_tb
 
 
-def _recover_particles(disturbed_joints, transform, m_a, m_b):
+def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> StateVector:
     """After a disturbing per-qubit comparison, undo the transform and the
     Pauli correction on the particle half of each post-measurement pair.
 
     The particle stays entangled with the discarded comparison register, so
-    each result is the 2-qubit joint state with the particle last. Each trial
-    undoes its own transform.
+    each block of the result is the 2-qubit joint state with the particle
+    last. Each trial undoes its own transform.
     """
-    frame = pauli_frame()
-    out = []
-    for joint, inverse, a, b in zip(disturbed_joints, transform.inverse().unitaries, m_a, m_b):
-        undone = qsim.apply_unitary(joint, qsim.kron(np.eye(2), inverse))
-        out.append(qsim.apply_pauli(undone, frame.correction(a, b), 1))
-    return tuple(out)
+    undone = qsim.apply_unitary(disturbed_joints, qsim.kron(np.eye(2), transform.inverse().unitaries))
+    return qsim.apply_pauli(undone, pauli_frame().correction(m_a, m_b), 1)
 
 
 # indexed by comparison.Verdict position
@@ -433,13 +418,13 @@ _POSSIBLY_SAME = np.array([verdict is CompareVerdict.POSSIBLY_SAME for verdict i
 def bob_final_verify(
     y_tb: EncryptedYtb,
     k_b: KeyMaterial,
-    reference: Message | None,
+    reference: StateVector | None,
     config: RunConfig,
     rng: np.random.Generator,
 ):
     """Bob's final test.
 
-    Returns (accepted per trial, candidate Message). A trial with gamma = 0
+    Returns (accepted per trial, candidate register). A trial with gamma = 0
     is rejected; its candidate is computed like any other but means nothing.
     In MeasureX mode no faithful reconstruction of the message from
     (M_a, M_b, M_t) exists; the candidate records the best x-basis guess so
@@ -461,26 +446,20 @@ def bob_final_verify(
     if variant.m_t_mode is MtMode.MEASURE_X:
         mt_bits = crypto.classical_decrypt(y_tb.mt_bits, k_b.slice(*layout["ytb_mt_pad"]))
         m_t = crypto.bits_to_x_outcomes(mt_bits)
-        candidate = tuple(
-            qsim.apply_pauli(qsim.x_state(t), frame.correction(a, b), 0)
-            for t, a, b in zip(m_t, m_a, m_b)
-        )
+        candidate = qsim.apply_pauli(qsim.x_state(m_t), frame.correction(m_a, m_b), 0)
         # M_t only tells Bob the particle was not orthogonal to one x state;
         # there is nothing more to test against, so the gamma gate decides.
         return passed, candidate
 
     particles = crypto.qotp_decrypt(y_tb.particles, k_b.slice(*layout["ytb_particle_pad"]))
-    p_prime = tuple(
-        qsim.apply_pauli(t, frame.correction(a, b), 0)
-        for t, a, b in zip(particles, m_a, m_b)
-    )
+    p_prime = qsim.apply_pauli(particles, frame.correction(m_a, m_b), 0)
     if reference is None:
         raise ValueError("final comparison needs a reference message")
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        verdict_cmp = comparison.compare_product(p_prime, reference, rng)
+        same = _POSSIBLY_SAME[comparison.compare_product(p_prime, reference, rng)]
     else:
-        verdict_cmp = comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).verdict
-    return passed & _POSSIBLY_SAME[verdict_cmp], p_prime
+        same = ~comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).different.any(-1)
+    return passed & same, p_prime
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +469,7 @@ def bob_final_verify(
 def run_protocol(
     config: RunConfig,
     seed,
-    message: Message | None = None,
+    message: StateVector | None = None,
     channel_tap=None,
     size: int | None = None,
 ) -> Transcript:
@@ -529,8 +508,8 @@ def run_protocol(
     transcript.accepted, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
 
     # a rejected trial's candidate means nothing: its fidelities read NaN
-    per_qubit = [np.where(gamma, qsim.fidelity(c, t), np.nan)[()] for c, t in zip(candidate, message)]
-    transcript.extras["candidate_fidelity"] = math.prod(per_qubit)
+    per_qubit = np.where(gamma[..., None], qsim.fidelity(candidate, message), np.nan)
+    transcript.extras["candidate_fidelity"] = per_qubit.prod(-1)[()]
     transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
     transcript.extras["message_fidelity"] = qsim.register_fidelity(p_out, message)
     return transcript

@@ -11,7 +11,8 @@ state. Every operation acts on each trial independently, broadcasts batch
 shapes (a single state, such as the GHZ triple, pairs with every trial of a
 block), and returns values with the same leading axes. Random draws follow
 suit: one uniform or Gaussian per trial, drawn as one array with the trial
-axis first.
+axis first. A register (see "Registers" below) adds a block axis last in
+batch, and the same operations act on every block of every trial.
 
 Outcomes. Measurement outcomes, Paulis and verdicts are `Ordered` enums: each
 member is also its position in the enum's fixed order. One trial's outcome is
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -354,46 +354,41 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two operators, or of two stacks of them, trial by trial."""
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    d = a.shape[-1] * b.shape[-1]
-    return product.reshape(product.shape[:-4] + (d, d))
+    return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
-# Registers as blocks. Every multi-qubit payload is a tuple of StateVector
-# blocks whose tensor product, in order, is the register: one block per qubit
-# for a product register, a single block for an entangled one. Only this
-# section maps blocks to qubit positions.
+# Registers. A register of n qubits is one StateVector whose last batch axis is
+# a block axis: amplitudes trials + (B, 2^k) with B k = n, so (T, n, 2) for a
+# product register and (T, 1, 2^n) for an entangled one (no trial axis for a
+# single run). Every operation above acts on each block of each trial at once;
+# an index array for a register, such as one Pauli per qubit, carries the same
+# trials + (B,) axes. Only this section joins a register's blocks into one.
 
 
-def qubit_count(blocks) -> int:
-    return sum(b.qubit_count for b in blocks)
+def qubit_count(register: StateVector) -> int:
+    """Qubits in a register: blocks times qubits per block."""
+    return register.batch[-1] * register.qubit_count
 
 
-def per_block(blocks, per_qubit, width: int = 1) -> list:
-    """Pair each block with its slice of a sequence holding `width` items per qubit."""
-    ends = [0, *itertools.accumulate(width * b.qubit_count for b in blocks)]
-    if ends[-1] != len(per_qubit):
-        raise ValueError(f"{len(per_qubit)} items for {ends[-1] // width} qubits at {width} each")
-    return [(b, per_qubit[start:end]) for b, start, end in zip(blocks, ends, ends[1:])]
+def kron_blocks(stack: np.ndarray) -> np.ndarray:
+    """The Kronecker product of the operators along a stack's block axis, in
+    order, as one block: (..., B, r, c) -> (..., 1, r^B, c^B)."""
+    return functools.reduce(kron, np.moveaxis(stack, -3, 0))[..., None, :, :]
 
 
-def join(blocks) -> StateVector:
-    """The register as one state: the tensor product of its blocks."""
-    return functools.reduce(tensor, blocks)
+def join(register: StateVector) -> StateVector:
+    """The register as one block: the tensor product of its blocks, in order."""
+    # each block's amplitudes as a one-column operator; kron is then tensor's product
+    return StateVector.owning(kron_blocks(register.amplitudes[..., None])[..., 0])
 
 
-def qubit_blocks(blocks, what: str) -> tuple[StateVector, ...]:
-    """`blocks` if every block is one qubit, else ValueError naming `what`."""
-    if any(b.qubit_count != 1 for b in blocks):
-        raise ValueError(f"{what} needs one-qubit blocks, got {[b.qubit_count for b in blocks]}")
-    return tuple(blocks)
-
-
-def register_fidelity(a, b):
-    """|<a|b>|^2 of two registers: blockwise if they split alike, else joined."""
-    if [x.qubit_count for x in a] != [y.qubit_count for y in b]:
-        a, b = (join(a),), (join(b),)
-    return math.prod(fidelity(x, y) for x, y in zip(a, b))
+def register_fidelity(a: StateVector, b: StateVector):
+    """|<a|b>|^2 of two registers per trial: blockwise if their blocks are
+    alike, else joined."""
+    if a.dim != b.dim:
+        a, b = join(a), join(b)
+    return np.prod(fidelity(a, b), axis=-1)
 
 
 def inner_product(a: StateVector, b: StateVector):

@@ -10,16 +10,14 @@ import json
 
 import numpy as np
 
-from .protocol import EncryptedYb, EncryptedYtb, Transcript
-from .qsim import StateVector
+from .protocol import EncryptedYb, EncryptedYtb, Transcript, Verdict
+from .qsim import BellOutcome, StateVector, XOutcome
 
 
-def state_to_list(state: StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
-
-
-def _bits(arr) -> list[int]:
-    return [int(b) for b in np.asarray(arr)]
+def state_to_list(state: StateVector) -> list:
+    """Amplitudes of any batch shape as nested lists ending in [re, im] pairs."""
+    amps = state.amplitudes
+    return np.stack([amps.real, amps.imag], axis=-1).tolist()
 
 
 def _plain(value):
@@ -27,26 +25,31 @@ def _plain(value):
     return None if value is None else np.asarray(value).tolist()
 
 
+def _values(outcomes, positions):
+    """Outcome positions of any shape as nested lists of the outcomes' values."""
+    if positions is None:
+        return None
+    return np.array([o.value for o in outcomes])[np.asarray(positions, dtype=np.intp)].tolist()
+
+
 def yb_to_dict(y_b: EncryptedYb) -> dict:
     return {
-        "mb_bits": _bits(y_b.mb_bits),
-        "sig_bell_bits": _bits(y_b.sig.enc_bell),
-        "sig_state": [state_to_list(b) for b in y_b.sig.enc_state],
-        "msg_state": [state_to_list(b) for b in y_b.msg_state],
+        "mb_bits": _plain(y_b.mb_bits),
+        "sig_bell_bits": _plain(y_b.sig.enc_bell),
+        "sig_state": state_to_list(y_b.sig.enc_state),
+        "msg_state": state_to_list(y_b.msg_state),
     }
 
 
 def ytb_to_dict(y_tb: EncryptedYtb) -> dict:
     return {
-        "ma_bits": _bits(y_tb.ma_bits),
-        "mb_bits": _bits(y_tb.mb_bits),
-        "mt_bits": None if y_tb.mt_bits is None else _bits(y_tb.mt_bits),
-        "gamma_bit": _bits(y_tb.gamma_bit),
-        "sig_bell_bits": _bits(y_tb.sig.enc_bell),
-        "sig_state": [state_to_list(b) for b in y_tb.sig.enc_state],
-        "particles": None
-        if y_tb.particles is None
-        else [state_to_list(t) for t in y_tb.particles],
+        "ma_bits": _plain(y_tb.ma_bits),
+        "mb_bits": _plain(y_tb.mb_bits),
+        "mt_bits": _plain(y_tb.mt_bits),
+        "gamma_bit": _plain(y_tb.gamma_bit),
+        "sig_bell_bits": _plain(y_tb.sig.enc_bell),
+        "sig_state": state_to_list(y_tb.sig.enc_state),
+        "particles": None if y_tb.particles is None else state_to_list(y_tb.particles),
     }
 
 
@@ -61,17 +64,18 @@ def variant_to_dict(variant) -> dict:
 
 
 def transcript_to_dict(t: Transcript) -> dict:
+    """A single run's or a block's transcript; a block's fields carry the trial axis first."""
     return {
         "seed": t.seed,
         "n": t.n,
         "variant": variant_to_dict(t.variant),
-        "m_a": None if t.m_a is None else [o.value for o in t.m_a],
-        "m_b": None if t.m_b is None else [o.value for o in t.m_b],
-        "m_t": None if t.m_t is None else [o.value for o in t.m_t],
+        "m_a": _values(BellOutcome, t.m_a),
+        "m_b": _values(XOutcome, t.m_b),
+        "m_t": _values(XOutcome, t.m_t),
         "gamma": _plain(t.gamma),
         "y_b": None if t.y_b is None else yb_to_dict(t.y_b),
         "y_tb": None if t.y_tb is None else ytb_to_dict(t.y_tb),
-        "verdict": None if t.verdict is None else t.verdict.value,
+        "verdict": _values(Verdict, t.accepted),
         "extras": {key: _plain(value) for key, value in t.extras.items()},
     }
 

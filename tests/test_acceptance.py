@@ -2,7 +2,7 @@
 
 Each test prints one `[acceptance] criterion N ... PASS/FAIL` line (visible
 under `pytest -s`) and then asserts. Trial counts follow the quoted failure
-rates' Monte Carlo budgets, so the full file takes several minutes.
+rates' Monte Carlo budgets, so the full file takes about a minute.
 """
 
 import numpy as np
@@ -10,7 +10,15 @@ import pytest
 import scipy.integrate
 
 from aqsim import comparison, crypto, qsim, serialize
-from aqsim.attacks import ForgeryStrategy, StrategyKind, estimate_forgery_acceptance, fidelity_drop, recovery_failure_experiment
+from aqsim.attacks import (
+    ForgeryStrategy,
+    StrategyKind,
+    block_rng,
+    estimate_forgery_acceptance,
+    fidelity_drop,
+    map_trials,
+    recovery_failure_experiment,
+)
 from aqsim.cli import main as cli_main
 from aqsim.crypto import SigningModel
 from aqsim.protocol import (
@@ -20,13 +28,12 @@ from aqsim.protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
-    Verdict,
     build_pauli_frame,
     corrected_share_fidelity,
     haar_product_message,
     run_protocol,
 )
-from aqsim.qsim import ATOL, BellOutcome, PauliOp, XOutcome
+from aqsim.qsim import ATOL, BellOutcome, PauliOp, StateVector, XOutcome
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -114,6 +121,7 @@ def test_criterion_4_whole_register_forgery():
 
 
 def test_criterion_5_outcome_uniformity():
+    # each message's draws run as one block of `trials` (message, GHZ) joints
     trials = 100_000
     rng = np.random.default_rng(500)
     messages = [qsim.haar_random_state(1, rng) for _ in range(5)]
@@ -123,14 +131,11 @@ def test_criterion_5_outcome_uniformity():
     worst_bell = 0.0
     worst_x = 0.0
     for p in messages:
-        counts = {o: 0 for o in BellOutcome}
-        plus = 0
-        for _ in range(trials):
-            joint = qsim.tensor(p, qsim.ghz_state())
-            m_a, residual = qsim.bell_measure(joint, 0, 1, rng)
-            counts[m_a] += 1
-            m_b, _ = qsim.measure_x(residual, 0, rng)
-            plus += m_b is XOutcome.PLUS_X
+        block = StateVector(np.broadcast_to(p.amplitudes, (trials, p.dim)))
+        m_a, residual = qsim.bell_measure(qsim.tensor(block, qsim.ghz_state()), 0, 1, rng)
+        counts = np.bincount(m_a, minlength=len(BellOutcome))
+        m_b, _ = qsim.measure_x(residual, 0, rng)
+        plus = np.bincount(m_b, minlength=len(XOutcome))[XOutcome.PLUS_X]
         for o in BellOutcome:
             dev = abs(counts[o] / trials - 0.25)
             worst_bell = max(worst_bell, dev)
@@ -166,16 +171,20 @@ def test_criterion_6_correlation_oracle():
     )
 
 
+def _honest_blocks(config: RunConfig, seed: int, i: int, size: int):
+    t = run_protocol(config, block_rng(seed, i), size=size)
+    return t.gamma, t.accepted
+
+
 def test_criterion_7_completeness():
+    # honest runs as blocks through the engine's fan-out
     runs = 10_000
     ok = True
     details = []
     for n in (1, 3, 5):
         cfg = RunConfig(n, REPAIRED_VARIANT)
-        good = 0
-        for seed in range(runs):
-            t = run_protocol(cfg, seed)
-            good += t.gamma == 1 and t.verdict is Verdict.ACCEPTED
+        gamma, accepted = map_trials(_honest_blocks, runs, 700 + n, config=cfg)
+        good = int(np.count_nonzero((gamma == 1) & accepted))
         ok = ok and good == runs
         details.append(f"n={n}: {good}/{runs}")
     report(7, "completeness", ok, "; ".join(details))
@@ -240,7 +249,7 @@ def test_criterion_10_property_bundle():
     # encryption roundtrips, quantum and classical
     round_ok = True
     for _ in range(50):
-        s = (qsim.haar_random_state(2, rng),)
+        s = qsim.haar_random_state(2, rng, (1,))
         pad = rng.integers(0, 2, size=4).astype(np.uint8)
         round_ok = round_ok and qsim.register_fidelity(
             crypto.qotp_decrypt(crypto.qotp_encrypt(s, pad), pad), s
@@ -253,11 +262,11 @@ def test_criterion_10_property_bundle():
     checks["encryption roundtrips"] = round_ok
 
     # exhaustive single-qubit pad average is the maximally mixed state
-    s = qsim.haar_random_state(1, rng)
+    s = qsim.haar_random_state(1, rng, (1,))
     avg = np.zeros((2, 2), dtype=complex)
     for a in (0, 1):
         for b in (0, 1):
-            amps = crypto.qotp_encrypt((s,), np.array([a, b], dtype=np.uint8))[0].amplitudes
+            amps = crypto.qotp_encrypt(s, np.array([a, b], dtype=np.uint8)).amplitudes[0]
             avg += np.outer(amps, amps.conj()) / 4
     checks["qotp pad average I/2"] = bool(np.allclose(avg, np.eye(2) / 2, atol=1e-10))
 

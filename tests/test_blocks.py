@@ -1,10 +1,17 @@
 """A block of T trials is T independent runs: row t of a block equals the
-one-trial block (T = 1) fed row t of the block's random draws."""
+one-trial block (T = 1) fed row t of the block's random draws. And a block
+costs the same number of qsim calls whatever the register's size."""
+
+import collections
+import functools
+import inspect
+import sys
 
 import numpy as np
 import pytest
 
-from aqsim.attacks import ForgeryStrategy, StrategyKind, _garble_tap, forge
+from aqsim import qsim
+from aqsim.attacks import BLOCK_TRIALS, ForgeryStrategy, StrategyKind, _garble_tap, block_rng, forge
 from aqsim.crypto import SigningModel
 from aqsim.protocol import (
     ComparisonMode,
@@ -13,6 +20,7 @@ from aqsim.protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
+    pauli_frame,
     run_protocol,
 )
 
@@ -85,6 +93,8 @@ def _forging(strategy):
 CASES = {
     "honest": (RunConfig(2, _variant()), None),
     "replace-qubits": (RunConfig(3, _variant()), _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=2))),
+    # four qubits per trial, so every per-qubit draw spans a (T, 4) array
+    "per-qubit-n4": (RunConfig(4, _variant()), _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=3))),
     "garble": (RunConfig(2, _variant()), _garble_tap),
     "whole-register-general-key": (
         RunConfig(2, _variant(keys=SigningModel.GENERAL_UNITARY, cmp=ComparisonMode.WHOLE_REGISTER)),
@@ -107,11 +117,11 @@ def _rows(transcript):
     fields = {
         "accepted": transcript.accepted,
         "gamma": transcript.gamma,
-        "m_a": np.stack(transcript.m_a, -1),
-        "m_b": np.stack(transcript.m_b, -1),
+        "m_a": transcript.m_a,
+        "m_b": transcript.m_b,
     }
     if transcript.m_t is not None:
-        fields["m_t"] = np.stack(transcript.m_t, -1)
+        fields["m_t"] = transcript.m_t
     for bundle in ("y_b", "y_tb"):
         for name, value in vars(getattr(transcript, bundle)).items():
             if value is None:
@@ -119,12 +129,8 @@ def _rows(transcript):
             if name == "sig":
                 fields[f"{bundle}.sig.bell"] = value.enc_bell
                 value = value.enc_state
-            if isinstance(value, tuple):  # blocks of states
-                for j, block in enumerate(value):
-                    fields[f"{bundle}.{name}.{j}"] = block.amplitudes
-            else:
-                fields[f"{bundle}.{name}"] = value
-    for name in ("message_fidelity", "candidate_fidelity"):
+            fields[f"{bundle}.{name}"] = value.amplitudes if isinstance(value, qsim.StateVector) else value
+    for name in ("message_fidelity", "candidate_fidelity", "candidate_fidelity_per_qubit"):
         fields[name] = transcript.extras[name]
     return fields
 
@@ -146,3 +152,55 @@ def test_row_equals_single_trial_block(name):
                 assert np.allclose(value, expected, rtol=0, atol=TOLERANCE, equal_nan=True), (name, field, t)
             else:
                 assert np.array_equal(value, expected), (name, field, t)
+
+
+def _qsim_calls(monkeypatch, run) -> collections.Counter:
+    """Calls of every function qsim defines, and StateVector constructions,
+    made by run(); counted under every aqsim module name bound to them."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    wrappers = {
+        id(fn): (fn, counting(name, fn))
+        for name, fn in vars(qsim).items()
+        if inspect.isfunction(fn) and fn.__module__ == qsim.__name__
+    }
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "aqsim" or mod_name.startswith("aqsim."):
+            for attr, value in list(vars(mod).items()):
+                hit = wrappers.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(mod, attr, hit[1])
+    post_init = qsim.StateVector.__post_init__
+
+    def constructing(state):
+        counts["StateVector"] += 1
+        post_init(state)
+
+    monkeypatch.setattr(qsim.StateVector, "__post_init__", constructing)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+def test_block_calls_independent_of_register_size(monkeypatch):
+    # every per-qubit step is one call over the register's block axis, so a
+    # 256-trial forgery block makes the same qsim calls at n = 2 and n = 16
+    forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=2))
+    pauli_frame()  # built once per process, before any block
+    counts = {
+        n: _qsim_calls(
+            monkeypatch,
+            lambda: run_protocol(RunConfig(n, _variant()), block_rng(31, 0), channel_tap=forging, size=BLOCK_TRIALS),
+        )
+        for n in (2, 16)
+    }
+    assert counts[2]["apply_pauli"] > 0 and counts[2]["bell_measure"] == 1
+    assert counts[16] == counts[2]

@@ -1,5 +1,7 @@
 """Tests for the SWAP-test comparison, with an independent matrix oracle."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -142,42 +144,51 @@ class TestAverageQ:
             average_q(0)
 
 
+def forged_block(reg: StateVector, m: int, trials: int, r) -> StateVector:
+    """`trials` copies of a product register, each with m random qubits
+    replaced by fresh Haar states."""
+    n = reg.batch[-1]
+    replaced = np.argsort(r.random((trials, n)), axis=-1)[:, :m]
+    mask = (replaced[:, :, None] == np.arange(n)).any(axis=1)
+    fresh = haar_random_state(1, r, (trials, n)).amplitudes
+    return StateVector(np.where(mask[..., None], fresh, reg.amplitudes))
+
+
 class TestCompareProduct:
+    # Registers are one StateVector with a block axis (see qsim "Registers"),
+    # so each test below runs its trials as one block.
+
     def test_identical_products_never_differ(self):
         r = rng(9)
-        reg = tuple(haar_random_state(1, r) for _ in range(3))
+        reg = haar_random_state(1, r, (3,))
         for _ in range(500):
             assert compare_product(reg, reg, r) is Verdict.POSSIBLY_SAME
 
     def test_one_forged_qubit_detection_quarter(self):
         r = rng(10)
         trials = 20000
-        detections = 0
-        reg = tuple(haar_random_state(1, r) for _ in range(2))
-        for _ in range(trials):
-            forged = (reg[0], haar_random_state(1, r))
-            if compare_product(reg, forged, r) is Verdict.DEFINITELY_DIFFERENT:
-                detections += 1
+        reg = haar_random_state(1, r, (2,))
+        fresh = haar_random_state(1, r, (trials, 1)).amplitudes
+        forged = StateVector(np.concatenate([np.broadcast_to(reg.amplitudes[:1], (trials, 1, 2)), fresh], axis=1))
+        verdicts = compare_product(reg, forged, r)
+        detections = np.count_nonzero(verdicts == operator.index(Verdict.DEFINITELY_DIFFERENT))
         # acceptance (no detection) should be near 3/4 for Haar replacement
         assert 1 - detections / trials == pytest.approx(0.75, abs=0.02)
 
     def test_m_forged_qubits_acceptance_power(self):
         r = rng(11)
         n, trials = 3, 20000
-        reg = tuple(haar_random_state(1, r) for _ in range(n))
+        reg = haar_random_state(1, r, (n,))
         for m in (1, 2, 3):
-            accepted = 0
-            for _ in range(trials):
-                forged = list(reg)
-                for i in r.choice(n, size=m, replace=False):
-                    forged[i] = haar_random_state(1, r)
-                if compare_product(reg, forged, r) is Verdict.POSSIBLY_SAME:
-                    accepted += 1
+            verdicts = compare_product(reg, forged_block(reg, m, trials, r), r)
+            accepted = np.count_nonzero(verdicts == operator.index(Verdict.POSSIBLY_SAME))
             assert accepted / trials == pytest.approx(0.75**m, abs=0.02)
 
     def test_dimension_mismatch(self):
-        one = new_basis_state(1, 0)
+        zero = new_basis_state(1, 0).amplitudes
+        one_qubit, two_qubits = StateVector(zero[None]), StateVector(np.stack([zero, zero]))
         with pytest.raises(ValueError):
-            compare_product((one,), (one, one), rng())
+            compare_product(one_qubit, two_qubits, rng())
+        entangled = StateVector(new_basis_state(2, 0).amplitudes[None])
         with pytest.raises(ValueError):  # an entangled block has no per-qubit comparison
-            compare_product((new_basis_state(2, 0),), (new_basis_state(2, 0),), rng())
+            compare_product(entangled, entangled, rng())

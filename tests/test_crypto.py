@@ -18,11 +18,16 @@ from aqsim.crypto import (
     qotp_decrypt,
     qotp_encrypt,
 )
-from aqsim.qsim import ATOL, BellOutcome, fidelity, haar_random_state, new_basis_state
+from aqsim.qsim import ATOL, StateVector, haar_random_state, new_basis_state
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def register(*blocks):
+    """A register (see qsim "Registers") of the given equal-width single states."""
+    return StateVector(np.stack([b.amplitudes for b in blocks], axis=-2))
 
 
 def make_key(bits, owner=OwnerPair.ALICE_ARBITRATOR):
@@ -122,64 +127,67 @@ class TestSigningTransform:
     def test_sign_and_invert(self):
         key = random_ka(2, SigningModel.PER_QUBIT_PRODUCT, seed=7)
         t = derive_signing_transform(key, 2, SigningModel.PER_QUBIT_PRODUCT)
-        p = (haar_random_state(2, rng(8)),)  # one entangled block
-        (back,) = t.inverse().apply(t.apply(p))
-        assert fidelity(back, p[0]) >= 1 - ATOL
+        p = haar_random_state(2, rng(8), (1,))  # one entangled block
+        back = t.inverse().apply(t.apply(p))
+        assert qsim.register_fidelity(back, p) >= 1 - ATOL
 
     def test_hadamard_entry(self):
         # key bits 01 select the Hadamard slot
         key = make_key([0, 1, 0, 0, 0, 0])
         t = derive_signing_transform(key, 1, SigningModel.PER_QUBIT_PRODUCT)
-        (r,) = t.apply((new_basis_state(1, 0),))
-        assert np.allclose(r.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=ATOL)
+        r = t.apply(register(new_basis_state(1, 0)))
+        assert np.allclose(r.amplitudes, [[1 / np.sqrt(2), 1 / np.sqrt(2)]], atol=ATOL)
 
     def test_product_transform_preserves_product(self):
         key = random_ka(3, SigningModel.PER_QUBIT_PRODUCT, seed=9)
         t = derive_signing_transform(key, 3, SigningModel.PER_QUBIT_PRODUCT)
-        factors = tuple(haar_random_state(1, rng(10 + i)) for i in range(3))
+        factors = register(*(haar_random_state(1, rng(10 + i)) for i in range(3)))
         signed = t.apply(factors)
-        assert [b.qubit_count for b in signed] == [1, 1, 1]
+        assert signed.amplitudes.shape == (3, 2)  # still three one-qubit blocks
         # blockwise signing equals the kron transform on the joined register,
         # which stays Schmidt rank 1 across every qubit-vs-rest bipartition
         kron = np.kron(np.kron(t.unitaries[0], t.unitaries[1]), t.unitaries[2])
-        (whole,) = t.apply((qsim.join(factors),))
-        assert np.allclose(whole.amplitudes, kron @ qsim.join(factors).amplitudes, atol=ATOL)
-        assert fidelity(qsim.join(signed), whole) >= 1 - ATOL
-        assert len(qsim.product_factors(whole)) == 3
+        whole = t.apply(qsim.join(factors))
+        assert np.allclose(whole.amplitudes[0], kron @ qsim.join(factors).amplitudes[0], atol=ATOL)
+        assert qsim.register_fidelity(qsim.join(signed), whole) >= 1 - ATOL
+        assert len(qsim.product_factors(StateVector(whole.amplitudes[0]))) == 3
 
 
 class TestQotp:
     def test_zero_pad_identity(self):
-        s = haar_random_state(2, rng(11))
-        (out,) = qotp_encrypt((s,), np.zeros(4, dtype=np.uint8))
+        s = haar_random_state(2, rng(11), (1,))
+        out = qotp_encrypt(s, np.zeros(4, dtype=np.uint8))
         assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
 
     def test_roundtrip_many(self):
         r = rng(12)
         for _ in range(100):
-            s = (haar_random_state(3, r),)
+            s = haar_random_state(3, r, (1,))
             pad = r.integers(0, 2, size=6, dtype=np.uint8)
             back = qotp_decrypt(qotp_encrypt(s, pad), pad)
             assert qsim.register_fidelity(back, s) >= 1 - ATOL
 
     def test_pad_length_mismatch(self):
         with pytest.raises(ValueError):
-            qotp_encrypt((haar_random_state(2, rng()),), np.zeros(3, dtype=np.uint8))
+            qotp_encrypt(haar_random_state(2, rng(), (1,)), np.zeros(3, dtype=np.uint8))
         with pytest.raises(ValueError):
-            qotp_encrypt((haar_random_state(1, rng()),), np.zeros(4, dtype=np.uint8))
+            qotp_encrypt(haar_random_state(1, rng(), (1,)), np.zeros(4, dtype=np.uint8))
 
     def test_blocks_padded_at_their_qubit_offsets(self):
-        # blocks of 1, 2 and 1 qubits take pad bits [0:2], [2:6] and [6:8]
+        # a 4-qubit register as four 1-qubit blocks or two 2-qubit blocks: block
+        # b of width k takes pad bits [2bk, 2(b+1)k), as padding the joined
+        # register does
         r = rng(20)
-        blocks = (haar_random_state(1, r), haar_random_state(2, r), haar_random_state(1, r))
-        for _ in range(20):
-            pad = r.integers(0, 2, size=8, dtype=np.uint8)
-            enc = qotp_encrypt(blocks, pad)
-            assert [b.qubit_count for b in enc] == [1, 2, 1]
-            (whole,) = qotp_encrypt((qsim.join(blocks),), pad)
-            assert np.allclose(qsim.join(enc).amplitudes, whole.amplitudes, atol=ATOL)
-            back = qotp_decrypt(enc, pad)
-            assert qsim.register_fidelity(back, blocks) >= 1 - ATOL
+        for k in (1, 2):
+            blocks = haar_random_state(k, r, (4 // k,))
+            for _ in range(20):
+                pad = r.integers(0, 2, size=8, dtype=np.uint8)
+                enc = qotp_encrypt(blocks, pad)
+                assert enc.amplitudes.shape == blocks.amplitudes.shape
+                whole = qotp_encrypt(qsim.join(blocks), pad)
+                assert np.allclose(qsim.join(enc).amplitudes, whole.amplitudes, atol=ATOL)
+                back = qotp_decrypt(enc, pad)
+                assert qsim.register_fidelity(back, blocks) >= 1 - ATOL
 
     def test_exhaustive_pad_average_is_maximally_mixed(self):
         # Average the encrypted projector over every single-qubit pad.
@@ -187,22 +195,20 @@ class TestQotp:
         acc = np.zeros((2, 2), dtype=complex)
         pads = [(a, b) for a in (0, 1) for b in (0, 1)]
         for pad in pads:
-            enc = qotp_encrypt((s,), np.array(pad, dtype=np.uint8))[0].amplitudes
+            enc = qotp_encrypt(register(s), np.array(pad, dtype=np.uint8)).amplitudes[0]
             acc += np.outer(enc, enc.conj())
         acc /= len(pads)
         assert np.allclose(acc, np.eye(2) / 2, atol=ATOL)
 
     def test_wrong_pad_mean_fidelity_half(self):
+        # one block of 100000 trials, each with its own state, pad and wrong pad
         r = rng(14)
         trials = 100000
-        total = 0.0
-        for _ in range(trials):
-            s = haar_random_state(1, r)
-            pad = r.integers(0, 2, size=2, dtype=np.uint8)
-            wrong = r.integers(0, 2, size=2, dtype=np.uint8)
-            (back,) = qotp_decrypt(qotp_encrypt((s,), pad), wrong)
-            total += fidelity(back, s)
-        assert total / trials == pytest.approx(0.5, abs=0.01)
+        s = haar_random_state(1, r, (trials, 1))
+        pad = r.integers(0, 2, size=(trials, 2), dtype=np.uint8)
+        wrong = r.integers(0, 2, size=(trials, 2), dtype=np.uint8)
+        back = qotp_decrypt(qotp_encrypt(s, pad), wrong)
+        assert qsim.register_fidelity(back, s).mean() == pytest.approx(0.5, abs=0.01)
 
 
 class TestClassicalPad:
@@ -228,11 +234,11 @@ class TestSignaturePackage:
         r = rng(15)
         for model in SigningModel:
             key = random_ka(2, model, seed=16)
-            m_a = (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)
-            state = (haar_random_state(2, r),)
+            m_a = np.array([1, 2])  # positions of psi-, phi+
+            state = haar_random_state(2, r, (1,))
             sig = make_signature(m_a, state, key, model)
             m_a_back, state_back = open_signature(sig, key, model)
-            assert m_a_back == m_a
+            assert np.array_equal(m_a_back, m_a)
             assert qsim.register_fidelity(state_back, state) >= 1 - ATOL
 
     def test_wrong_key_bell_bits_quarter(self):
@@ -242,11 +248,11 @@ class TestSignaturePackage:
         key = random_ka(1, model, seed=18)
         hits = 0
         for _ in range(trials):
-            m_a = (list(BellOutcome)[r.integers(0, 4)],)
-            sig = make_signature(m_a, (haar_random_state(1, r),), key, model)
+            m_a = r.integers(0, 4, size=1)
+            sig = make_signature(m_a, haar_random_state(1, r, (1,)), key, model)
             wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
             m_a_back, _ = open_signature(sig, wrong, model)
-            hits += m_a_back == m_a
+            hits += np.array_equal(m_a_back, m_a)
         sigma = np.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) < 3 * sigma
 
@@ -257,9 +263,9 @@ class TestSignaturePackage:
         total = 0.0
         for _ in range(trials):
             key = random_ka(1, model, seed=int(r.integers(0, 2**31)))
-            state = haar_random_state(1, r)
-            sig = make_signature((BellOutcome.PSI_PLUS,), (state,), key, model)
+            state = haar_random_state(1, r, (1,))
+            sig = make_signature(np.array([0]), state, key, model)  # psi+
             wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
-            _, (state_back,) = open_signature(sig, wrong, model)
-            total += fidelity(state_back, state)
+            _, state_back = open_signature(sig, wrong, model)
+            total += qsim.register_fidelity(state_back, state)
         assert total / trials == pytest.approx(0.5, abs=0.015)

@@ -1,5 +1,6 @@
 """Protocol phase and end-to-end run tests."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestInitialize:
     def test_counts_and_sizes(self):
         v = variant()
         k_a, k_b, triples, stub = initialize(1, 5, v)
-        assert len(triples) == 1
+        assert triples.batch == (1,)  # one GHZ triple per message qubit
         assert len(k_a) == crypto.ka_bits_required(1, v.key_model)
         assert len(k_b) == crypto.kb_bits_required(1)
         assert stub.seed == 5 and stub.n == 1 and stub.verdict is None
@@ -86,9 +87,9 @@ class TestInitialize:
     def test_ghz_joint_outcomes(self):
         r = rng(1)
         _, _, triples, _ = initialize(2, 6, variant())
-        for ghz in triples:
+        for ghz in triples.amplitudes:
             for _ in range(50):
-                state = ghz
+                state = qsim.StateVector(ghz)
                 bits = []
                 for _ in range(3):  # the last measurement leaves no state
                     outcome, state = qsim.measure(state, (0,), Z_BASIS, r)
@@ -112,10 +113,10 @@ class TestAliceSign:
             crypto.OwnerPair.ALICE_ARBITRATOR,
         )
         msg = haar_product_message(n, rng(2))
-        triples = tuple(qsim.ghz_state() for _ in range(n))
+        triples = initialize(n, 0, v)[2]
         sig, _, m_a, _ = alice_sign(msg, zero_ka, triples, v, rng(3))
         opened_ma, r = crypto.open_signature(sig, zero_ka, v.key_model)
-        assert opened_ma == m_a
+        assert np.array_equal(opened_ma, m_a)
         assert qsim.register_fidelity(r, msg) >= 1 - ATOL
 
     def test_shared_pair_matches_outcome(self):
@@ -127,9 +128,9 @@ class TestAliceSign:
             msg = haar_product_message(1, r)
             k_a, _, triples, _ = initialize(1, int(r.integers(0, 2**31)), v)
             _, _, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
-            joint = qsim.tensor(msg[0], qsim.ghz_state())
-            _, expected = qsim.project(joint, (0, 1), m_a[0])
-            assert fidelity(pairs[0], expected) >= 1 - ATOL
+            joint = qsim.tensor(qsim.StateVector(msg.amplitudes[0]), qsim.ghz_state())
+            _, expected = qsim.project(joint, (0, 1), tuple(BellOutcome)[m_a[0]])
+            assert qsim.register_fidelity(pairs, expected) >= 1 - ATOL
 
     def test_outcome_frequencies_uniform(self):
         v = variant()
@@ -137,11 +138,10 @@ class TestAliceSign:
         msg = haar_product_message(1, r)
         trials = 8000
         counts = {o: 0 for o in BellOutcome}
-        triples = (qsim.ghz_state(),)
-        k_a, _, _, _ = initialize(1, 6, v)
+        k_a, _, triples, _ = initialize(1, 6, v)
         for _ in range(trials):
             _, _, m_a, _ = alice_sign(msg, k_a, triples, v, r)
-            counts[m_a[0]] += 1
+            counts[tuple(BellOutcome)[m_a[0]]] += 1
         sigma = np.sqrt(0.25 * 0.75 / trials)
         for o in BellOutcome:
             assert abs(counts[o] / trials - 0.25) < 4 * sigma
@@ -164,7 +164,7 @@ class TestBobForward:
         y_b, m_b, particles = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
         layout = crypto.kb_layout(n)
         mb_bits = crypto.classical_decrypt(y_b.mb_bits, k_b.slice(*layout["yb_mb_pad"]))
-        assert tuple(XOutcome.from_bit(int(b)) for b in mb_bits) == m_b
+        assert [XOutcome.from_bit(int(b)) for b in mb_bits] == [tuple(XOutcome)[i] for i in m_b]
         sig_back = crypto.SignaturePackage(
             crypto.classical_decrypt(
                 y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])
@@ -175,7 +175,7 @@ class TestBobForward:
         assert qsim.register_fidelity(sig_back.enc_state, sig.enc_state) >= 1 - ATOL
         p_back = crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
         assert qsim.register_fidelity(p_back, msg) >= 1 - ATOL
-        assert len(particles) == n
+        assert particles.batch == (n,)
 
     def test_x_outcomes_uniform(self):
         v = variant()
@@ -187,7 +187,7 @@ class TestBobForward:
         for _ in range(trials):
             sig, p_out, _, pairs = alice_sign(msg, k_a, triples, v, r)
             _, m_b, _ = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
-            plus += m_b[0] is XOutcome.PLUS_X
+            plus += tuple(XOutcome)[m_b[0]] is XOutcome.PLUS_X
         sigma = 0.5 / np.sqrt(trials)
         assert abs(plus / trials - 0.5) < 4 * sigma
 
@@ -277,7 +277,7 @@ class TestEndToEnd:
         for j, msg in enumerate(messages):
             for _ in range(runs):
                 t = run_protocol(cfg, int(r.integers(0, 2**62)), message=msg)
-                table[pairs.index((t.m_a[0], t.m_b[0])), j] += 1
+                table[pairs.index((tuple(BellOutcome)[t.m_a[0]], tuple(XOutcome)[t.m_b[0]])), j] += 1
             sigma = np.sqrt(0.125 * 0.875 / runs)
             for i in range(8):
                 assert abs(table[i, j] / runs - 0.125) < 4 * sigma
@@ -290,6 +290,42 @@ class TestEndToEnd:
         t = run_protocol(cfg, 3)
         with pytest.raises(ValueError):
             bob_final_verify(t.y_tb, initialize(1, 3, v)[1], None, cfg, rng())
+
+
+def _pairs(state):
+    """A register's amplitudes as the serializer writes them: [re, im] last."""
+    return np.stack([state.amplitudes.real, state.amplitudes.imag], axis=-1)
+
+
+class TestSerialize:
+    def test_single_run_keeps_its_shape(self):
+        n = 2
+        t = run_protocol(RunConfig(n, REPAIRED), 99)
+        d = serialize.transcript_to_dict(t)
+        assert d["m_a"] == [tuple(BellOutcome)[i].value for i in t.m_a]
+        assert d["m_b"] == [tuple(XOutcome)[i].value for i in t.m_b]
+        assert d["m_t"] is None and d["gamma"] == 1 and d["verdict"] == t.verdict.value == "accepted"
+        # a register is a list of blocks, each a list of [re, im] pairs
+        for state, listed in ((t.y_b.sig.enc_state, d["y_b"]["sig_state"]), (t.y_tb.particles, d["y_tb"]["particles"])):
+            assert len(listed) == n and all(len(block) == 2 for block in listed)
+            assert np.array_equal(np.array(listed), _pairs(state))
+        assert d["extras"]["candidate_fidelity"] == pytest.approx(1.0, abs=ATOL)
+        assert json.loads(serialize.dumps(d)) == d
+
+    def test_block_has_trial_axis_first(self):
+        n, size = 3, 4
+        t = run_protocol(RunConfig(n, variant()), 99, size=size)
+        d = serialize.transcript_to_dict(t)
+        bell = np.array([o.value for o in BellOutcome])
+        x = np.array([o.value for o in XOutcome])
+        assert d["m_a"] == bell[t.m_a].tolist() and np.shape(d["m_a"]) == (size, n)
+        assert d["m_b"] == x[t.m_b].tolist() and d["m_t"] == x[t.m_t].tolist()
+        assert d["gamma"] == [1] * size and d["verdict"] == ["accepted"] * size
+        assert np.shape(d["y_tb"]["ma_bits"]) == (size, 2 * n)
+        for state, listed in ((t.y_b.msg_state, d["y_b"]["msg_state"]), (t.y_tb.sig.enc_state, d["y_tb"]["sig_state"])):
+            assert np.array_equal(np.array(listed), _pairs(state)) and np.shape(listed) == (size, n, 2, 2)
+        assert np.shape(d["extras"]["candidate_fidelity_per_qubit"]) == (size, n)
+        assert json.loads(serialize.dumps(d)) == d
 
 
 class TestNonIdealizedComparison:
@@ -353,11 +389,11 @@ class TestBlockWidths:
 class TestMessage:
     def test_factor_register_consistency(self):
         msg = haar_product_message(3, rng(14))
-        assert [b.qubit_count for b in msg] == [1, 1, 1]
-        refactored = qsim.product_factors(qsim.join(msg))
-        for a, b in zip(msg, refactored):
-            assert fidelity(a, b) >= 1 - 1e-9
-        assert qsim.register_fidelity(msg, (qsim.join(msg),)) == pytest.approx(1.0, abs=1e-9)
+        assert msg.amplitudes.shape == (3, 2)  # three one-qubit blocks
+        refactored = qsim.product_factors(qsim.StateVector(qsim.join(msg).amplitudes[0]))
+        for a, b in zip(msg.amplitudes, refactored, strict=True):
+            assert fidelity(qsim.StateVector(a), b) >= 1 - 1e-9
+        assert qsim.register_fidelity(msg, qsim.join(msg)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
