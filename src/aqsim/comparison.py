@@ -7,7 +7,8 @@ the symmetric outcome is inconclusive. The one-sided detection probability is
 confirms that two unknown pure states are identical.
 
 Like qsim, every function acts trial by trial on a block (trial axis first),
-and block by block on a register's block axis.
+and block by block on a register's block axis. A test's outcome is
+`different`, one bool per trial and block.
 """
 
 from __future__ import annotations
@@ -16,22 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import Ordered, StateVector, _norm_sq, fidelity, labels, tensor
-
-
-class Verdict(Ordered):
-    POSSIBLY_SAME = "possibly-same"
-    DEFINITELY_DIFFERENT = "definitely-different"
+from .qsim import StateVector, _norm_sq, fidelity, tensor
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
     different: np.ndarray  # per trial and block: the antisymmetric outcome, which proves the inputs differ
     post_state: StateVector  # joint (a, b) register after the projection
-
-    @property
-    def verdict(self) -> Verdict:
-        return labels(tuple(Verdict), self.different)
 
 
 def detect_probability(a: StateVector, b: StateVector) -> float:
@@ -63,8 +55,9 @@ def average_q(n: int) -> float:
     return 0.5 * (1.0 - 2.0**-n)
 
 
-def compare_product(a: StateVector, b: StateVector, rng: np.random.Generator) -> Verdict:
-    """Compare two product registers (one-qubit blocks) qubit by qubit.
+def compare_product(a: StateVector, b: StateVector, rng: np.random.Generator) -> np.ndarray:
+    """Compare two product registers (one-qubit blocks) qubit by qubit: per
+    trial, whether any qubit pair proved different.
 
     One SWAP test per qubit pair, every pair tested in every trial by one
     swap_test call over the block axis; any conclusive mismatch settles it.
@@ -74,4 +67,4 @@ def compare_product(a: StateVector, b: StateVector, rng: np.random.Generator) ->
         raise ValueError(f"per-qubit comparison needs one-qubit blocks, got {a.qubit_count} and {b.qubit_count}")
     if a.batch[-1] != b.batch[-1]:
         raise ValueError(f"cannot compare {a.batch[-1]} qubits with {b.batch[-1]}")
-    return labels(tuple(Verdict), swap_test(a, b, rng).different.any(-1))
+    return swap_test(a, b, rng).different.any(-1)

@@ -36,7 +36,6 @@ from .qsim import (
     PauliOp,
     StateVector,
     XOutcome,
-    _some,
     apply_pauli,
     apply_unitary,
     haar_random_unitary,
@@ -222,7 +221,7 @@ def _qotp(register: StateVector, pad_bits: np.ndarray, order: tuple[int, int]) -
     for j in range(k):
         for half in order:
             bit = bits[..., j, half]
-            if _some(bit):
+            if bit.any():
                 register = apply_pauli(register, (_Z_IF_SET if half else _X_IF_SET) * bit, j)
     return register
 

@@ -14,13 +14,13 @@ covers the three phases:
 Every step the underlying scheme leaves ambiguous is an explicit
 ProtocolVariant field; there is no default variant.
 
-Each phase acts on a block of trials at once (the trial axis of qsim): keys,
-states, outcomes and verdicts carry one entry per trial. The variant is fixed
-for the block, so its choices are plain `if`s; a single run is the case with
-no trial axis. Every register (message, GHZ shares, signature, particles) is
-one StateVector with a block axis (see qsim "Registers"), so each per-qubit
-step is one call over all qubits, and per-qubit outcomes are int arrays of
-positions with the qubit axis last.
+Every run is a block of trials (the trial axis of qsim), one trial being a
+block of one: keys, states, outcomes and verdicts carry one entry per trial.
+The variant is fixed for the block, so its choices are plain `if`s. Every
+register (message, GHZ shares, signature, particles) is one StateVector with
+a block axis (see qsim "Registers"), so each per-qubit step is one call over
+all qubits, and per-qubit outcomes are int arrays of positions with the qubit
+axis last.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .comparison import Verdict as CompareVerdict
 from .crypto import (
     KeyMaterial,
     OwnerPair,
@@ -124,8 +123,8 @@ class PauliFrame:
         object.__setattr__(self, "positions", positions)
 
     def correction(self, m_a, m_b):
-        """The Pauli for each trial's outcome pair (see qsim.labels)."""
-        return qsim.labels(tuple(PauliOp), self.positions[m_a, m_b])
+        """The PauliOp position for each outcome pair, given as positions or members."""
+        return self.positions[m_a, m_b]
 
 
 def corrected_share_fidelity(
@@ -152,16 +151,21 @@ def _solve_correction(m_a: BellOutcome, m_b: XOutcome, probes) -> PauliOp:
     raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
 
 
-def build_pauli_frame(probe_count: int = 3, probe_seed: int = 2024) -> PauliFrame:
-    rng = np.random.default_rng(probe_seed)
-    probes = [qsim.haar_random_state(1, rng) for _ in range(probe_count)]
+# The random probe messages every frame entry is solved against.
+_PROBE_COUNT = 3
+_PROBE_SEED = 2024
+
+
+def build_pauli_frame() -> PauliFrame:
+    rng = np.random.default_rng(_PROBE_SEED)
+    probes = [qsim.haar_random_state(1, rng) for _ in range(_PROBE_COUNT)]
     table = {
         (m_a, m_b): _solve_correction(m_a, m_b, probes)
         for m_a in BellOutcome
         for m_b in XOutcome
     }
     frame = PauliFrame(table)
-    if frame.correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) is not PauliOp.Z:
+    if frame.correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) != operator.index(PauliOp.Z):
         raise RuntimeError("Pauli frame convention broken: (psi-, +x) must map to Z")
     return frame
 
@@ -218,18 +222,14 @@ class Transcript:
     accepted: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def verdict(self) -> Verdict | None:
-        return None if self.accepted is None else qsim.labels(tuple(Verdict), self.accepted)
-
 
 # ---------------------------------------------------------------------------
 # Phases
 
 
-def initialize(n: int, seed, variant: ProtocolVariant, size: int | None = None):
-    """Initial phase: fresh keys for each of `size` trials (None: one run, no
-    trial axis) and one GHZ triple per message qubit.
+def initialize(n: int, seed, variant: ProtocolVariant, size: int):
+    """Initial phase: fresh keys for each of `size` trials and one GHZ triple
+    per message qubit.
 
     `seed` is an int or a Generator, as numpy's default_rng takes it. The GHZ
     triples are a register of n three-qubit blocks that every trial of the
@@ -238,11 +238,10 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int | None = None):
     if n < 1:
         raise ValueError("message needs at least one qubit")
     rng = np.random.default_rng(seed)
-    batch = () if size is None else (size,)
     k_a = KeyMaterial.random(
-        crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng, batch
+        crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng, (size,)
     )
-    k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, batch)
+    k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, (size,))
     ghz = qsim.ghz_state().amplitudes
     ghz_triples = StateVector(np.broadcast_to(ghz, (n,) + ghz.shape))
     stub = Transcript(seed=seed, n=n, variant=variant)
@@ -411,10 +410,6 @@ def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> St
     return qsim.apply_pauli(undone, pauli_frame().correction(m_a, m_b), 1)
 
 
-# indexed by comparison.Verdict position
-_POSSIBLY_SAME = np.array([verdict is CompareVerdict.POSSIBLY_SAME for verdict in CompareVerdict])
-
-
 def bob_final_verify(
     y_tb: EncryptedYtb,
     k_b: KeyMaterial,
@@ -456,7 +451,7 @@ def bob_final_verify(
     if reference is None:
         raise ValueError("final comparison needs a reference message")
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        same = _POSSIBLY_SAME[comparison.compare_product(p_prime, reference, rng)]
+        same = ~comparison.compare_product(p_prime, reference, rng)
     else:
         same = ~comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).different.any(-1)
     return passed & same, p_prime
@@ -469,23 +464,26 @@ def bob_final_verify(
 def run_protocol(
     config: RunConfig,
     seed,
+    size: int,
     message: StateVector | None = None,
     channel_tap=None,
-    size: int | None = None,
 ) -> Transcript:
-    """Execute a block of `size` full runs, or one run (no trial axis) when
-    `size` is None; deterministic given (config, seed, message, size).
+    """Execute a block of `size` full runs; deterministic given (config, seed,
+    size, message).
 
     `seed` is an int or a Generator; the whole block draws from that one
-    generator, in phase order. `channel_tap`, when given, intercepts the
+    generator, in phase order. `message`, when given, is each trial's product
+    register, batch (size, n). `channel_tap`, when given, intercepts the
     Alice -> Bob transmission: callable (message, sig, rng) -> (message, sig).
     """
     variant = config.variant
+    if message is not None and message.batch != (size, config.n):
+        raise ValueError(f"message batch {message.batch} is not (size, n) = {(size, config.n)}")
     rng = np.random.default_rng(seed)
     k_a, k_b, ghz_triples, transcript = initialize(config.n, rng, variant, size)
     transcript.seed = seed
     if message is None:
-        message = haar_product_message(config.n, rng, k_a.bits.shape[:-1])
+        message = haar_product_message(config.n, rng, (size,))
 
     sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, ghz_triples, variant, rng)
     transcript.m_a = m_a
@@ -509,7 +507,7 @@ def run_protocol(
 
     # a rejected trial's candidate means nothing: its fidelities read NaN
     per_qubit = np.where(gamma[..., None], qsim.fidelity(candidate, message), np.nan)
-    transcript.extras["candidate_fidelity"] = per_qubit.prod(-1)[()]
+    transcript.extras["candidate_fidelity"] = per_qubit.prod(-1)
     transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
     transcript.extras["message_fidelity"] = qsim.register_fidelity(p_out, message)
     return transcript

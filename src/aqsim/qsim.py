@@ -14,10 +14,11 @@ suit: one uniform or Gaussian per trial, drawn as one array with the trial
 axis first. A register (see "Registers" below) adds a block axis last in
 batch, and the same operations act on every block of every trial.
 
-Outcomes. Measurement outcomes, Paulis and verdicts are `Ordered` enums: each
-member is also its position in the enum's fixed order. One trial's outcome is
-the member itself; a block's is an int array of positions. numpy tables
-indexed by either give the same rows.
+Outcomes. Measurement outcomes are positions in the fixed order of an
+`Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
+PauliOp: a numpy int for a single state, an int array with the trial axis
+first for a block. The enums name the rows of the tables those positions
+index, and a member indexes the same rows as its position.
 
 Convention notes:
 - |+x>, |-x> = (|0> +/- |1>)/sqrt(2).
@@ -59,15 +60,6 @@ class Ordered(Enum):
             for i, member in enumerate(type(self)):
                 member._position = i
             return self._position
-
-
-def labels(outcomes, index):
-    """`outcomes` at the drawn positions (ints or bools): the outcome itself
-    for one trial (a 0-d index), else the int array of positions, trial axis
-    first."""
-    index = np.asarray(index, dtype=np.intp)
-    return outcomes[int(index)] if index.ndim == 0 else index
-
 
 
 class PauliOp(Ordered):
@@ -160,16 +152,6 @@ def _norm_sq(amps: np.ndarray):
     return np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
 
 
-def _every(mask) -> bool:
-    """mask.all(), without numpy's reduction call for one trial's scalar."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.all())
-
-
-def _some(mask) -> bool:
-    """mask.any(), without numpy's reduction call for one trial's scalar."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure states over `qubit_count` qubits, one per trial:
@@ -188,10 +170,10 @@ class StateVector:
             raise ValueError(f"amplitude array of length {size} is not 2^k, k>=1")
         norm_sq = _norm_sq(amps)
         off = abs(norm_sq - 1.0)
-        if not _every(off <= 1e-8):  # written so that a NaN norm fails it too
+        if not (off <= 1e-8).all():  # written so that a NaN norm fails it too
             raise ValueError(f"state not normalized: |norm^2 - 1| = {np.max(off):.3e}")
         slack = off > 1e-14
-        if _some(slack):  # renormalize exactly the trials that need it
+        if slack.any():  # renormalize exactly the trials that need it
             amps = amps / np.where(slack, np.sqrt(norm_sq), 1.0)[..., None]
             amps.setflags(write=False)
         elif amps.flags.writeable:
@@ -360,10 +342,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Registers. A register of n qubits is one StateVector whose last batch axis is
 # a block axis: amplitudes trials + (B, 2^k) with B k = n, so (T, n, 2) for a
-# product register and (T, 1, 2^n) for an entangled one (no trial axis for a
-# single run). Every operation above acts on each block of each trial at once;
-# an index array for a register, such as one Pauli per qubit, carries the same
-# trials + (B,) axes. Only this section joins a register's blocks into one.
+# product register and (T, 1, 2^n) for an entangled one. Every operation above
+# acts on each block of each trial at once; an index array for a register, such
+# as one Pauli per qubit, carries the same trials + (B,) axes. Only this section
+# joins a register's blocks into one.
 
 
 def qubit_count(register: StateVector) -> int:
@@ -429,8 +411,8 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
     its u; if u lands in the float slack past every bin, the last outcome of
     nonzero probability. The outcomes are projected in order, and the loop
     stops once every trial has its outcome, so for one state no outcome after
-    the drawn one is projected. Returns (outcomes drawn, see `labels`;
-    renormalized residual, or None if no qubit remains).
+    the drawn one is projected. Returns (the drawn outcomes' positions in
+    `outcomes`; renormalized residual, or None if no qubit remains).
     """
     _check_targets(state, targets)
     u = rng.random(state.batch)[()]
@@ -442,16 +424,13 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
         residuals.append(residual)
         probs.append(p)
         cumulative.append(acc)
-        if _every(u < acc):
+        if (u < acc).all():
             break
     else:  # some u lies past every bin: move it just below the total, into the last bin of nonzero width
         u = np.minimum(u, np.nextafter(acc, 0.0))
     drawn = sum(c <= u for c in cumulative)  # bins wholly below u
-    if drawn.ndim == 0:
-        residual, p = residuals[drawn], probs[drawn]
-    else:
-        residual, p = np.choose(drawn[..., None], residuals), np.choose(drawn, probs)
-    return labels(outcomes, drawn), _post_measurement(state, targets, residual, p)
+    residual, p = np.choose(drawn[..., None], residuals), np.choose(drawn, probs)
+    return drawn, _post_measurement(state, targets, residual, p)
 
 
 def project(state: StateVector, targets: tuple[int, ...], outcome):

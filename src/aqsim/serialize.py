@@ -1,7 +1,10 @@
 """Structured-text (JSON-shaped) serialization for transcripts and reports.
 
-Complex amplitudes serialize as [re, im] pairs. Dumping is deterministic
-(sorted keys, fixed separators) so identical seeds give byte-identical files.
+Complex amplitudes serialize as [re, im] pairs, outcome positions as the
+values of the enum members they index. A transcript is a block of trials, so
+every per-trial field is a list with the trial axis first: trial t is row t.
+Dumping is deterministic (sorted keys, fixed separators) so identical seeds
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def variant_to_dict(variant) -> dict:
 
 
 def transcript_to_dict(t: Transcript) -> dict:
-    """A single run's or a block's transcript; a block's fields carry the trial axis first."""
+    """A block's transcript, the trial axis first on every per-trial field."""
     return {
         "seed": t.seed,
         "n": t.n,

@@ -1,6 +1,7 @@
 """Protocol phase and end-to-end run tests."""
 
 import json
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,6 @@ from aqsim.protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
-    Verdict,
     alice_sign,
     arbitrator_verify,
     bob_final_verify,
@@ -30,8 +30,9 @@ from aqsim.protocol import (
 )
 from aqsim.qsim import ATOL, BellOutcome, PauliOp, XOutcome, fidelity
 
-# Computational-basis outcomes in the form qsim.measure takes: |0> first, then |1>.
-Z_BASIS = tuple(SimpleNamespace(bit=b, vector=qsim.new_basis_state(1, b).amplitudes) for b in (0, 1))
+# Computational-basis outcomes in the form qsim.measure takes: |0> first, then |1>,
+# so the position drawn is the bit.
+Z_BASIS = tuple(SimpleNamespace(vector=qsim.new_basis_state(1, b).amplitudes) for b in (0, 1))
 
 
 def rng(seed=0):
@@ -69,36 +70,33 @@ class TestPauliFrame:
         assert frame.table == expected
 
     def test_anchor_entry(self):
-        assert (
-            pauli_frame().correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X)
-            is PauliOp.Z
-        )
+        assert pauli_frame().correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) == operator.index(PauliOp.Z)
 
 
 class TestInitialize:
     def test_counts_and_sizes(self):
         v = variant()
-        k_a, k_b, triples, stub = initialize(1, 5, v)
+        k_a, k_b, triples, stub = initialize(1, 5, v, 4)
         assert triples.batch == (1,)  # one GHZ triple per message qubit
-        assert len(k_a) == crypto.ka_bits_required(1, v.key_model)
-        assert len(k_b) == crypto.kb_bits_required(1)
-        assert stub.seed == 5 and stub.n == 1 and stub.verdict is None
+        assert k_a.bits.shape == (4, crypto.ka_bits_required(1, v.key_model))
+        assert k_b.bits.shape == (4, crypto.kb_bits_required(1))
+        assert stub.seed == 5 and stub.n == 1 and stub.accepted is None
 
     def test_ghz_joint_outcomes(self):
         r = rng(1)
-        _, _, triples, _ = initialize(2, 6, variant())
+        _, _, triples, _ = initialize(2, 6, variant(), 1)
         for ghz in triples.amplitudes:
             for _ in range(50):
                 state = qsim.StateVector(ghz)
                 bits = []
                 for _ in range(3):  # the last measurement leaves no state
                     outcome, state = qsim.measure(state, (0,), Z_BASIS, r)
-                    bits.append(outcome.bit)
+                    bits.append(outcome)
                 assert bits in ([0, 0, 0], [1, 1, 1])
 
     def test_deterministic(self):
-        a = initialize(2, 7, variant())
-        b = initialize(2, 7, variant())
+        a = initialize(2, 7, variant(), 3)
+        b = initialize(2, 7, variant(), 3)
         assert np.array_equal(a[0].bits, b[0].bits)
         assert np.array_equal(a[1].bits, b[1].bits)
         assert a[3] == b[3]
@@ -113,7 +111,7 @@ class TestAliceSign:
             crypto.OwnerPair.ALICE_ARBITRATOR,
         )
         msg = haar_product_message(n, rng(2))
-        triples = initialize(n, 0, v)[2]
+        triples = initialize(n, 0, v, 1)[2]
         sig, _, m_a, _ = alice_sign(msg, zero_ka, triples, v, rng(3))
         opened_ma, r = crypto.open_signature(sig, zero_ka, v.key_model)
         assert np.array_equal(opened_ma, m_a)
@@ -126,7 +124,7 @@ class TestAliceSign:
         r = rng(4)
         for _ in range(30):
             msg = haar_product_message(1, r)
-            k_a, _, triples, _ = initialize(1, int(r.integers(0, 2**31)), v)
+            k_a, _, triples, _ = initialize(1, int(r.integers(0, 2**31)), v, 1)
             _, _, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
             joint = qsim.tensor(qsim.StateVector(msg.amplitudes[0]), qsim.ghz_state())
             _, expected = qsim.project(joint, (0, 1), tuple(BellOutcome)[m_a[0]])
@@ -138,7 +136,7 @@ class TestAliceSign:
         msg = haar_product_message(1, r)
         trials = 8000
         counts = {o: 0 for o in BellOutcome}
-        k_a, _, triples, _ = initialize(1, 6, v)
+        k_a, _, triples, _ = initialize(1, 6, v, 1)
         for _ in range(trials):
             _, _, m_a, _ = alice_sign(msg, k_a, triples, v, r)
             counts[tuple(BellOutcome)[m_a[0]]] += 1
@@ -148,7 +146,7 @@ class TestAliceSign:
 
     def test_share_count_mismatch(self):
         v = variant()
-        k_a, _, triples, _ = initialize(2, 8, v)
+        k_a, _, triples, _ = initialize(2, 8, v, 1)
         with pytest.raises(ValueError):
             alice_sign(haar_product_message(3, rng(7)), k_a, triples, v, rng(8))
 
@@ -158,13 +156,13 @@ class TestBobForward:
         v = variant()
         r = rng(9)
         n = 2
-        k_a, k_b, triples, _ = initialize(n, 10, v)
-        msg = haar_product_message(n, r)
+        k_a, k_b, triples, _ = initialize(n, 10, v, 1)
+        msg = haar_product_message(n, r, (1,))
         sig, p_out, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
         y_b, m_b, particles = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
         layout = crypto.kb_layout(n)
         mb_bits = crypto.classical_decrypt(y_b.mb_bits, k_b.slice(*layout["yb_mb_pad"]))
-        assert [XOutcome.from_bit(int(b)) for b in mb_bits] == [tuple(XOutcome)[i] for i in m_b]
+        assert [XOutcome.from_bit(int(b)) for b in mb_bits[0]] == [tuple(XOutcome)[i] for i in m_b[0]]
         sig_back = crypto.SignaturePackage(
             crypto.classical_decrypt(
                 y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])
@@ -175,19 +173,19 @@ class TestBobForward:
         assert qsim.register_fidelity(sig_back.enc_state, sig.enc_state) >= 1 - ATOL
         p_back = crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
         assert qsim.register_fidelity(p_back, msg) >= 1 - ATOL
-        assert particles.batch == (n,)
+        assert particles.batch == (1, n)
 
     def test_x_outcomes_uniform(self):
+        # one message, signed and forwarded in every trial of one block
         v = variant()
         r = rng(11)
         trials = 8000
-        plus = 0
-        k_a, k_b, triples, _ = initialize(1, 12, v)
+        k_a, k_b, triples, _ = initialize(1, 12, v, trials)
         msg = haar_product_message(1, r)
-        for _ in range(trials):
-            sig, p_out, _, pairs = alice_sign(msg, k_a, triples, v, r)
-            _, m_b, _ = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
-            plus += tuple(XOutcome)[m_b[0]] is XOutcome.PLUS_X
+        block = qsim.StateVector(np.broadcast_to(msg.amplitudes, (trials, 1, 2)))
+        sig, p_out, _, pairs = alice_sign(block, k_a, triples, v, r)
+        _, m_b, _ = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
+        plus = np.count_nonzero(m_b == operator.index(XOutcome.PLUS_X))
         sigma = 0.5 / np.sqrt(trials)
         assert abs(plus / trials - 0.5) < 4 * sigma
 
@@ -206,17 +204,17 @@ ALL_SUPPORTED_VARIANTS = [
 
 
 class TestEndToEnd:
+    # each test's runs are one block of trials
+
     @pytest.mark.parametrize("v", ALL_SUPPORTED_VARIANTS)
     def test_honest_gamma_always_one(self, v):
-        for seed in range(5):
-            t = run_protocol(RunConfig(2, v), seed)
-            assert t.gamma == 1
+        t = run_protocol(RunConfig(2, v), 0, 5)
+        assert np.all(t.gamma == 1)
 
     def test_honest_repaired_variant_always_accepts(self):
         for n in (1, 3):
-            for seed in range(30):
-                t = run_protocol(RunConfig(n, REPAIRED), seed)
-                assert t.gamma == 1 and t.verdict is Verdict.ACCEPTED
+            t = run_protocol(RunConfig(n, REPAIRED), n, 30)
+            assert np.all(t.gamma == 1) and t.accepted.all()
 
     def test_general_key_draws_one_unitary_per_run(self, monkeypatch):
         # Alice and the arbitrator both derive the signing transform from K_a;
@@ -231,13 +229,13 @@ class TestEndToEnd:
         monkeypatch.setattr(crypto, "haar_random_unitary", counted)
         crypto._transform_from_bits.cache_clear()
         general = variant(keys=SigningModel.GENERAL_UNITARY, cmp=ComparisonMode.WHOLE_REGISTER)
-        run_protocol(RunConfig(3, general), 21)
+        run_protocol(RunConfig(3, general), 21, 1)
         assert draws == [8]
 
     def test_deterministic_transcripts(self):
         cfg = RunConfig(2, REPAIRED)
-        t1 = serialize.dumps(serialize.transcript_to_dict(run_protocol(cfg, 99)))
-        t2 = serialize.dumps(serialize.transcript_to_dict(run_protocol(cfg, 99)))
+        t1 = serialize.dumps(serialize.transcript_to_dict(run_protocol(cfg, 99, 3)))
+        t2 = serialize.dumps(serialize.transcript_to_dict(run_protocol(cfg, 99, 3)))
         assert t1 == t2
 
     def test_gamma_gate(self):
@@ -245,39 +243,33 @@ class TestEndToEnd:
         from aqsim.attacks import _garble_tap
 
         cfg = RunConfig(1, variant())
-        rejected = 0
-        for seed in range(200):
-            t = run_protocol(cfg, seed, channel_tap=_garble_tap)
-            if t.gamma == 0:
-                rejected += 1
-                assert t.verdict is Verdict.REJECTED
-            assert not (t.verdict is Verdict.ACCEPTED and t.gamma == 0)
-        assert rejected > 50  # orthogonal qubit: detection probability 1/2
+        t = run_protocol(cfg, 0, 200, channel_tap=_garble_tap)
+        assert not t.accepted[t.gamma == 0].any()
+        assert np.count_nonzero(t.gamma == 0) > 50  # orthogonal qubit: detection probability 1/2
 
     def test_teleported_particle_matches_message(self):
         # ForwardParticle + KnownToAll: Bob's corrected particle is the message
-        for seed in range(20):
-            t = run_protocol(RunConfig(2, REPAIRED), seed)
-            assert t.extras["candidate_fidelity"] == pytest.approx(1.0, abs=ATOL)
+        t = run_protocol(RunConfig(2, REPAIRED), 0, 20)
+        assert np.allclose(t.extras["candidate_fidelity"], 1.0, rtol=0, atol=ATOL)
 
     def test_measure_x_candidate_lossy(self):
         cfg = RunConfig(1, variant())
-        fids = [run_protocol(cfg, seed).extras["candidate_fidelity"] for seed in range(300)]
+        fids = run_protocol(cfg, 0, 300).extras["candidate_fidelity"]
         assert np.mean(fids) < 0.999
         assert np.mean(fids) == pytest.approx(2 / 3, abs=0.1)
 
     def test_outcome_independence_chi_square(self):
-        # (M_a, M_b) jointly uniform and independent of the message
+        # (M_a, M_b) jointly uniform and independent of the message; each
+        # message's runs are one block, (M_a, M_b) counted as 2 M_a + M_b
         r = rng(13)
         messages = [haar_product_message(1, r) for _ in range(5)]
-        pairs = [(a, b) for a in BellOutcome for b in XOutcome]
         table = np.zeros((8, 5))
         cfg = RunConfig(1, variant())
         runs = 3000
         for j, msg in enumerate(messages):
-            for _ in range(runs):
-                t = run_protocol(cfg, int(r.integers(0, 2**62)), message=msg)
-                table[pairs.index((tuple(BellOutcome)[t.m_a[0]], tuple(XOutcome)[t.m_b[0]])), j] += 1
+            block = qsim.StateVector(np.broadcast_to(msg.amplitudes, (runs, 1, 2)))
+            t = run_protocol(cfg, int(r.integers(0, 2**62)), runs, message=block)
+            table[:, j] = np.bincount(len(XOutcome) * t.m_a[:, 0] + t.m_b[:, 0], minlength=8)
             sigma = np.sqrt(0.125 * 0.875 / runs)
             for i in range(8):
                 assert abs(table[i, j] / runs - 0.125) < 4 * sigma
@@ -287,9 +279,20 @@ class TestEndToEnd:
     def test_final_verify_needs_reference(self):
         v = REPAIRED
         cfg = RunConfig(1, v)
-        t = run_protocol(cfg, 3)
+        t = run_protocol(cfg, 3, 1)
         with pytest.raises(ValueError):
-            bob_final_verify(t.y_tb, initialize(1, 3, v)[1], None, cfg, rng())
+            bob_final_verify(t.y_tb, initialize(1, 3, v, 1)[1], None, cfg, rng())
+
+    def test_message_must_carry_the_trial_axis(self):
+        # a message without the trial axis would share one Bell and one x
+        # outcome among every trial of the block
+        cfg = RunConfig(2, variant())
+        with pytest.raises(ValueError):
+            run_protocol(cfg, 4, 6, message=haar_product_message(2, rng(5)))
+        with pytest.raises(ValueError):
+            run_protocol(cfg, 4, 6, message=haar_product_message(2, rng(5), (5,)))
+        t = run_protocol(cfg, 4, 6, message=haar_product_message(2, rng(5), (6,)))
+        assert t.m_a.shape == t.m_b.shape == (6, 2) and t.accepted.shape == (6,)
 
 
 def _pairs(state):
@@ -298,23 +301,23 @@ def _pairs(state):
 
 
 class TestSerialize:
-    def test_single_run_keeps_its_shape(self):
+    def test_block_of_one_keeps_its_trial_axis(self):
         n = 2
-        t = run_protocol(RunConfig(n, REPAIRED), 99)
+        t = run_protocol(RunConfig(n, REPAIRED), 99, 1)
         d = serialize.transcript_to_dict(t)
-        assert d["m_a"] == [tuple(BellOutcome)[i].value for i in t.m_a]
-        assert d["m_b"] == [tuple(XOutcome)[i].value for i in t.m_b]
-        assert d["m_t"] is None and d["gamma"] == 1 and d["verdict"] == t.verdict.value == "accepted"
-        # a register is a list of blocks, each a list of [re, im] pairs
+        assert d["m_a"] == [[tuple(BellOutcome)[i].value for i in t.m_a[0]]]
+        assert d["m_b"] == [[tuple(XOutcome)[i].value for i in t.m_b[0]]]
+        assert d["m_t"] is None and d["gamma"] == [1] and d["verdict"] == ["accepted"]
+        # a register is a list of trials, each a list of blocks, each a list of [re, im] pairs
         for state, listed in ((t.y_b.sig.enc_state, d["y_b"]["sig_state"]), (t.y_tb.particles, d["y_tb"]["particles"])):
-            assert len(listed) == n and all(len(block) == 2 for block in listed)
+            assert np.shape(listed) == (1, n, 2, 2)
             assert np.array_equal(np.array(listed), _pairs(state))
-        assert d["extras"]["candidate_fidelity"] == pytest.approx(1.0, abs=ATOL)
+        assert d["extras"]["candidate_fidelity"] == [pytest.approx(1.0, abs=ATOL)]
         assert json.loads(serialize.dumps(d)) == d
 
     def test_block_has_trial_axis_first(self):
         n, size = 3, 4
-        t = run_protocol(RunConfig(n, variant()), 99, size=size)
+        t = run_protocol(RunConfig(n, variant()), 99, size)
         d = serialize.transcript_to_dict(t)
         bell = np.array([o.value for o in BellOutcome])
         x = np.array([o.value for o in XOutcome])
@@ -331,15 +334,13 @@ class TestSerialize:
 class TestNonIdealizedComparison:
     def test_from_message_runs(self):
         cfg = RunConfig(1, variant(), idealized_comparison=False)
-        for seed in range(20):
-            assert run_protocol(cfg, seed).gamma == 1
+        assert np.all(run_protocol(cfg, 0, 20).gamma == 1)
 
     def test_ghz_source_measure_x_runs(self):
         v = variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE)
         cfg = RunConfig(1, v, idealized_comparison=False)
-        for seed in range(20):
-            t = run_protocol(cfg, seed)
-            assert t.gamma == 1 and len(t.m_t) == 1
+        t = run_protocol(cfg, 0, 20)
+        assert np.all(t.gamma == 1) and t.m_t.shape == (20, 1)
 
     def test_ghz_source_forward_unsupported(self):
         v = variant(
@@ -349,7 +350,7 @@ class TestNonIdealizedComparison:
         )
         cfg = RunConfig(1, v, idealized_comparison=False)
         with pytest.raises(ValueError):
-            run_protocol(cfg, 0)
+            run_protocol(cfg, 0, 1)
 
     def test_ghz_source_whole_register_unsupported(self):
         v = variant(
@@ -359,7 +360,7 @@ class TestNonIdealizedComparison:
         )
         cfg = RunConfig(1, v, idealized_comparison=False)
         with pytest.raises(ValueError):
-            run_protocol(cfg, 0)
+            run_protocol(cfg, 0, 1)
 
 
 class TestBlockWidths:
@@ -380,9 +381,8 @@ class TestBlockWidths:
         def tap(message, sig, r):
             return forge(message, strategy, r), sig
 
-        for seed in range(3):
-            assert run_protocol(RunConfig(10, v), seed).gamma == 1
-            run_protocol(RunConfig(10, v), seed, channel_tap=tap)
+        assert np.all(run_protocol(RunConfig(10, v), 0, 3).gamma == 1)
+        run_protocol(RunConfig(10, v), 0, 3, channel_tap=tap)
         assert max(widths) == 4
 
 
