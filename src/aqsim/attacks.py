@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, qsim
-from .crypto import SignaturePackage, SigningModel
+from .crypto import SigningModel
 from .protocol import (
     ComparisonMode,
     MessageKnowledge,
@@ -131,12 +131,12 @@ def _garble_tap(message, sig, rng):
     The pads are Pauli, so in-ciphertext orthogonality survives decryption and
     the arbitrator's comparison sees an exactly orthogonal first qubit.
     """
-    state = sig.enc_state
+    state = sig["sig_state"]
     if state.qubit_count != 1:
         raise ValueError("garbling needs the signature's first qubit in a block of its own")
     garbled = state.amplitudes.copy()
     garbled[..., 0, :] = _orthogonal_qubit(state).amplitudes[..., 0, :]
-    return message, SignaturePackage(sig.enc_bell, StateVector.owning(garbled))
+    return message, {**sig, "sig_state": StateVector.owning(garbled)}
 
 
 def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float | None:

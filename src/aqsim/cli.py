@@ -131,40 +131,60 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def validate_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
+def _file_args(path: str) -> argparse.Namespace:
+    """A JSON config file's values, each checked and parsed as the value of its
+    flag (key `key_model` for `--key-model`); keys that name no flag are ignored."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except OSError as e:
+        raise ConfigError([f"cannot read config file: {e}"])
+    except json.JSONDecodeError as e:
+        raise ConfigError([f"config file is not valid JSON: {e}"])
+    if not isinstance(raw, dict):
+        raise ConfigError(["config file must hold a JSON object"])
+    parser = build_parser()
+    parser.exit_on_error = False
+    parser.allow_abbrev = False
+    values = argparse.Namespace()
+    errors = []
+    for key, value in raw.items():
+        if value is None:
+            continue
+        text = json.dumps(value) if isinstance(value, bool) else str(value)
         try:
-            with open(args.config) as f:
-                raw = json.load(f)
-        except OSError as e:
-            raise ConfigError([f"cannot read config file: {e}"])
-        except json.JSONDecodeError as e:
-            raise ConfigError([f"config file is not valid JSON: {e}"])
+            parser.parse_known_args([f"--{key.replace('_', '-')}={text}"], values)
+        except argparse.ArgumentError as e:
+            errors.append(f"config file key {key!r}: {e.message}")
+    if errors:
+        raise ConfigError(errors)
+    return values
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return raw.get(key, default)
+
+def validate_config(args: argparse.Namespace) -> ExperimentConfig:
+    file_args = _file_args(args.config) if args.config else argparse.Namespace()
+
+    def pick(dest, default):
+        """The flag's value, else the config file's, else the default."""
+        for source in (args, file_args):
+            value = getattr(source, dest, None)
+            if value is not None:
+                return value
+        return default
+
+    scenario = pick("scenario", None)
+    if scenario is None:
+        raise ConfigError(["--scenario is required"])
+    scenario = Scenario(scenario)
+
+    n = pick("n", 1)
+    m = pick("m", None)
+    trials = pick("trials", 10000)
+    seed = pick("seed", DEFAULT_SEED)
+    workers = pick("workers", 1)
+    fmt = pick("format", "json")
 
     errors = []
-    scenario_raw = pick(args.scenario, "scenario", None)
-    if scenario_raw is None:
-        errors.append("--scenario is required")
-        raise ConfigError(errors)
-    try:
-        scenario = Scenario(scenario_raw)
-    except ValueError:
-        raise ConfigError([f"unknown scenario {scenario_raw!r}"])
-
-    n = int(pick(args.n, "n", 1))
-    m_raw = pick(args.m, "m", None)
-    m = None if m_raw is None else int(m_raw)
-    trials = int(pick(args.trials, "trials", 10000))
-    seed = int(pick(args.seed, "seed", DEFAULT_SEED))
-    workers = int(pick(args.workers, "workers", 1))
-    fmt = pick(args.format, "format", "json")
-
     if n < 1:
         errors.append(f"--n must be >= 1, got {n}")
     if trials < 1:
@@ -172,7 +192,7 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     if workers < 1:
         errors.append(f"--workers must be >= 1, got {workers}")
 
-    strategy = _STRATEGY[pick(args.strategy, "strategy", "replace-qubits")]
+    strategy = _STRATEGY[pick("strategy", "replace-qubits")]
     if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:
         if m is None:
             m = 1
@@ -180,16 +200,15 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
             errors.append(f"--m {m} must satisfy 1 <= m <= n (--n {n})")
 
     variant = ProtocolVariant(
-        r_prime_source=_R_PRIME[pick(args.r_prime, "r_prime", "message")],
-        m_t_mode=_MT[pick(args.mt, "mt", "measure-x")],
-        message_knowledge=_KNOWLEDGE[pick(args.knowledge, "knowledge", "alice-only")],
-        key_model=_KEY_MODEL[pick(args.key_model, "key_model", "per-qubit")],
-        comparison_mode=_COMPARISON[pick(args.comparison, "comparison", "per-qubit")],
+        r_prime_source=_R_PRIME[pick("r_prime", "message")],
+        m_t_mode=_MT[pick("mt", "measure-x")],
+        message_knowledge=_KNOWLEDGE[pick("knowledge", "alice-only")],
+        key_model=_KEY_MODEL[pick("key_model", "per-qubit")],
+        comparison_mode=_COMPARISON[pick("comparison", "per-qubit")],
     )
-    idealized = pick(args.idealized, "idealized_comparison", "true")
-    idealized = idealized if isinstance(idealized, bool) else idealized == "true"
+    idealized = pick("idealized", "true") == "true"
 
-    out = pick(args.out, "out", None)
+    out = pick("out", None)
     if out is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
         out = os.path.join(out_dir, f"{scenario.value}.{fmt}")

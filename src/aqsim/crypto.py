@@ -1,15 +1,19 @@
-"""Classical key material and the keyed transforms built from it.
+"""Classical key material, the keyed transforms built from it, and sealed bundles.
 
-Key bits are consumed as disjoint slices in a fixed, documented order:
+A bundle is a plain dict of named fields: classical bits, a register, or None.
+`seal` pads each field with the key slice of the same name (XOR for bits, the
+quantum one-time pad for a register; None stays None), and `unseal` opens the
+fields asked for. One name per field: a layout slice, a bundle field and a
+serialized key are the same string. Key bits are consumed as disjoint slices
+in a fixed, documented order:
 
-  Alice-arbitrator key (K_a):
-    [signing-transform bits | quantum pad for the signature state (2n) |
-     classical pad for the Bell outcome bits (2n)]
-  signing-transform bits: 2 per qubit for the per-qubit model, 64 for the
+  Alice-arbitrator key (K_a), `ka_layout`:
+    [signing | sig_state (2n) | sig_bell_bits (2n)]
+  signing bits: 2 per qubit for the per-qubit model, 64 for the
   general-unitary model (they seed a deterministic Haar draw).
 
-  Bob-arbitrator key (K_b): see `kb_layout`; one slice per encrypted field of
-  the two protocol bundles, quantum pads sized at 2 bits per qubit.
+  Bob-arbitrator key (K_b), `kb_layout`: the y_b bundle's fields, then the
+  y_tb bundle's, quantum pads sized at 2 bits per qubit.
 
 Disjointness is what makes the pads one-time; nothing here models key reuse.
 
@@ -102,51 +106,51 @@ def signing_bits(n: int, model: SigningModel) -> int:
     return 2 * n if model is SigningModel.PER_QUBIT_PRODUCT else GENERAL_UNITARY_SEED_BITS
 
 
+def _contiguous(fields, start=0) -> dict[str, tuple[int, int]]:
+    """(start, length) slices, one per (name, length), laid end to end from `start`."""
+    layout = {}
+    for name, length in fields:
+        layout[name] = (start, length)
+        start += length
+    return layout
+
+
 def ka_layout(n: int, model: SigningModel) -> dict[str, tuple[int, int]]:
     """(start, length) slices of K_a, in consumption order."""
-    s = signing_bits(n, model)
-    return {
-        "signing": (0, s),
-        "sig_state_pad": (s, 2 * n),
-        "sig_bell_pad": (s + 2 * n, 2 * n),
-    }
+    return _contiguous([("signing", signing_bits(n, model)), ("sig_state", 2 * n), ("sig_bell_bits", 2 * n)])
 
 
 def ka_bits_required(n: int, model: SigningModel) -> int:
-    start, length = ka_layout(n, model)["sig_bell_pad"]
+    start, length = ka_layout(n, model)["sig_bell_bits"]
     return start + length
 
 
 @functools.cache
-def kb_layout(n: int) -> Mapping[str, tuple[int, int]]:
-    """(start, length) slices of K_b, in consumption order; read-only, built once per n.
+def kb_layout(n: int) -> Mapping[str, Mapping[str, tuple[int, int]]]:
+    """(start, length) slices of K_b for each bundle's fields, in consumption
+    order; read-only, built once per n.
 
-    The y_b bundle pads come first, then the y_tb pads. The signature travels
-    in both bundles and gets an independent wrapping pad each time.
+    The y_b bundle's pads come first, then the y_tb bundle's. The signature
+    travels in both bundles and gets an independent wrapping pad each time.
     """
-    sizes = [
-        ("yb_mb_pad", n),
-        ("yb_sig_bell_pad", 2 * n),
-        ("yb_sig_state_pad", 2 * n),
-        ("yb_msg_state_pad", 2 * n),
-        ("ytb_ma_pad", 2 * n),
-        ("ytb_mb_pad", n),
-        ("ytb_mt_pad", n),
-        ("ytb_gamma_pad", 1),
-        ("ytb_sig_bell_pad", 2 * n),
-        ("ytb_sig_state_pad", 2 * n),
-        ("ytb_particle_pad", 2 * n),
-    ]
-    layout = {}
-    start = 0
-    for name, length in sizes:
-        layout[name] = (start, length)
-        start += length
-    return MappingProxyType(layout)
+    y_b = _contiguous([("mb_bits", n), ("sig_bell_bits", 2 * n), ("sig_state", 2 * n), ("msg_state", 2 * n)])
+    y_tb = _contiguous(
+        [
+            ("ma_bits", 2 * n),
+            ("mb_bits", n),
+            ("mt_bits", n),
+            ("gamma_bit", 1),
+            ("sig_bell_bits", 2 * n),
+            ("sig_state", 2 * n),
+            ("particles", 2 * n),
+        ],
+        start=sum(y_b["msg_state"]),
+    )
+    return MappingProxyType({"y_b": MappingProxyType(y_b), "y_tb": MappingProxyType(y_tb)})
 
 
 def kb_bits_required(n: int) -> int:
-    start, length = kb_layout(n)["ytb_particle_pad"]
+    start, length = kb_layout(n)["y_tb"]["particles"]
     return start + length
 
 
@@ -273,39 +277,32 @@ def bits_to_x_outcomes(bits: np.ndarray) -> np.ndarray:
     return np.asarray(bits, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class SignaturePackage:
-    """K_a-encrypted (Bell outcome, signature state) pair."""
-
-    enc_bell: np.ndarray  # 2n XOR-padded classical bits
-    enc_state: StateVector  # quantum-one-time-padded signature register
-
-    def __post_init__(self):
-        enc = np.asarray(self.enc_bell, dtype=np.uint8)
-        enc.setflags(write=False)
-        object.__setattr__(self, "enc_bell", enc)
+def _pad(value, pad: np.ndarray, quantum):
+    if value is None:
+        return None
+    if isinstance(value, StateVector):
+        return quantum(value, pad)
+    return classical_encrypt(value, pad)
 
 
-def make_signature(
-    m_a: np.ndarray,
-    r: StateVector,
-    key: KeyMaterial,
-    model: SigningModel,
-) -> SignaturePackage:
-    """Package M_a (Bell outcome positions, qubit axis last) and the signature
+def seal(fields: Mapping[str, object], key: KeyMaterial, layout: Mapping[str, tuple[int, int]]) -> dict:
+    """The bundle of `fields`, each padded by the key slice of the same name."""
+    return {name: _pad(value, key.slice(*layout[name]), qotp_encrypt) for name, value in fields.items()}
+
+
+def unseal(bundle: Mapping[str, object], key: KeyMaterial, layout: Mapping[str, tuple[int, int]], names) -> dict:
+    """The named fields of a sealed bundle, opened; no other field is touched."""
+    return {name: _pad(bundle[name], key.slice(*layout[name]), qotp_decrypt) for name in names}
+
+
+def make_signature(m_a: np.ndarray, r: StateVector, key: KeyMaterial, model: SigningModel) -> dict:
+    """Seal M_a (Bell outcome positions, qubit axis last) and the signature
     register `r` under K_a."""
-    n = qubit_count(r)
-    layout = ka_layout(n, model)
-    enc_bell = classical_encrypt(bell_outcomes_to_bits(m_a), key.slice(*layout["sig_bell_pad"]))
-    enc_state = qotp_encrypt(r, key.slice(*layout["sig_state_pad"]))
-    return SignaturePackage(enc_bell, enc_state)
+    fields = {"sig_bell_bits": bell_outcomes_to_bits(m_a), "sig_state": r}
+    return seal(fields, key, ka_layout(qubit_count(r), model))
 
 
-def open_signature(
-    sig: SignaturePackage, key: KeyMaterial, model: SigningModel
-) -> tuple[np.ndarray, StateVector]:
-    n = qubit_count(sig.enc_state)
-    layout = ka_layout(n, model)
-    bell_bits = classical_decrypt(sig.enc_bell, key.slice(*layout["sig_bell_pad"]))
-    r = qotp_decrypt(sig.enc_state, key.slice(*layout["sig_state_pad"]))
-    return bits_to_bell_outcomes(bell_bits), r
+def open_signature(sig: Mapping[str, object], key: KeyMaterial, model: SigningModel) -> tuple[np.ndarray, StateVector]:
+    """M_a and R from a bundle holding the K_a-sealed signature fields."""
+    opened = unseal(sig, key, ka_layout(qubit_count(sig["sig_state"]), model), ("sig_bell_bits", "sig_state"))
+    return bits_to_bell_outcomes(opened["sig_bell_bits"]), opened["sig_state"]

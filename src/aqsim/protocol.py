@@ -6,10 +6,14 @@ covers the three phases:
   initial      - shared keys K_a, K_b; one fresh GHZ triple per message qubit,
                  qubit order (Alice, Bob, arbitrator).
   signing      - Alice Bell-measures (message copy, her GHZ share) -> M_a,
-                 builds the keyed signature state, packages both under K_a.
-  verification - Bob x-measures his share -> M_b and forwards everything to
-                 the arbitrator under K_b; the arbitrator runs the state
-                 comparison (gamma), produces M_t, and Bob issues the verdict.
+                 builds the keyed signature state, seals both under K_a.
+  verification - Bob x-measures his share -> M_b and seals it, the signature
+                 and the message under K_b as y_b; the arbitrator runs the
+                 state comparison (gamma), produces M_t and seals y_tb under
+                 K_b, and Bob issues the verdict.
+
+Every message on the wire is a bundle (see crypto): a dict of named fields,
+each sealed by the key slice of the same name, so no phase slices a key.
 
 Every step the underlying scheme leaves ambiguous is an explicit
 ProtocolVariant field; there is no default variant.
@@ -32,13 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .crypto import (
-    KeyMaterial,
-    OwnerPair,
-    SignaturePackage,
-    SigningModel,
-    SigningTransform,
-)
+from .crypto import KeyMaterial, OwnerPair, SigningModel, SigningTransform
 from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 
@@ -181,28 +179,7 @@ def pauli_frame() -> PauliFrame:
 
 
 # ---------------------------------------------------------------------------
-# Wire bundles and transcript
-
-
-@dataclass(frozen=True)
-class EncryptedYb:
-    """Bob -> arbitrator bundle, all fields padded from disjoint K_b slices."""
-
-    mb_bits: np.ndarray
-    sig: SignaturePackage  # the K_a-encrypted package, rewrapped under K_b
-    msg_state: StateVector  # quantum-padded register of the received message
-
-
-@dataclass(frozen=True)
-class EncryptedYtb:
-    """Arbitrator -> Bob bundle."""
-
-    ma_bits: np.ndarray
-    mb_bits: np.ndarray
-    mt_bits: np.ndarray | None  # MeasureX mode
-    gamma_bit: np.ndarray  # 1 padded bit
-    sig: SignaturePackage
-    particles: StateVector | None  # ForwardParticle mode, padded, one block per qubit
+# Transcript
 
 
 @dataclass
@@ -217,8 +194,8 @@ class Transcript:
     m_b: np.ndarray | None = None  # XOutcome positions
     m_t: np.ndarray | None = None  # XOutcome positions
     gamma: np.ndarray | None = None
-    y_b: EncryptedYb | None = None
-    y_tb: EncryptedYtb | None = None
+    y_b: dict | None = None  # Bob -> arbitrator bundle, sealed under K_b
+    y_tb: dict | None = None  # arbitrator -> Bob bundle, sealed under K_b
     accepted: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
@@ -243,9 +220,7 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int):
     )
     k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, (size,))
     ghz = qsim.ghz_state().amplitudes
-    ghz_triples = StateVector(np.broadcast_to(ghz, (n,) + ghz.shape))
-    stub = Transcript(seed=seed, n=n, variant=variant)
-    return k_a, k_b, ghz_triples, stub
+    return k_a, k_b, StateVector(np.broadcast_to(ghz, (n,) + ghz.shape))
 
 
 def alice_sign(
@@ -260,8 +235,8 @@ def alice_sign(
     Per qubit: Bell-measure (fresh message copy, Alice's GHZ share), leaving
     Bob and the arbitrator their correlated pair; one bell_measure call covers
     every qubit. The signature state is the keyed transform of another fresh
-    copy. Returns (SignaturePackage, message to transmit, M_a, shared
-    Bob/arbitrator pairs).
+    copy. Returns (signature bundle sealed under K_a, message to transmit,
+    M_a, shared Bob/arbitrator pairs).
     """
     if message.qubit_count != 1:
         raise ValueError(f"signing needs a product message, got {message.qubit_count}-qubit blocks")
@@ -278,7 +253,7 @@ def alice_sign(
 
 def bob_receive_and_forward(
     p_received: StateVector,
-    sig: SignaturePackage,
+    sig: dict,
     shared_pairs: StateVector,
     k_b: KeyMaterial,
     rng: np.random.Generator,
@@ -290,18 +265,9 @@ def bob_receive_and_forward(
     n = qsim.qubit_count(p_received)
     if shared_pairs.batch[-1] != n:
         raise ValueError("GHZ share count does not match message size")
-    layout = crypto.kb_layout(n)
     m_b, particles = qsim.measure_x(shared_pairs, 0, rng)
-    mb_bits = crypto.classical_encrypt(
-        crypto.x_outcomes_to_bits(m_b), k_b.slice(*layout["yb_mb_pad"])
-    )
-    wrapped_sig = SignaturePackage(
-        crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
-        crypto.qotp_encrypt(sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
-    )
-    msg_state = crypto.qotp_encrypt(p_received, k_b.slice(*layout["yb_msg_state_pad"]))
-    y_b = EncryptedYb(mb_bits, wrapped_sig, msg_state)
-    return y_b, m_b, particles
+    fields = {"mb_bits": crypto.x_outcomes_to_bits(m_b), **sig, "msg_state": p_received}
+    return crypto.seal(fields, k_b, crypto.kb_layout(n)["y_b"]), m_b, particles
 
 
 def _signature_reference(
@@ -321,7 +287,7 @@ def _signature_reference(
 
 
 def arbitrator_verify(
-    y_b: EncryptedYb,
+    y_b: dict,
     particles,
     k_a: KeyMaterial,
     k_b: KeyMaterial,
@@ -334,16 +300,13 @@ def arbitrator_verify(
     Returns (gamma, m_t or None, y_tb).
     """
     variant = config.variant
-    n = qsim.qubit_count(y_b.sig.enc_state)
+    n = qsim.qubit_count(y_b["sig_state"])
     layout = crypto.kb_layout(n)
-    mb_bits = crypto.classical_decrypt(y_b.mb_bits, k_b.slice(*layout["yb_mb_pad"]))
-    m_b = crypto.bits_to_x_outcomes(mb_bits)
-    sig = SignaturePackage(
-        crypto.classical_decrypt(y_b.sig.enc_bell, k_b.slice(*layout["yb_sig_bell_pad"])),
-        crypto.qotp_decrypt(y_b.sig.enc_state, k_b.slice(*layout["yb_sig_state_pad"])),
-    )
-    p_received = crypto.qotp_decrypt(y_b.msg_state, k_b.slice(*layout["yb_msg_state_pad"]))
-    m_a, r = crypto.open_signature(sig, k_a, variant.key_model)
+    # every field of y_b; the signature fields are still sealed under K_a
+    opened = crypto.unseal(y_b, k_b, layout["y_b"], y_b.keys())
+    m_b = crypto.bits_to_x_outcomes(opened["mb_bits"])
+    p_received = opened["msg_state"]
+    m_a, r = crypto.open_signature(opened, k_a, variant.key_model)
     transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
     r_prime = _signature_reference(p_received, particles, m_a, m_b, transform, variant)
 
@@ -377,25 +340,16 @@ def arbitrator_verify(
         out_particles = particles
 
     gamma = (~different).astype(np.uint8)
-    ma_bits = crypto.bell_outcomes_to_bits(m_a)
-    y_tb = EncryptedYtb(
-        ma_bits=crypto.classical_encrypt(ma_bits, k_b.slice(*layout["ytb_ma_pad"])),
-        mb_bits=crypto.classical_encrypt(mb_bits, k_b.slice(*layout["ytb_mb_pad"])),
-        mt_bits=None
-        if m_t is None
-        else crypto.classical_encrypt(
-            crypto.x_outcomes_to_bits(m_t), k_b.slice(*layout["ytb_mt_pad"])
-        ),
-        gamma_bit=crypto.classical_encrypt(gamma[..., None], k_b.slice(*layout["ytb_gamma_pad"])),
-        sig=SignaturePackage(
-            crypto.classical_encrypt(sig.enc_bell, k_b.slice(*layout["ytb_sig_bell_pad"])),
-            crypto.qotp_encrypt(sig.enc_state, k_b.slice(*layout["ytb_sig_state_pad"])),
-        ),
-        particles=None
-        if out_particles is None
-        else crypto.qotp_encrypt(out_particles, k_b.slice(*layout["ytb_particle_pad"])),
-    )
-    return gamma, m_t, y_tb
+    fields = {
+        "ma_bits": crypto.bell_outcomes_to_bits(m_a),
+        "mb_bits": opened["mb_bits"],
+        "mt_bits": None if m_t is None else crypto.x_outcomes_to_bits(m_t),
+        "gamma_bit": gamma[..., None],
+        "sig_bell_bits": opened["sig_bell_bits"],
+        "sig_state": opened["sig_state"],
+        "particles": out_particles,
+    }
+    return gamma, m_t, crypto.seal(fields, k_b, layout["y_tb"])
 
 
 def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> StateVector:
@@ -411,7 +365,7 @@ def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> St
 
 
 def bob_final_verify(
-    y_tb: EncryptedYtb,
+    y_tb: dict,
     k_b: KeyMaterial,
     reference: StateVector | None,
     config: RunConfig,
@@ -428,26 +382,23 @@ def bob_final_verify(
     SWAP-tests them against the reference.
     """
     variant = config.variant
-    n = qsim.qubit_count(y_tb.sig.enc_state)
-    layout = crypto.kb_layout(n)
+    measured_mt = variant.m_t_mode is MtMode.MEASURE_X
+    # only the fields Bob reads are opened
+    names = ("ma_bits", "mb_bits", "gamma_bit", "mt_bits" if measured_mt else "particles")
+    opened = crypto.unseal(y_tb, k_b, crypto.kb_layout(qsim.qubit_count(y_tb["sig_state"]))["y_tb"], names)
     frame = pauli_frame()
-    ma_bits = crypto.classical_decrypt(y_tb.ma_bits, k_b.slice(*layout["ytb_ma_pad"]))
-    m_a = crypto.bits_to_bell_outcomes(ma_bits)
-    mb_bits = crypto.classical_decrypt(y_tb.mb_bits, k_b.slice(*layout["ytb_mb_pad"]))
-    m_b = crypto.bits_to_x_outcomes(mb_bits)
-    gamma = crypto.classical_decrypt(y_tb.gamma_bit, k_b.slice(*layout["ytb_gamma_pad"]))[..., 0]
-    passed = gamma.astype(bool)
+    m_a = crypto.bits_to_bell_outcomes(opened["ma_bits"])
+    m_b = crypto.bits_to_x_outcomes(opened["mb_bits"])
+    passed = opened["gamma_bit"][..., 0].astype(bool)
 
-    if variant.m_t_mode is MtMode.MEASURE_X:
-        mt_bits = crypto.classical_decrypt(y_tb.mt_bits, k_b.slice(*layout["ytb_mt_pad"]))
-        m_t = crypto.bits_to_x_outcomes(mt_bits)
+    if measured_mt:
+        m_t = crypto.bits_to_x_outcomes(opened["mt_bits"])
         candidate = qsim.apply_pauli(qsim.x_state(m_t), frame.correction(m_a, m_b), 0)
         # M_t only tells Bob the particle was not orthogonal to one x state;
         # there is nothing more to test against, so the gamma gate decides.
         return passed, candidate
 
-    particles = crypto.qotp_decrypt(y_tb.particles, k_b.slice(*layout["ytb_particle_pad"]))
-    p_prime = qsim.apply_pauli(particles, frame.correction(m_a, m_b), 0)
+    p_prime = qsim.apply_pauli(opened["particles"], frame.correction(m_a, m_b), 0)
     if reference is None:
         raise ValueError("final comparison needs a reference message")
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
@@ -480,8 +431,8 @@ def run_protocol(
     if message is not None and message.batch != (size, config.n):
         raise ValueError(f"message batch {message.batch} is not (size, n) = {(size, config.n)}")
     rng = np.random.default_rng(seed)
-    k_a, k_b, ghz_triples, transcript = initialize(config.n, rng, variant, size)
-    transcript.seed = seed
+    k_a, k_b, ghz_triples = initialize(config.n, rng, variant, size)
+    transcript = Transcript(seed=seed, n=config.n, variant=variant)
     if message is None:
         message = haar_product_message(config.n, rng, (size,))
 

@@ -1,7 +1,8 @@
 """Structured-text (JSON-shaped) serialization for transcripts and reports.
 
 Complex amplitudes serialize as [re, im] pairs, outcome positions as the
-values of the enum members they index. A transcript is a block of trials, so
+values of the enum members they index, and a sealed bundle (see crypto) as
+its fields under their own names. A transcript is a block of trials, so
 every per-trial field is a list with the trial axis first: trial t is row t.
 Dumping is deterministic (sorted keys, fixed separators) so identical seeds
 give byte-identical files.
@@ -13,7 +14,7 @@ import json
 
 import numpy as np
 
-from .protocol import EncryptedYb, EncryptedYtb, Transcript, Verdict
+from .protocol import Transcript, Verdict
 from .qsim import BellOutcome, StateVector, XOutcome
 
 
@@ -35,25 +36,20 @@ def _values(outcomes, positions):
     return np.array([o.value for o in outcomes])[np.asarray(positions, dtype=np.intp)].tolist()
 
 
-def yb_to_dict(y_b: EncryptedYb) -> dict:
+def bundle_to_dict(bundle: dict) -> dict:
     return {
-        "mb_bits": _plain(y_b.mb_bits),
-        "sig_bell_bits": _plain(y_b.sig.enc_bell),
-        "sig_state": state_to_list(y_b.sig.enc_state),
-        "msg_state": state_to_list(y_b.msg_state),
+        name: state_to_list(value) if isinstance(value, StateVector) else _plain(value)
+        for name, value in bundle.items()
     }
 
 
-def ytb_to_dict(y_tb: EncryptedYtb) -> dict:
-    return {
-        "ma_bits": _plain(y_tb.ma_bits),
-        "mb_bits": _plain(y_tb.mb_bits),
-        "mt_bits": _plain(y_tb.mt_bits),
-        "gamma_bit": _plain(y_tb.gamma_bit),
-        "sig_bell_bits": _plain(y_tb.sig.enc_bell),
-        "sig_state": state_to_list(y_tb.sig.enc_state),
-        "particles": None if y_tb.particles is None else state_to_list(y_tb.particles),
-    }
+def _seed(seed):
+    """An int seed as itself; a Generator as the SeedSequence it was built
+    from, so a block run by `attacks.map_trials` records (seed, block)."""
+    if isinstance(seed, np.random.Generator):
+        seq = seed.bit_generator.seed_seq
+        return {"entropy": seq.entropy, "spawn_key": list(seq.spawn_key)}
+    return seed
 
 
 def variant_to_dict(variant) -> dict:
@@ -69,15 +65,15 @@ def variant_to_dict(variant) -> dict:
 def transcript_to_dict(t: Transcript) -> dict:
     """A block's transcript, the trial axis first on every per-trial field."""
     return {
-        "seed": t.seed,
+        "seed": _seed(t.seed),
         "n": t.n,
         "variant": variant_to_dict(t.variant),
         "m_a": _values(BellOutcome, t.m_a),
         "m_b": _values(XOutcome, t.m_b),
         "m_t": _values(XOutcome, t.m_t),
         "gamma": _plain(t.gamma),
-        "y_b": None if t.y_b is None else yb_to_dict(t.y_b),
-        "y_tb": None if t.y_tb is None else ytb_to_dict(t.y_tb),
+        "y_b": None if t.y_b is None else bundle_to_dict(t.y_b),
+        "y_tb": None if t.y_tb is None else bundle_to_dict(t.y_tb),
         "verdict": _values(Verdict, t.accepted),
         "extras": {key: _plain(value) for key, value in t.extras.items()},
     }

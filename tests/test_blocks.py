@@ -123,12 +123,9 @@ def _rows(transcript):
     if transcript.m_t is not None:
         fields["m_t"] = transcript.m_t
     for bundle in ("y_b", "y_tb"):
-        for name, value in vars(getattr(transcript, bundle)).items():
+        for name, value in getattr(transcript, bundle).items():
             if value is None:
                 continue
-            if name == "sig":
-                fields[f"{bundle}.sig.bell"] = value.enc_bell
-                value = value.enc_state
             fields[f"{bundle}.{name}"] = value.amplitudes if isinstance(value, qsim.StateVector) else value
     for name in ("message_fidelity", "candidate_fidelity", "candidate_fidelity_per_qubit"):
         fields[name] = transcript.extras[name]

@@ -89,6 +89,41 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse(["--config", str(tmp_path / "missing.json")])
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("strategy", "bogus"),
+            ("key_model", "bogus"),
+            ("r_prime", "bogus"),
+            ("mt", "bogus"),
+            ("knowledge", "bogus"),
+            ("comparison", "bogus"),
+            ("n", "two"),
+            ("format", "xml"),
+            ("idealized_comparison", "maybe"),
+        ],
+    )
+    def test_config_file_values_checked_as_flags(self, tmp_path, capsys, key, value):
+        # a file value gets its flag's type and choices: exit 2 naming the key, no report
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"scenario": "honest", "trials": 1, key: value}))
+        out = tmp_path / "report"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"config file key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_values_typed_as_flags(self, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(
+            json.dumps({"scenario": "forgery", "n": "3", "m": None, "idealized_comparison": False, "mt": "forward"})
+        )
+        cfg = parse(["--config", str(cfg_file)])
+        assert cfg.n == 3 and cfg.m == 1 and cfg.idealized_comparison is False
+        assert cfg.variant.m_t_mode is MtMode.FORWARD_PARTICLE
+        cfg_file.write_text(json.dumps(["scenario", "honest"]))
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse(["--config", str(cfg_file)])
+
     def test_out_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("AQSIM_OUT_DIR", str(tmp_path))
         cfg = parse(["--scenario", "honest", "--format", "csv"])

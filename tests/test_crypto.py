@@ -55,19 +55,51 @@ class TestKeyMaterial:
         assert np.array_equal(key.bits, back.bits)
 
     def test_layouts_disjoint(self):
-        for model in SigningModel:
-            layout = crypto.ka_layout(3, model)
+        layouts = [crypto.ka_layout(3, model) for model in SigningModel]
+        layouts.append({f"{b}.{f}": span for b, fields in crypto.kb_layout(3).items() for f, span in fields.items()})
+        for layout in layouts:
             spans = sorted(layout.values())
             for (s1, l1), (s2, _) in zip(spans, spans[1:]):
                 assert s1 + l1 == s2  # contiguous, disjoint
-        kb = sorted(crypto.kb_layout(3).values())
-        for (s1, l1), (s2, _) in zip(kb, kb[1:]):
-            assert s1 + l1 == s2
+
+    def test_wire_layout_pinned(self):
+        # every slice, by name and bit position: moving one changes every ciphertext
+        assert list(crypto.ka_layout(2, SigningModel.PER_QUBIT_PRODUCT).items()) == [
+            ("signing", (0, 4)),
+            ("sig_state", (4, 4)),
+            ("sig_bell_bits", (8, 4)),
+        ]
+        assert list(crypto.ka_layout(2, SigningModel.GENERAL_UNITARY).items()) == [
+            ("signing", (0, 64)),
+            ("sig_state", (64, 4)),
+            ("sig_bell_bits", (68, 4)),
+        ]
+        kb = crypto.kb_layout(2)
+        assert list(kb) == ["y_b", "y_tb"]
+        assert list(kb["y_b"].items()) == [
+            ("mb_bits", (0, 2)),
+            ("sig_bell_bits", (2, 4)),
+            ("sig_state", (6, 4)),
+            ("msg_state", (10, 4)),
+        ]
+        assert list(kb["y_tb"].items()) == [
+            ("ma_bits", (14, 4)),
+            ("mb_bits", (18, 2)),
+            ("mt_bits", (20, 2)),
+            ("gamma_bit", (22, 1)),
+            ("sig_bell_bits", (23, 4)),
+            ("sig_state", (27, 4)),
+            ("particles", (31, 4)),
+        ]
+        assert crypto.kb_bits_required(2) == 35
+        assert crypto.ka_bits_required(2, SigningModel.GENERAL_UNITARY) == 72
 
     def test_kb_layout_built_once_and_read_only(self):
         assert crypto.kb_layout(3) is crypto.kb_layout(3)
         with pytest.raises(TypeError):
-            crypto.kb_layout(3)["yb_mb_pad"] = (0, 0)
+            crypto.kb_layout(3)["y_b"] = {}
+        with pytest.raises(TypeError):
+            crypto.kb_layout(3)["y_b"]["mb_bits"] = (0, 0)
 
 
 class TestSigningTransform:
@@ -242,30 +274,28 @@ class TestSignaturePackage:
             assert qsim.register_fidelity(state_back, state) >= 1 - ATOL
 
     def test_wrong_key_bell_bits_quarter(self):
+        # one key, 10000 trials in one block, each with its own M_a, state and wrong key
         r = rng(17)
         trials = 10000
         model = SigningModel.PER_QUBIT_PRODUCT
         key = random_ka(1, model, seed=18)
-        hits = 0
-        for _ in range(trials):
-            m_a = r.integers(0, 4, size=1)
-            sig = make_signature(m_a, haar_random_state(1, r, (1,)), key, model)
-            wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
-            m_a_back, _ = open_signature(sig, wrong, model)
-            hits += np.array_equal(m_a_back, m_a)
+        key = KeyMaterial(np.broadcast_to(key.bits, (trials, len(key))), key.owner_pair)
+        m_a = r.integers(0, 4, size=(trials, 1))
+        sig = make_signature(m_a, haar_random_state(1, r, (trials, 1)), key, model)
+        wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        m_a_back, _ = open_signature(sig, wrong, model)
+        hits = np.count_nonzero((m_a_back == m_a).all(-1))
         sigma = np.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) < 3 * sigma
 
     def test_wrong_key_state_mean_fidelity_half(self):
+        # 20000 trials in one block, each with its own key, state and wrong key
         r = rng(19)
         trials = 20000
         model = SigningModel.PER_QUBIT_PRODUCT
-        total = 0.0
-        for _ in range(trials):
-            key = random_ka(1, model, seed=int(r.integers(0, 2**31)))
-            state = haar_random_state(1, r, (1,))
-            sig = make_signature(np.array([0]), state, key, model)  # psi+
-            wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r)
-            _, state_back = open_signature(sig, wrong, model)
-            total += qsim.register_fidelity(state_back, state)
-        assert total / trials == pytest.approx(0.5, abs=0.015)
+        key = KeyMaterial.random(crypto.ka_bits_required(1, model), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        state = haar_random_state(1, r, (trials, 1))
+        sig = make_signature(np.zeros((trials, 1), dtype=np.intp), state, key, model)  # psi+
+        wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        _, state_back = open_signature(sig, wrong, model)
+        assert qsim.register_fidelity(state_back, state).mean() == pytest.approx(0.5, abs=0.015)
