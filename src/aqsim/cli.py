@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _file_args(path: str) -> argparse.Namespace:
     """A JSON config file's values, each checked and parsed as the value of its
-    flag (key `key_model` for `--key-model`); keys that name no flag are ignored."""
+    flag (key `key_model` for `--key-model`); a key that names no flag is an
+    error, whatever its value."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -146,14 +147,19 @@ def _file_args(path: str) -> argparse.Namespace:
     parser = build_parser()
     parser.exit_on_error = False
     parser.allow_abbrev = False
+    flags = {option for action in parser._actions for option in action.option_strings}
     values = argparse.Namespace()
     errors = []
     for key, value in raw.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag not in flags:
+            errors.append(f"config file key {key!r} names no flag")
+            continue
         if value is None:
             continue
         text = json.dumps(value) if isinstance(value, bool) else str(value)
         try:
-            parser.parse_known_args([f"--{key.replace('_', '-')}={text}"], values)
+            parser.parse_known_args([f"{flag}={text}"], values)
         except argparse.ArgumentError as e:
             errors.append(f"config file key {key!r}: {e.message}")
     if errors:

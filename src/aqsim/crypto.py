@@ -10,7 +10,8 @@ in a fixed, documented order:
   Alice-arbitrator key (K_a), `ka_layout`:
     [signing | sig_state (2n) | sig_bell_bits (2n)]
   signing bits: 2 per qubit for the per-qubit model, 64 for the
-  general-unitary model (they seed a deterministic Haar draw).
+  general-unitary model (read big-endian as the key of a Haar unitary, see
+  qsim.haar_random_unitary).
 
   Bob-arbitrator key (K_b), `kb_layout`: the y_b bundle's fields, then the
   y_tb bundle's, quantum pads sized at 2 bits per qubit.
@@ -25,7 +26,7 @@ on a register (see qsim "Registers"): one StateVector with a block axis.
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -37,10 +38,8 @@ from .qsim import (
     HADAMARD,
     PHASE_S,
     BellOutcome,
-    PauliOp,
     StateVector,
     XOutcome,
-    apply_pauli,
     apply_unitary,
     haar_random_unitary,
     join,
@@ -200,45 +199,62 @@ def _transform_from_bits(signing: bytes, shape, n: int, model: SigningModel) -> 
     if model is SigningModel.PER_QUBIT_PRODUCT:
         unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
     else:
-        # each trial's 64 bits seed its own Ginibre draw; the QR runs on the stack
-        seeds = [int.from_bytes(np.packbits(b).tobytes(), "big") for b in bits.reshape(-1, shape[-1])]
-        u = haar_random_unitary(2**n, [np.random.default_rng(s) for s in seeds])
+        # each trial's 64 bits, packed big-endian, key its own Haar unitary
+        keys = np.packbits(bits.reshape(-1, shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
+        u = haar_random_unitary(2**n, keys)
         unitaries = u.reshape(shape[:-1] + (1,) + u.shape[-2:])
     unitaries.setflags(write=False)
     return SigningTransform(unitaries)
 
 
-# A pad bit selects the identity or its Pauli, as a PauliOp position.
-_Z_IF_SET = operator.index(PauliOp.Z)
-_X_IF_SET = operator.index(PauliOp.X)
+@functools.cache
+def _pad_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For k-qubit blocks: the basis indices 0..2^k-1, the sign (-1)^parity of
+    each, and each qubit's bit weight (qubit 0 most significant)."""
+    parity = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        parity = np.concatenate([parity, parity ^ 1])
+    tables = np.arange(2**k), 1.0 - 2.0 * parity, 1 << np.arange(k - 1, -1, -1)
+    for table in tables:
+        table.setflags(write=False)  # shared by every pad of k-qubit blocks
+    return tables
 
 
-def _qotp(register: StateVector, pad_bits: np.ndarray, order: tuple[int, int]) -> StateVector:
-    """Per qubit i, the Paulis of pad bits (a, b) = pad[2i], pad[2i+1] in the
-    given order (0: X^a, 1: Z^b), each trial with its own pad: for qubit j of
-    every block at once, one apply_pauli per half that any trial's pad sets."""
+def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVector:
+    """The pad's Paulis on every block of every trial, as one gather and a sign.
+
+    Per block, x and z pack the X bits pad[2i] and Z bits pad[2i+1] of its
+    qubits into masks. X^a Z^b on each qubit maps amplitude i to
+    (-1)^popcount((i^x) & z) psi[i^x]; its inverse, Z^b X^a, to
+    (-1)^popcount(i & z) psi[i^x]. Each trial has its own pad, or one pad
+    without a trial axis serves the whole block.
+    """
     pad = np.asarray(pad_bits, dtype=np.uint8)
     k = register.qubit_count
     if pad.shape[-1] != 2 * qubit_count(register):
         raise ValueError(f"{pad.shape[-1]} pad bits for {qubit_count(register)} qubits at 2 each")
-    bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))  # trials, blocks, qubit in block, half
-    for j in range(k):
-        for half in order:
-            bit = bits[..., j, half]
-            if bit.any():
-                register = apply_pauli(register, (_Z_IF_SET if half else _X_IF_SET) * bit, j)
-    return register
+    index, signs, weights = _pad_tables(k)
+    # trials, blocks, (x, z): one bit per qubit in block, packed into a mask
+    masks = np.matmul(np.swapaxes(pad.reshape(pad.shape[:-1] + (-1, k, 2)), -1, -2), weights)
+    source = index ^ masks[..., 0, None]
+    sign = signs[(source if encrypt else index) & masks[..., 1, None]]
+    amps = register.amplitudes
+    shape = np.broadcast_shapes(amps.shape, source.shape)
+    rows = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))
+    out = np.broadcast_to(amps, shape).reshape(-1)[rows + source]
+    out *= sign
+    return StateVector.owning(out)
 
 
 def qotp_encrypt(register: StateVector, pad_bits: np.ndarray) -> StateVector:
     """Quantum one-time pad on a register: X^a Z^b on qubit i with
     (a, b) = pad[2i], pad[2i+1]."""
-    return _qotp(register, pad_bits, (1, 0))
+    return _qotp(register, pad_bits, encrypt=True)
 
 
 def qotp_decrypt(register: StateVector, pad_bits: np.ndarray) -> StateVector:
     """Inverse of qotp_encrypt (undoes X before Z per qubit)."""
-    return _qotp(register, pad_bits, (0, 1))
+    return _qotp(register, pad_bits, encrypt=False)
 
 
 def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:

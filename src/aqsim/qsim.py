@@ -30,7 +30,6 @@ Convention notes:
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -465,22 +464,79 @@ def haar_random_state(k: int, rng: np.random.Generator, batch: tuple[int, ...] =
     return StateVector.owning(z / np.sqrt(_norm_sq(z))[..., None])
 
 
-def haar_random_unitary(dim: int, rng) -> np.ndarray:
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream seeded by key s is
+# mix(s + j GAMMA) for j = 1, 2, ..., all in wrapping uint64 arithmetic.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_SPLITMIX_LAST = np.uint64(31)
+
+
+def splitmix64(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` outputs of the SplitMix64 stream seeded by each key:
+    (T,) uint64 keys -> (T, count) uint64."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA
+    z = np.add(np.asarray(keys, dtype=np.uint64)[:, None], z)
+    shifted = np.empty_like(z)
+    for shift, multiplier in _SPLITMIX_MIX:
+        z ^= np.right_shift(z, shift, out=shifted)
+        z *= multiplier
+    z ^= np.right_shift(z, _SPLITMIX_LAST, out=shifted)
+    return z
+
+
+def _keyed_ginibre(keys: np.ndarray, dim: int) -> np.ndarray:
+    """One (dim, dim) complex Ginibre matrix per key, E|z_ij|^2 = 1: entry e
+    (row-major) takes outputs 2e and 2e+1 of the key's SplitMix64 stream as
+    uniforms u, v in (0, 1), and Box-Muller makes it sqrt(-ln u) e^(2 pi i v)."""
+    bits = splitmix64(keys, 2 * dim * dim)
+    bits >>= np.uint64(12)  # 52 bits, so that (bits + 1/2) 2^-52 is exact and inside (0, 1)
+    uniform = bits.astype(np.float64)
+    uniform += 0.5
+    uniform *= 2.0**-52
+    uniform = uniform.reshape(len(keys), dim, dim, 2)
+    radius = np.log(uniform[..., 0])
+    radius *= -1.0
+    np.sqrt(radius, out=radius)
+    angle = uniform[..., 1]
+    angle *= 2 * np.pi
+    z = np.empty((len(keys), dim, dim), dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    z *= radius
+    return z
+
+
+def _phase_fixed_q(z: np.ndarray, out: np.ndarray) -> None:
+    """Haar unitaries from a stack of Ginibre matrices: the QR's Q with each
+    column's phase fixed by R's diagonal (Mezzadri 2007), written to `out`."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
+
+
+def haar_random_unitary(dim: int, source) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
 
-    Given a list of generators instead of one, draws one Ginibre matrix from
-    each and factors the (len, dim, dim) stack, chunk by chunk (_CHUNK_BYTES).
+    `source` is one Generator, which draws one (dim, dim) unitary, or a (T,)
+    uint64 array of keys, which derives a (T, dim, dim) stack: row t is a
+    function of keys[t] alone (the SplitMix64 stream it seeds, see
+    _keyed_ginibre). The stack is derived and factored chunk by chunk
+    (_CHUNK_BYTES).
     """
-    single = isinstance(rng, np.random.Generator)
-    gens = iter([rng] if single else rng)
-    u = np.empty((1 if single else len(rng), dim, dim), dtype=complex)
-    for chunk in _chunks(u):
-        z = np.stack([g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)) for g in itertools.islice(gens, len(chunk))])
+    if isinstance(source, np.random.Generator):
+        z = source.standard_normal((dim, dim)) + 1j * source.standard_normal((dim, dim))
         z *= _SQRT2_INV
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        np.multiply(q, (d / np.abs(d))[..., None, :], out=chunk)
-    return u[0] if single else u
+        u = np.empty_like(z)
+        _phase_fixed_q(z, out=u)
+        return u
+    keys = np.asarray(source, dtype=np.uint64)
+    u = np.empty((len(keys), dim, dim), dtype=complex)
+    done = 0
+    for chunk in _chunks(u):
+        _phase_fixed_q(_keyed_ginibre(keys[done : done + len(chunk)], dim), out=chunk)
+        done += len(chunk)
+    return u
 
 
 def product_factors(state: StateVector) -> tuple[StateVector, ...]:

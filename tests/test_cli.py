@@ -112,6 +112,16 @@ class TestValidateConfig:
         assert f"config file key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("trails", 5), ("trails", None), ("idealized", True)])
+    def test_config_file_key_naming_no_flag_rejected(self, tmp_path, capsys, key, value):
+        # a misspelled key would otherwise run with the default: exit 2 naming it, no report
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"scenario": "honest", "trials": 1, key: value}))
+        out = tmp_path / "report"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"config file key {key!r} names no flag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_values_typed_as_flags(self, tmp_path):
         cfg_file = tmp_path / "exp.json"
         cfg_file.write_text(

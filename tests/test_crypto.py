@@ -1,5 +1,7 @@
 """Tests for key material, signing transforms, and the one-time pads."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from aqsim.crypto import (
     qotp_decrypt,
     qotp_encrypt,
 )
-from aqsim.qsim import ATOL, StateVector, haar_random_state, new_basis_state
+from aqsim.qsim import ATOL, PauliOp, StateVector, haar_random_state, new_basis_state
 
 
 def rng(seed=0):
@@ -39,6 +41,18 @@ def random_ka(n, model, seed=0):
         crypto.ka_bits_required(n, model), OwnerPair.ALICE_ARBITRATOR, rng(seed)
     )
 
+
+
+def per_qubit_paulis(register, pad, encrypt):
+    """The pad applied one apply_pauli call at a time: per qubit j of every
+    block, X^a Z^b with (a, b) its two pad bits, or the inverse Z^b X^a."""
+    k = register.qubit_count
+    bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))
+    for j in range(k):
+        for half in (1, 0) if encrypt else (0, 1):
+            pauli = PauliOp.Z if half else PauliOp.X
+            register = qsim.apply_pauli(register, operator.index(pauli) * bits[..., j, half], j)
+    return register
 
 class TestKeyMaterial:
     def test_rejects_non_binary(self):
@@ -145,6 +159,24 @@ class TestSigningTransform:
         assert u.shape == (4, 4)
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=ATOL)
 
+    def test_general_key_is_signing_bits_big_endian(self):
+        # each trial's 64 signing bits, first bit most significant, key its Haar
+        # unitary; the sig_state and sig_bell_bits slices do not enter it
+        n = 2
+        length = crypto.ka_bits_required(n, SigningModel.GENERAL_UNITARY)
+        bits = rng(27).integers(0, 2, size=(3, length), dtype=np.uint8)
+        bits[0, :64] = 0
+        bits[0, 63] = 1
+        bits[1, :64] = 0
+        bits[1, 0] = 1
+        keys = [int("".join(map(str, row[:64])), 2) for row in bits]
+        assert keys[:2] == [1, 2**63]
+        crypto._transform_from_bits.cache_clear()
+        t = derive_signing_transform(KeyMaterial(bits, OwnerPair.ALICE_ARBITRATOR), n, SigningModel.GENERAL_UNITARY)
+        assert t.unitaries.shape == (3, 1, 4, 4)
+        expected = qsim.haar_random_unitary(4, np.array(keys, dtype=np.uint64))
+        assert np.array_equal(t.unitaries[:, 0], expected)
+
     def test_all_derived_transforms_unitary(self):
         for seed in range(10):
             for model in SigningModel:
@@ -220,6 +252,19 @@ class TestQotp:
                 assert np.allclose(qsim.join(enc).amplitudes, whole.amplitudes, atol=ATOL)
                 back = qotp_decrypt(enc, pad)
                 assert qsim.register_fidelity(back, blocks) >= 1 - ATOL
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_gather_equals_per_qubit_paulis(self, k):
+        # exactly the Paulis applied one qubit at a time (encrypt: Z^b, then X^a;
+        # decrypt: X^a, then Z^b), on three k-qubit blocks, with a pad per
+        # trial and with one pad without a trial axis; decrypt undoes encrypt
+        r = rng(26)
+        s = haar_random_state(k, r, (16, 3))
+        for pad in (r.integers(0, 2, size=(16, 6 * k), dtype=np.uint8), r.integers(0, 2, size=6 * k, dtype=np.uint8)):
+            enc = qotp_encrypt(s, pad)
+            assert np.array_equal(enc.amplitudes, per_qubit_paulis(s, pad, encrypt=True).amplitudes)
+            assert np.array_equal(qotp_decrypt(s, pad).amplitudes, per_qubit_paulis(s, pad, encrypt=False).amplitudes)
+            assert np.array_equal(qotp_decrypt(enc, pad).amplitudes, s.amplitudes)
 
     def test_exhaustive_pad_average_is_maximally_mixed(self):
         # Average the encrypted projector over every single-qubit pad.

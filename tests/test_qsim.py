@@ -427,6 +427,66 @@ class TestHaar:
         assert abs(np.mean(plain) - np.mean(rotated)) < 4 * np.std(plain) / np.sqrt(20000)
 
 
+
+def splitmix64_reference(state, count):
+    """The SplitMix64 stream seeded by `state`, in Python integers."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestKeyedHaar:
+    def test_splitmix64_first_output_of_key_zero(self):
+        assert int(qsim.splitmix64(np.zeros(1, dtype=np.uint64), 1)[0, 0]) == 0xE220A8397B1DCDAF
+
+    def test_splitmix64_matches_reference_and_wraps(self):
+        keys = [0, 1, 0x0123456789ABCDEF, 2**63, 2**64 - 1]
+        out = qsim.splitmix64(np.array(keys, dtype=np.uint64), 6)
+        assert out.dtype == np.uint64
+        assert [[int(v) for v in row] for row in out] == [splitmix64_reference(k, 6) for k in keys]
+
+    @pytest.mark.parametrize("keys", ["random", "consecutive"])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_haar_moments(self, d, keys):
+        # over 8000 keys, at 4 sigma: at every position E U_ij = 0 (the phase
+        # fix) and E|U_ij|^2 = 1/d; the mean of |U_ij|^4 over a matrix, one iid
+        # sample per key, has E = 2/(d(d+1))
+        count = 8000
+        if keys == "random":
+            keys = rng(23).integers(0, 2**64, size=count, dtype=np.uint64)
+        else:
+            keys = np.arange(count, dtype=np.uint64)
+        u = qsim.haar_random_unitary(d, keys)
+        assert u.shape == (count, d, d)
+        for part in (u.real, u.imag):
+            assert (np.abs(part.mean(axis=0)) < 4 * part.std(axis=0) / np.sqrt(count)).all()
+        second = np.abs(u) ** 2
+        assert (np.abs(second.mean(axis=0) - 1 / d) < 4 * second.std(axis=0) / np.sqrt(count)).all()
+        fourth = (second**2).mean(axis=(1, 2))
+        assert abs(fourth.mean() - 2 / (d * (d + 1))) < 4 * fourth.std() / np.sqrt(count)
+
+    def test_stack_rows_equal_keys_derived_alone(self):
+        # at d = 64 the 40 keys span three chunks of the stack (_CHUNK_BYTES)
+        keys = rng(24).integers(0, 2**64, size=40, dtype=np.uint64)
+        for d in (2, 8, 64):
+            stack = qsim.haar_random_unitary(d, keys)
+            for t in range(len(keys)):
+                assert np.array_equal(stack[t], qsim.haar_random_unitary(d, keys[t : t + 1])[0])
+
+    def test_unitary(self):
+        u = qsim.haar_random_unitary(8, rng(25).integers(0, 2**64, size=64, dtype=np.uint64))
+        assert np.allclose(np.swapaxes(u.conj(), -1, -2) @ u, np.eye(8), atol=1e-12)
+
+    def test_pinned_entry(self):
+        # a change of the stream, the Box-Muller map or the entry layout moves it
+        u = qsim.haar_random_unitary(4, np.array([0x0123456789ABCDEF], dtype=np.uint64))
+        assert u[0, 1, 2] == pytest.approx(-0.6048558789223978 - 0.0017927985367440016j, abs=1e-12)
+
 class TestTeleportation:
     def test_all_outcome_pairs_correct_to_message(self):
         # For every (Bell, x) outcome pair a fixed Pauli returns the
