@@ -7,9 +7,13 @@ reports the empirical acceptance rate against the analytic prediction:
 1 - q(n) = 1/2 (1 + 2^-n) for a whole-register replacement under
 general-unitary keys.
 
-Trials run in fixed blocks of BLOCK_TRIALS (`map_trials`): a block is one
-`run_protocol` call over a trial axis, drawing from one generator seeded by
-(seed, block index).
+Trials run in blocks (`map_trials`): a block is one `run_protocol` call over
+a trial axis, drawing from one generator seeded by (seed, block index). A
+block holds max(BLOCK_TRIALS, 2^15 // width) trials, width being the
+amplitudes per trial of the widest array it builds (`state_width`): narrow
+runs take long blocks, which share each numpy call's fixed cost among more
+trials, while no array of a block longer than BLOCK_TRIALS exceeds 2^15
+amplitudes (512 KiB).
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float |
     return None
 
 
-def _attack_trials(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: int, size: int):
+def _attack_trials(config: RunConfig, strategy: ForgeryStrategy, rng: np.random.Generator, size: int, **_):
     if strategy.kind is StrategyKind.GARBLE_SIGNATURE:
         tap = _garble_tap
     else:
@@ -180,7 +184,7 @@ def _attack_trials(config: RunConfig, strategy: ForgeryStrategy, seed: int, i: i
         def tap(message, sig, tap_rng):
             return forge(message, strategy, tap_rng), sig
 
-    t = run_protocol(config, block_rng(seed, i), channel_tap=tap, size=size)
+    t = run_protocol(config, rng, channel_tap=tap, size=size)
     return t.accepted, t.gamma, t.extras["message_fidelity"]
 
 
@@ -212,7 +216,7 @@ def estimate_forgery_acceptance(
         raise ValueError("need at least one trial")
     strategy.validate(config.n)
     accepted, gammas, fids = map_trials(
-        _attack_trials, trials, seed, workers, config=config, strategy=strategy
+        _attack_trials, trials, seed, workers, width=state_width(config), config=config, strategy=strategy
     )
     accepted, gammas = int(accepted.sum()), int(gammas.sum())
     ci_low, ci_high = binomial_ci(accepted, trials)
@@ -235,18 +239,20 @@ def fidelity_drop(
     p: StateVector, strategy: ForgeryStrategy, trials: int, seed: int
 ) -> float:
     """Mean fidelity between the original message and its forged replacement."""
-    strategy.validate(qsim.qubit_count(p))
-    (fids,) = map_trials(_drop_trials, trials, seed, message=p, strategy=strategy)
+    n = qsim.qubit_count(p)
+    strategy.validate(n)
+    # the forged register: n one-qubit blocks, or one block of 2^n amplitudes
+    (fids,) = map_trials(_drop_trials, trials, seed, width=2**n, message=p, strategy=strategy)
     return float(np.mean(fids))
 
 
-def _drop_trials(message: StateVector, strategy: ForgeryStrategy, seed: int, i: int, size: int):
+def _drop_trials(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator, size: int, **_):
     block = StateVector(np.broadcast_to(message.amplitudes, (size,) + message.amplitudes.shape))
-    return (qsim.register_fidelity(message, forge(block, strategy, block_rng(seed, i))),)
+    return (qsim.register_fidelity(message, forge(block, strategy, rng)),)
 
 
-def _recovery_trials(config: RunConfig, seed: int, i: int, size: int):
-    return (run_protocol(config, block_rng(seed, i), size=size).extras["candidate_fidelity"],)
+def _recovery_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):
+    return (run_protocol(config, rng, size=size).extras["candidate_fidelity"],)
 
 
 def recovery_failure_experiment(
@@ -259,45 +265,71 @@ def recovery_failure_experiment(
     """
     if config.variant.m_t_mode is not MtMode.MEASURE_X:
         raise ValueError("recovery failure is only defined for the MeasureX variant")
-    (fids,) = map_trials(_recovery_trials, trials, seed, workers, config=config)
+    (fids,) = map_trials(_recovery_trials, trials, seed, workers, width=state_width(config), config=config)
     return float(np.mean(fids))
 
 
 # ---------------------------------------------------------------------------
 # Deterministic trial fan-out
 
-# Trials per block. Results are a function of the seed and the block index
-# for this size, so changing it changes every report.
+# The fewest trials a block holds. Longer blocks are taken while the widest
+# array stays within _BLOCK_AMPLITUDES amplitudes per block; results are a
+# function of the seed and the block index for a block length, so changing
+# either constant changes reports.
 BLOCK_TRIALS = 256
+_BLOCK_AMPLITUDES = 2**15
 
 
-def block_rng(seed: int, i: int) -> np.random.Generator:
-    """The one generator of the block that trial i belongs to."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i // BLOCK_TRIALS,)))
+def block_trials(width: int) -> int:
+    """Trials per block for blocks whose widest array holds `width` amplitudes per trial."""
+    return max(BLOCK_TRIALS, _BLOCK_AMPLITUDES // width)
+
+
+def state_width(config: RunConfig) -> int:
+    """Amplitudes per trial in the widest array a block of `config` holds:
+    16 n for the message and its GHZ triples under per-qubit keys and
+    comparison; with whole-register comparison or general keys also the
+    SWAP test's 2n-qubit joint state and the 2^n x 2^n unitary stack, 4^n."""
+    v, n = config.variant, config.n
+    if v.key_model is SigningModel.PER_QUBIT_PRODUCT and v.comparison_mode is ComparisonMode.PER_QUBIT:
+        return 16 * n
+    return max(16 * n, 4**n)
+
+
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """The one generator of block number `block`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
 def _run_chunk(args):
-    fn, kwargs, seed, starts, trials = args
-    return [fn(seed=seed, i=i, size=min(BLOCK_TRIALS, trials - i), **kwargs) for i in starts]
+    fn, kwargs, seed, starts, trials, length = args
+    return [
+        fn(rng=block_rng(seed, i // length), seed=seed, i=i, size=min(length, trials - i), **kwargs)
+        for i in starts
+    ]
 
 
 def map_trials(fn, trials: int, seed: int, workers: int = 1, **kwargs) -> tuple:
-    """Run fn(seed=seed, i=i, size=size, **kwargs) on each block of trials.
+    """Run fn(rng=rng, seed=seed, i=i, size=size, **kwargs) on each block of trials.
 
-    Blocks are BLOCK_TRIALS long (the last one may be shorter): i is the
-    block's first trial and size its length. fn returns a tuple of arrays
-    with the block's trials along the first axis; they are concatenated in
-    trial order. Each block draws from `block_rng(seed, i)` alone, so the
-    worker count never changes the output.
+    kwargs must hold `width`, the amplitudes per trial of the widest array fn
+    builds, which is not passed on: blocks are block_trials(width) long (the
+    last one may be shorter), i is the block's first trial and size its
+    length. fn returns a tuple of arrays with the block's trials along the
+    first axis; they are concatenated in trial order. Block b draws from
+    rng = block_rng(seed, b) alone, so the worker count never changes the
+    output. fn need not read seed and i, which name the block to a caller
+    that wraps fn.
     """
-    starts = range(0, trials, BLOCK_TRIALS)
+    length = block_trials(kwargs.pop("width"))
+    starts = range(0, trials, length)
     if workers <= 1:
-        blocks = _run_chunk((fn, kwargs, seed, starts, trials))
+        blocks = _run_chunk((fn, kwargs, seed, starts, trials, length))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = np.array_split(np.asarray(starts), workers * 4)
-        jobs = [(fn, kwargs, seed, [int(i) for i in c], trials) for c in chunks if c.size]
+        jobs = [(fn, kwargs, seed, [int(i) for i in c], trials, length) for c in chunks if c.size]
         blocks = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, jobs):

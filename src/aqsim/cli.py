@@ -273,14 +273,15 @@ def conflicts(config: RunConfig, strategy: StrategyKind | None) -> list[str]:
 # Scenarios. Each returns (results dict, csv header, csv rows, summary lines).
 
 
-def _honest_trials(config: RunConfig, seed: int, i: int, size: int):
-    t = run_protocol(config, attacks.block_rng(seed, i), size=size)
+def _honest_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):
+    t = run_protocol(config, rng, size=size)
     return t.gamma, t.accepted
 
 
 def scenario_honest(cfg: ExperimentConfig):
+    config = cfg.run_config()
     gammas, accepted = map_trials(
-        _honest_trials, cfg.trials, cfg.seed, cfg.workers, config=cfg.run_config()
+        _honest_trials, cfg.trials, cfg.seed, cfg.workers, width=attacks.state_width(config), config=config
     )
     gamma_count, accepted = int(gammas.sum()), int(accepted.sum())
     g_lo, g_hi = binomial_ci(gamma_count, cfg.trials)
@@ -318,8 +319,7 @@ def scenario_forgery(cfg: ExperimentConfig):
     return res, attacks.CSV_HEADER, [report.csv_row()], summary
 
 
-def _q_trials(n: int, seed: int, i: int, size: int):
-    rng = attacks.block_rng(seed, i)
+def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
     a = qsim.haar_random_state(n, rng, (size,))
     b = qsim.haar_random_state(n, rng, (size,))
     return (comparison.swap_test(a, b, rng).different,)
@@ -328,7 +328,8 @@ def _q_trials(n: int, seed: int, i: int, size: int):
 def scenario_q_estimate(cfg: ExperimentConfig):
     rows_data = []
     for n in range(1, cfg.n + 1):
-        (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, n=n)
+        # the SWAP test's joint state is the widest array: 4^n amplitudes
+        (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, width=4**n, n=n)
         hits = int(different.sum())
         lo, hi = binomial_ci(hits, cfg.trials)
         rows_data.append(

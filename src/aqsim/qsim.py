@@ -237,10 +237,12 @@ _UNITARY_CACHE: set[bytes] = set()
 _UNITARY_CACHE_MAX_BYTES = 4 * 2**20
 _unitary_cache_bytes = 0  # total key length in _UNITARY_CACHE
 
-# A stack of matrices is factored and checked in chunks of at most this many
-# bytes: a whole block of trials up to 4-qubit matrices, 16 trials at a time
-# for the 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB.
-_CHUNK_BYTES = 2**20
+# A stack of matrices is derived, factored and checked in chunks of at most
+# this many bytes: 256 trials at a time for 3-qubit matrices, 4 for the
+# 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB. A keyed Haar
+# chunk's hash, uniforms, Ginibre matrix and QR take about 4 times the chunk,
+# so a long block's derivation needs no more scratch than a 256-trial one.
+_CHUNK_BYTES = 2**18
 
 
 def _chunks(stack: np.ndarray):

@@ -16,11 +16,11 @@ from aqsim import comparison, crypto, qsim, serialize
 from aqsim.attacks import (
     ForgeryStrategy,
     StrategyKind,
-    block_rng,
     estimate_forgery_acceptance,
     fidelity_drop,
     map_trials,
     recovery_failure_experiment,
+    state_width,
 )
 from aqsim.cli import _q_trials, main as cli_main
 from aqsim.crypto import SigningModel
@@ -72,7 +72,7 @@ REPAIRED_VARIANT = ProtocolVariant(
 
 def _empirical_q(n: int, trials: int, seed: int) -> float:
     # q-estimate's blocks: one SWAP test of two fresh Haar states per trial
-    (different,) = map_trials(_q_trials, trials, seed, n=n)
+    (different,) = map_trials(_q_trials, trials, seed, width=4**n, n=n)
     return np.count_nonzero(different) / trials
 
 
@@ -169,8 +169,8 @@ def test_criterion_6_correlation_oracle():
     )
 
 
-def _honest_blocks(config: RunConfig, seed: int, i: int, size: int):
-    t = run_protocol(config, block_rng(seed, i), size=size)
+def _honest_blocks(config: RunConfig, rng: np.random.Generator, size: int, **_):
+    t = run_protocol(config, rng, size=size)
     return t.gamma, t.accepted
 
 
@@ -181,7 +181,7 @@ def test_criterion_7_completeness():
     details = []
     for n in (1, 3, 5):
         cfg = RunConfig(n, REPAIRED_VARIANT)
-        gamma, accepted = map_trials(_honest_blocks, runs, 700 + n, config=cfg)
+        gamma, accepted = map_trials(_honest_blocks, runs, 700 + n, width=state_width(cfg), config=cfg)
         good = int(np.count_nonzero((gamma == 1) & accepted))
         ok = ok and good == runs
         details.append(f"n={n}: {good}/{runs}")

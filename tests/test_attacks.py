@@ -5,23 +5,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aqsim import qsim
+from aqsim import crypto, qsim
 from aqsim.attacks import (
     BLOCK_TRIALS,
     AttackReport,
     CSV_HEADER,
     ForgeryStrategy,
     StrategyKind,
+    _attack_trials,
     _orthogonal_qubit,
     analytic_acceptance,
     binomial_ci,
     block_rng,
+    block_trials,
     estimate_forgery_acceptance,
     fidelity_drop,
     forge,
     haar_qubit_sampler,
     map_trials,
     recovery_failure_experiment,
+    state_width,
 )
 from aqsim.crypto import SigningModel
 from aqsim.protocol import (
@@ -32,6 +35,7 @@ from aqsim.protocol import (
     RPrimeSource,
     RunConfig,
     haar_product_message,
+    run_protocol,
 )
 
 PER_QUBIT_VARIANT = ProtocolVariant(
@@ -252,37 +256,126 @@ class TestRecoveryFailure:
         assert np.all(abs(fids - 1.0) < 1e-10)
 
 
-def _echo_block(seed, i, size, offset):
-    """Each trial's index, and its block's (seed, first trial, size)."""
-    return np.arange(i, i + size), np.full((size, 3), (seed + offset, i, size))
+def _echo_block(rng, seed, i, size, offset):
+    """Each trial's index, its block's (seed, first trial, size) and the
+    block's first draw."""
+    return np.arange(i, i + size), np.full((size, 3), (seed + offset, i, size)), np.full(size, rng.random())
 
 
-# About 2.5 blocks, so the last block is partial.
-PARTIAL_TRIALS = 2 * BLOCK_TRIALS + BLOCK_TRIALS // 2
+# Widths (amplitudes per trial) and the block lengths the rule gives them: the
+# floor, a length that divides nothing evenly, and the longest the protocol takes.
+LENGTHS = {4096: BLOCK_TRIALS, 96: 341, 16: 2048}
+
+
+def partial_trials(length):
+    """About 2.5 blocks, so the last block is partial."""
+    return 2 * length + length // 2
 
 
 class TestMapTrials:
     def test_serial_order(self):
-        index, calls = map_trials(_echo_block, PARTIAL_TRIALS, 42, workers=1, offset=7)
-        assert np.array_equal(index, np.arange(PARTIAL_TRIALS))
-        blocks = [(49, start, min(BLOCK_TRIALS, PARTIAL_TRIALS - start)) for start in range(0, PARTIAL_TRIALS, BLOCK_TRIALS)]
-        assert [tuple(row) for row in np.unique(calls, axis=0)] == blocks
+        for width, length in LENGTHS.items():
+            trials = partial_trials(length)
+            index, calls, draws = map_trials(_echo_block, trials, 42, workers=1, width=width, offset=7)
+            assert np.array_equal(index, np.arange(trials))
+            starts = range(0, trials, length)
+            blocks = [(49, start, min(length, trials - start)) for start in starts]
+            assert [tuple(row) for row in np.unique(calls, axis=0)] == blocks
+            assert draws[list(starts)].tolist() == [block_rng(42, b).random() for b in range(len(starts))]
 
     def test_single_trial_is_a_block_of_one(self):
-        index, calls = map_trials(_echo_block, 1, 3, workers=1, offset=0)
+        index, calls, draws = map_trials(_echo_block, 1, 3, workers=1, width=16, offset=0)
         assert index.tolist() == [0] and calls.tolist() == [[3, 0, 1]]
+        assert draws.tolist() == [block_rng(3, 0).random()]
 
     def test_worker_count_invariant(self):
-        for trials in (1, PARTIAL_TRIALS):
-            serial = map_trials(_echo_block, trials, 8, workers=1, offset=0)
-            for workers in (2, 3):
-                pooled = map_trials(_echo_block, trials, 8, workers=workers, offset=0)
-                assert all(np.array_equal(a, b) for a, b in zip(serial, pooled, strict=True))
+        for width, length in LENGTHS.items():
+            for trials in (1, partial_trials(length)):
+                serial = map_trials(_echo_block, trials, 8, workers=1, width=width, offset=0)
+                for workers in (2, 3):
+                    pooled = map_trials(_echo_block, trials, 8, workers=workers, width=width, offset=0)
+                    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled, strict=True))
 
     def test_block_streams_depend_on_seed_and_block_only(self):
-        def first_draw(seed, i):
-            return block_rng(seed, i).random()
+        def first_draw(seed, block):
+            return block_rng(seed, block).random()
 
-        assert first_draw(5, 0) == first_draw(5, BLOCK_TRIALS - 1)  # same block
-        assert first_draw(5, 0) != first_draw(5, BLOCK_TRIALS)  # next block
+        seq = np.random.SeedSequence(entropy=5, spawn_key=(1,))
+        assert first_draw(5, 1) == np.random.default_rng(seq).random()
+        assert first_draw(5, 0) != first_draw(5, 1)  # next block
         assert first_draw(5, 0) != first_draw(6, 0)
+
+    def test_width_is_required(self):
+        with pytest.raises(KeyError):
+            map_trials(_echo_block, 4, 1, offset=0)
+
+
+def _variant(keys=SigningModel.PER_QUBIT_PRODUCT, cmp=ComparisonMode.PER_QUBIT, **fields):
+    return replace(PER_QUBIT_VARIANT, key_model=keys, comparison_mode=cmp, **fields)
+
+
+class TestBlockLength:
+    def test_benchmark_configs_and_the_floor(self):
+        general = _variant(SigningModel.GENERAL_UNITARY, ComparisonMode.WHOLE_REGISTER)
+        lengths = {
+            "forge-n1": RunConfig(1, PER_QUBIT_VARIANT),
+            "forge-n6": RunConfig(6, PER_QUBIT_VARIANT),
+            "whole-n3": RunConfig(3, general),
+            "recovery-w2": RunConfig(1, PER_QUBIT_VARIANT),
+            "whole-n6": RunConfig(6, general),
+            "forge-n64": RunConfig(64, PER_QUBIT_VARIANT),
+        }
+        got = {name: block_trials(state_width(cfg)) for name, cfg in lengths.items()}
+        assert got == {
+            "forge-n1": 2048,
+            "forge-n6": 341,
+            "whole-n3": 512,
+            "recovery-w2": 2048,
+            "whole-n6": 256,
+            "forge-n64": 256,
+        }
+        assert block_trials(2**20) == BLOCK_TRIALS  # wider than the budget: the floor
+
+    @pytest.mark.parametrize(
+        "config, strategy",
+        [
+            (RunConfig(1, PER_QUBIT_VARIANT), ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 1)),
+            (RunConfig(6, PER_QUBIT_VARIANT), ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 2)),
+            (RunConfig(2, PER_QUBIT_VARIANT), ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE)),
+            (RunConfig(3, WHOLE_REGISTER_VARIANT), ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)),
+            (RunConfig(2, _variant(cmp=ComparisonMode.WHOLE_REGISTER)), ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)),
+            (RunConfig(3, _variant(m_t_mode=MtMode.FORWARD_PARTICLE, message_knowledge=MessageKnowledge.KNOWN_TO_ALL)), None),
+            (RunConfig(2, _variant(r_prime_source=RPrimeSource.FROM_GHZ_PARTICLE), idealized_comparison=False), None),
+            (RunConfig(3, _variant(SigningModel.GENERAL_UNITARY, ComparisonMode.WHOLE_REGISTER, m_t_mode=MtMode.FORWARD_PARTICLE)), None),
+        ],
+    )
+    def test_widest_array_within_budget(self, monkeypatch, config, strategy):
+        # every state and every unitary stack a block builds holds at most
+        # state_width amplitudes per trial, so a block longer than the floor
+        # holds no array above 512 KiB
+        size = block_trials(state_width(config))
+        assert size > BLOCK_TRIALS
+        widest = []
+        post_init = qsim.StateVector.__post_init__
+        apply_unitary = qsim.apply_unitary
+
+        def recorded(array):
+            if array.ndim and array.shape[0] == size:
+                widest.append(array.nbytes)
+
+        def recording_post_init(state):
+            post_init(state)
+            recorded(state.amplitudes)
+
+        def recording_apply(state, unitary):
+            recorded(unitary)
+            return apply_unitary(state, unitary)
+
+        monkeypatch.setattr(qsim.StateVector, "__post_init__", recording_post_init)
+        monkeypatch.setattr(qsim, "apply_unitary", recording_apply)
+        monkeypatch.setattr(crypto, "apply_unitary", recording_apply)
+        if strategy is None:
+            run_protocol(config, rng(30), size=size)
+        else:
+            _attack_trials(config, strategy, rng(30), size)
+        assert widest and max(widest) <= size * state_width(config) * 16 <= 2**19

@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -471,12 +472,26 @@ class TestKeyedHaar:
         assert abs(fourth.mean() - 2 / (d * (d + 1))) < 4 * fourth.std() / np.sqrt(count)
 
     def test_stack_rows_equal_keys_derived_alone(self):
-        # at d = 64 the 40 keys span three chunks of the stack (_CHUNK_BYTES)
+        # at d = 64 the 40 keys span ten chunks of the stack (_CHUNK_BYTES)
         keys = rng(24).integers(0, 2**64, size=40, dtype=np.uint64)
         for d in (2, 8, 64):
             stack = qsim.haar_random_unitary(d, keys)
             for t in range(len(keys)):
                 assert np.array_equal(stack[t], qsim.haar_random_unitary(d, keys[t : t + 1])[0])
+
+    def test_derivation_scratch_bounded_by_chunk(self):
+        # hash, uniforms, Ginibre matrices and QR are made chunk by chunk, so
+        # a long stack needs a few chunks of scratch above its output
+        keys = np.arange(2048, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            u = qsim.haar_random_unitary(8, keys)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes >= 8 * qsim._CHUNK_BYTES
+        assert peak - u.nbytes <= 6 * qsim._CHUNK_BYTES
 
     def test_unitary(self):
         u = qsim.haar_random_unitary(8, rng(25).integers(0, 2**64, size=64, dtype=np.uint64))
