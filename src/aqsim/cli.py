@@ -84,20 +84,12 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-_R_PRIME = {"message": RPrimeSource.FROM_MESSAGE_P, "ghz": RPrimeSource.FROM_GHZ_PARTICLE}
-_MT = {
-    "measure-x": MtMode.MEASURE_X,
-    "forward": MtMode.FORWARD_PARTICLE,
-    "forward-particle": MtMode.FORWARD_PARTICLE,
-}
-_KNOWLEDGE = {"all": MessageKnowledge.KNOWN_TO_ALL, "alice-only": MessageKnowledge.ALICE_ONLY}
-_KEY_MODEL = {"per-qubit": SigningModel.PER_QUBIT_PRODUCT, "general": SigningModel.GENERAL_UNITARY}
-_COMPARISON = {"per-qubit": ComparisonMode.PER_QUBIT, "whole-register": ComparisonMode.WHOLE_REGISTER}
-_STRATEGY = {
-    "replace-qubits": StrategyKind.REPLACE_QUBITS,
-    "replace-whole-register": StrategyKind.REPLACE_WHOLE_REGISTER,
-    "garble-signature": StrategyKind.GARBLE_SIGNATURE,
-}
+# --mt's short spelling; every other variant flag takes exactly its enum's values
+_MT_ALIASES = {"forward": MtMode.FORWARD_PARTICLE.value}
+
+
+def _choices(enum) -> list[str]:
+    return sorted(e.value for e in enum)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,19 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
     p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
     p.add_argument(
-        "--variant-r-prime", "--r-prime", dest="r_prime", choices=sorted(_R_PRIME)
+        "--variant-r-prime", "--r-prime", dest="r_prime", choices=_choices(RPrimeSource)
     )
-    p.add_argument("--variant-mt", "--mt", dest="mt", choices=sorted(_MT))
-    p.add_argument("--knowledge", choices=sorted(_KNOWLEDGE))
-    p.add_argument("--key-model", dest="key_model", choices=sorted(_KEY_MODEL))
-    p.add_argument("--comparison", choices=sorted(_COMPARISON))
+    p.add_argument("--variant-mt", "--mt", dest="mt", choices=sorted([*_choices(MtMode), *_MT_ALIASES]))
+    p.add_argument("--knowledge", choices=_choices(MessageKnowledge))
+    p.add_argument("--key-model", dest="key_model", choices=_choices(SigningModel))
+    p.add_argument("--comparison", choices=_choices(ComparisonMode))
     p.add_argument(
         "--idealized-comparison",
         dest="idealized",
         choices=["true", "false"],
         help="compare on copies, leaving states undisturbed (default true)",
     )
-    p.add_argument("--strategy", choices=sorted(_STRATEGY))
+    p.add_argument("--strategy", choices=_choices(StrategyKind))
     p.add_argument("--out", help="report path (default <scenario>.<format> in $AQSIM_OUT_DIR or cwd)")
     p.add_argument("--format", choices=["json", "csv"])
     p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
@@ -198,19 +190,20 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     if workers < 1:
         errors.append(f"--workers must be >= 1, got {workers}")
 
-    strategy = _STRATEGY[pick("strategy", "replace-qubits")]
+    strategy = StrategyKind(pick("strategy", "replace-qubits"))
     if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:
         if m is None:
             m = 1
         if not 1 <= m <= n:
             errors.append(f"--m {m} must satisfy 1 <= m <= n (--n {n})")
 
+    mt = pick("mt", "measure-x")
     variant = ProtocolVariant(
-        r_prime_source=_R_PRIME[pick("r_prime", "message")],
-        m_t_mode=_MT[pick("mt", "measure-x")],
-        message_knowledge=_KNOWLEDGE[pick("knowledge", "alice-only")],
-        key_model=_KEY_MODEL[pick("key_model", "per-qubit")],
-        comparison_mode=_COMPARISON[pick("comparison", "per-qubit")],
+        r_prime_source=RPrimeSource(pick("r_prime", "message")),
+        m_t_mode=MtMode(_MT_ALIASES.get(mt, mt)),
+        message_knowledge=MessageKnowledge(pick("knowledge", "alice-only")),
+        key_model=SigningModel(pick("key_model", "per-qubit")),
+        comparison_mode=ComparisonMode(pick("comparison", "per-qubit")),
     )
     idealized = pick("idealized", "true") == "true"
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
@@ -65,6 +65,8 @@ class KeyMaterial:
 
     bits: np.ndarray
     owner_pair: OwnerPair
+    # signing transforms derived from these bits, by (n, model); freed with the key
+    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -185,26 +187,25 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
     """Deterministically derive the signing unitary from the key's signing slice.
 
     Each trial's transform comes from its own key. Alice and the arbitrator
-    each derive it from the same K_a slice within one block, so the last
-    derivation is memoized: the second call skips the Haar draws and QR. The
-    unitaries are read-only, so no caller can alter what the next one is handed.
+    each derive it from the same K_a within one block, so the derivation is
+    memoized on that K_a: the second call skips the Haar draws and QR, and the
+    unitaries are freed with the block's key. They are read-only, so no caller
+    can alter what the next one is handed.
     """
+    transform = key._transforms.get((n, model))
+    if transform is not None:
+        return transform
     bits = key.slice(*ka_layout(n, model)["signing"])
-    return _transform_from_bits(bits.tobytes(), bits.shape, n, model)
-
-
-@functools.lru_cache(maxsize=1)
-def _transform_from_bits(signing: bytes, shape, n: int, model: SigningModel) -> SigningTransform:
-    bits = np.frombuffer(signing, dtype=np.uint8).reshape(shape)
     if model is SigningModel.PER_QUBIT_PRODUCT:
         unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
     else:
         # each trial's 64 bits, packed big-endian, key its own Haar unitary
-        keys = np.packbits(bits.reshape(-1, shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
+        keys = np.packbits(bits.reshape(-1, bits.shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
         u = haar_random_unitary(2**n, keys)
-        unitaries = u.reshape(shape[:-1] + (1,) + u.shape[-2:])
+        unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
     unitaries.setflags(write=False)
-    return SigningTransform(unitaries)
+    transform = key._transforms[n, model] = SigningTransform(unitaries)
+    return transform
 
 
 @functools.cache

@@ -101,10 +101,6 @@ class BellOutcome(Ordered):
     def vector(self) -> np.ndarray:
         return _BELL_BASIS[self]
 
-    @staticmethod
-    def from_bits(b0: int, b1: int) -> "BellOutcome":
-        return _BELL_ORDER[2 * b0 + b1]
-
 
 _BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) * _SQRT2_INV
 _BELL_ORDER = tuple(BellOutcome)
@@ -123,10 +119,6 @@ class XOutcome(Ordered):
     @property
     def vector(self) -> np.ndarray:
         return _X_BASIS[self]
-
-    @staticmethod
-    def from_bit(b: int) -> "XOutcome":
-        return _X_ORDER[b]
 
 
 _X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
@@ -517,22 +509,15 @@ def _phase_fixed_q(z: np.ndarray, out: np.ndarray) -> None:
     np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
 
 
-def haar_random_unitary(dim: int, source) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
+def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via QR of Ginibre matrices with phase fix.
 
-    `source` is one Generator, which draws one (dim, dim) unitary, or a (T,)
-    uint64 array of keys, which derives a (T, dim, dim) stack: row t is a
+    A (T,) uint64 array of keys derives a (T, dim, dim) stack: row t is a
     function of keys[t] alone (the SplitMix64 stream it seeds, see
     _keyed_ginibre). The stack is derived and factored chunk by chunk
     (_CHUNK_BYTES).
     """
-    if isinstance(source, np.random.Generator):
-        z = source.standard_normal((dim, dim)) + 1j * source.standard_normal((dim, dim))
-        z *= _SQRT2_INV
-        u = np.empty_like(z)
-        _phase_fixed_q(z, out=u)
-        return u
-    keys = np.asarray(source, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)
     u = np.empty((len(keys), dim, dim), dtype=complex)
     done = 0
     for chunk in _chunks(u):

@@ -10,6 +10,7 @@ give byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -53,13 +54,7 @@ def _seed(seed):
 
 
 def variant_to_dict(variant) -> dict:
-    return {
-        "r_prime_source": variant.r_prime_source.value,
-        "m_t_mode": variant.m_t_mode.value,
-        "message_knowledge": variant.message_knowledge.value,
-        "key_model": variant.key_model.value,
-        "comparison_mode": variant.comparison_mode.value,
-    }
+    return {f.name: getattr(variant, f.name).value for f in dataclasses.fields(variant)}
 
 
 def transcript_to_dict(t: Transcript) -> dict:

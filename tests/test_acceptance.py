@@ -226,7 +226,7 @@ def test_criterion_10_property_bundle():
     norm_ok = True
     for _ in range(200):
         s = qsim.haar_random_state(2, rng)
-        u = qsim.haar_random_unitary(2, rng)
+        u = qsim.haar_random_unitary(2, rng.integers(0, 2**64, size=1, dtype=np.uint64))[0]
         for t in (
             qsim.apply_one_qubit(s, u, rng.integers(0, 2)),
             qsim.apply_pauli(s, PauliOp.Y, 0),

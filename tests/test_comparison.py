@@ -101,7 +101,7 @@ class TestSwapTest:
         # applying the same unitary to both inputs leaves the statistics alone
         r = rng(7)
         a, b = haar_random_state(1, r), haar_random_state(1, r)
-        u = qsim.haar_random_unitary(2, r)
+        u = qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]
         ua, ub = qsim.apply_unitary(a, u), qsim.apply_unitary(b, u)
         assert detect_probability(a, b) == pytest.approx(
             detect_probability(ua, ub), abs=ATOL

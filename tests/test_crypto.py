@@ -1,6 +1,8 @@
 """Tests for key material, signing transforms, and the one-time pads."""
 
+import gc
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -123,12 +125,11 @@ class TestSigningTransform:
         assert np.allclose(t.unitaries[0], np.eye(2))
 
     def test_deterministic(self):
-        # the memo is cleared in between, so the second derivation is computed afresh
+        # a fresh K_a of the same bits has no memo, so the second derivation is computed afresh
         for model in SigningModel:
             key = random_ka(2, model, seed=5)
             t1 = derive_signing_transform(key, 2, model)
-            crypto._transform_from_bits.cache_clear()
-            t2 = derive_signing_transform(key, 2, model)
+            t2 = derive_signing_transform(KeyMaterial(key.bits, key.owner_pair), 2, model)
             assert t2 is not t1
             for u1, u2 in zip(t1.unitaries, t2.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
@@ -139,11 +140,22 @@ class TestSigningTransform:
             key = random_ka(3, model, seed=11)
             memoized = derive_signing_transform(key, 3, model)
             assert derive_signing_transform(key, 3, model) is memoized
-            crypto._transform_from_bits.cache_clear()
-            fresh = derive_signing_transform(key, 3, model)
+            fresh = derive_signing_transform(KeyMaterial(key.bits, key.owner_pair), 3, model)
             assert fresh is not memoized
             for u1, u2 in zip(memoized.unitaries, fresh.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
+
+    def test_memo_freed_with_its_key(self):
+        # the memo lives on K_a: a repeat on the same key hands back the same
+        # transform, and nothing else keeps it alive once the key is gone
+        for model in SigningModel:
+            key = random_ka(2, model, seed=13)
+            transform = derive_signing_transform(key, 2, model)
+            assert derive_signing_transform(key, 2, model) is transform
+            ref = weakref.ref(transform)
+            del transform, key
+            gc.collect()
+            assert ref() is None, model
 
     def test_derived_unitaries_read_only(self):
         # they are shared through the memo, so a write must not reach the next caller
@@ -171,7 +183,6 @@ class TestSigningTransform:
         bits[1, 0] = 1
         keys = [int("".join(map(str, row[:64])), 2) for row in bits]
         assert keys[:2] == [1, 2**63]
-        crypto._transform_from_bits.cache_clear()
         t = derive_signing_transform(KeyMaterial(bits, OwnerPair.ALICE_ARBITRATOR), n, SigningModel.GENERAL_UNITARY)
         assert t.unitaries.shape == (3, 1, 4, 4)
         expected = qsim.haar_random_unitary(4, np.array(keys, dtype=np.uint64))

@@ -418,7 +418,7 @@ class TestHaar:
         # Empirical overlap distribution with a fixed reference is unchanged
         # by pushing every draw through a fixed unitary.
         r = rng(18)
-        u = qsim.haar_random_unitary(2, r)
+        u = qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]
         ref = new_basis_state(1, 0)
         plain = [fidelity(haar_random_state(1, r), ref) for _ in range(20000)]
         rotated = [
@@ -570,7 +570,7 @@ class TestPrimitivesMatchNumpy:
 
     def test_apply_one_qubit_equals_tensordot(self):
         r = rng(32)
-        gates = [qsim.HADAMARD, qsim.PHASE_S, PauliOp.Y.matrix, qsim.haar_random_unitary(2, r)]
+        gates = [qsim.HADAMARD, qsim.PHASE_S, PauliOp.Y.matrix, qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]]
         for k in range(2, 7):
             state = haar_random_state(k, r)
             tensor_form = state.amplitudes.reshape([2] * k)
