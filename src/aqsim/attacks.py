@@ -13,12 +13,20 @@ block holds max(BLOCK_TRIALS, 2^15 // width) trials, width being the
 amplitudes per trial of the widest array it builds (`state_width`): narrow
 runs take long blocks, which share each numpy call's fixed cost among more
 trials, while no array of a block longer than BLOCK_TRIALS exceeds 2^15
-amplitudes (512 KiB).
+amplitudes (512 KiB). With more than one worker the calling process runs one
+share of the blocks and forked children run the others; results do not
+depend on which process ran a block. A child's exception is raised in the
+caller, a child that ends without a result is a RuntimeError, and a failure
+in the caller kills every child before it propagates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 
@@ -320,18 +328,84 @@ def map_trials(fn, trials: int, seed: int, workers: int = 1, **kwargs) -> tuple:
     rng = block_rng(seed, b) alone, so the worker count never changes the
     output. fn need not read seed and i, which name the block to a caller
     that wraps fn.
+
+    With workers > 1 the blocks are split into p = min(workers, blocks)
+    shares of consecutive blocks and near-equal trial counts. The calling
+    process runs the lightest share and p - 1 forked children run the
+    others, each through the module's `_run_chunk` and sending its blocks
+    back as one pickle. An exception raised in a child's blocks is raised
+    here with its own type and message; a child that ends without sending
+    a result raises RuntimeError naming its exit status. If anything fails
+    here, the children still running are killed; no child outlives the call.
     """
     length = block_trials(kwargs.pop("width"))
     starts = range(0, trials, length)
     if workers <= 1:
         blocks = _run_chunk((fn, kwargs, seed, starts, trials, length))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = np.array_split(np.asarray(starts), workers * 4)
-        jobs = [(fn, kwargs, seed, [int(i) for i in c], trials, length) for c in chunks if c.size]
-        blocks = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, jobs):
-                blocks.extend(part)
+        p = min(workers, len(starts))
+        # floor division puts the larger shares last, with the short last block
+        bounds = [k * len(starts) // p for k in range(p + 1)]
+        shares = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
+        sizes = [min(share.stop, trials) - share.start for share in shares]
+        jobs = [(fn, kwargs, seed, share, trials, length) for share in shares]
+        blocks = [block for part in _fan_out(jobs, sizes.index(min(sizes))) for block in part]
     return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _fan_out(jobs: list, own: int) -> list:
+    """The block lists of `jobs`, in job order: jobs[own] runs here, each other
+    job in a child forked for it."""
+    running = {}  # job index -> (pid, read end of its pipe), until reaped
+    try:
+        for k, job in enumerate(jobs):
+            if k != own:
+                running[k] = _fork_job(job)
+        parts = {own: _run_chunk(jobs[own])}
+        for k in list(running):
+            pid, pipe = running[k]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[k]
+            if not data:  # a negative exit status is the number of the signal that ended it
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"trial worker {pid} ended without a result (exit status {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts[k] = value
+    finally:
+        for pid, pipe in running.values():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped already
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [parts[k] for k in range(len(jobs))]
+
+
+def _fork_job(job):
+    """Fork a child that runs `job` and writes one pickle of its blocks, or of
+    its exception, to a pipe; returns the child's pid and the pipe's read end.
+
+    The child leaves with os._exit, so it flushes none of the stdio buffers
+    it inherited and runs no exit handler of the caller's.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        try:
+            result = (True, _run_chunk(job))
+        except BaseException as e:  # sent to the caller, which raises it
+            result = (False, e)
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)

@@ -214,6 +214,11 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
 
     if scenario is Scenario.Q_ESTIMATE and n > MAX_N_WHOLE_REGISTER:
         errors.append(f"--n {n} exceeds {MAX_N_WHOLE_REGISTER}, the largest n for --scenario q-estimate")
+    if scenario is Scenario.RECOVERY_FAILURE and variant.m_t_mode is not MtMode.MEASURE_X:
+        errors.append(
+            f"--scenario recovery-failure rebuilds Bob's candidate from M_t's x outcome, "
+            f"which --mt {variant.m_t_mode.value} does not measure"
+        )
     if n >= 1 and scenario in (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE):
         attack = strategy if scenario is Scenario.FORGERY else None
         errors += conflicts(RunConfig(n, variant, idealized), attack)

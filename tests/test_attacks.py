@@ -1,11 +1,13 @@
 """Forgery strategies and Monte Carlo estimators."""
 
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aqsim import crypto, qsim
+from aqsim import attacks, cli, crypto, qsim
 from aqsim.attacks import (
     BLOCK_TRIALS,
     AttackReport,
@@ -272,6 +274,43 @@ def partial_trials(length):
     return 2 * length + length // 2
 
 
+def _child_fails(rng, seed, i, size, caller, how):
+    """A block that fails when run outside the calling process."""
+    if os.getpid() != caller:
+        if how == "exit":
+            os._exit(3)
+        raise ValueError(f"block at trial {i} failed")
+    return (np.arange(i, i + size),)
+
+
+def _caller_fails(rng, seed, i, size, caller, error):
+    """A block that raises `error` in the calling process and outlasts any test elsewhere."""
+    if os.getpid() == caller:
+        raise error
+    time.sleep(60)
+    return (np.arange(i, i + size),)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, each of which must
+    have been reaped when it ends."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestMapTrials:
     def test_serial_order(self):
         for width, length in LENGTHS.items():
@@ -288,13 +327,70 @@ class TestMapTrials:
         assert index.tolist() == [0] and calls.tolist() == [[3, 0, 1]]
         assert draws.tolist() == [block_rng(3, 0).random()]
 
-    def test_worker_count_invariant(self):
+    def test_worker_count_invariant(self, forks):
         for width, length in LENGTHS.items():
             for trials in (1, partial_trials(length)):
                 serial = map_trials(_echo_block, trials, 8, workers=1, width=width, offset=0)
                 for workers in (2, 3):
-                    pooled = map_trials(_echo_block, trials, 8, workers=workers, width=width, offset=0)
-                    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled, strict=True))
+                    forked = map_trials(_echo_block, trials, 8, workers=workers, width=width, offset=0)
+                    assert all(np.array_equal(a, b) for a, b in zip(serial, forked, strict=True))
+        assert forks  # the fan-out ran
+
+    def test_workers_beyond_blocks_fork_one_child_per_other_block(self, forks):
+        serial = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=1, width=4096, offset=0)
+        forked = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=4, width=4096, offset=0)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, forked, strict=True))
+        assert len(forks) == 1
+        map_trials(_echo_block, BLOCK_TRIALS, 8, workers=3, width=4096, offset=0)
+        assert len(forks) == 1  # one block: the caller runs it alone
+
+    def test_children_run_the_module_run_chunk(self, monkeypatch, forks, tmp_path):
+        # benchmarks/tracer.py replaces attacks._run_chunk to flush each
+        # child's counts, so children must look it up on the module
+        run_chunk = attacks._run_chunk
+
+        def recording_run_chunk(job):
+            (tmp_path / str(os.getpid())).touch()
+            return run_chunk(job)
+
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        map_trials(_echo_block, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, offset=0)
+        assert len(forks) == 2
+        assert {int(path.name) for path in tmp_path.iterdir()} == {os.getpid(), *forks}
+
+    def test_child_exception_reaches_caller(self, forks):
+        with pytest.raises(ValueError, match=f"block at trial {BLOCK_TRIALS} failed"):
+            map_trials(_child_fails, 2 * BLOCK_TRIALS, 8, workers=2, width=4096, caller=os.getpid(), how="raise")
+        assert len(forks) == 1
+
+    def test_child_exception_is_a_cli_config_error(self, monkeypatch, forks, tmp_path, capsys):
+        caller, run_protocol = os.getpid(), attacks.run_protocol
+
+        def failing_in_children(config, rng, size, **kwargs):
+            if os.getpid() != caller:
+                raise ValueError("no candidate in this block")
+            return run_protocol(config, rng, size=size, **kwargs)
+
+        monkeypatch.setattr(attacks, "run_protocol", failing_in_children)
+        out = tmp_path / "r.json"
+        argv = ["--scenario", "recovery-failure", "--trials", str(2 * block_trials(16)), "--workers", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "error: invalid configuration: no candidate in this block" in capsys.readouterr().err
+        assert not out.exists() and len(forks) == 1
+
+    def test_child_ending_without_result_raises(self, forks):
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
+            map_trials(_child_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), how="exit")
+        assert len(forks) == 2 and time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("error", [ValueError("caller's block failed"), KeyboardInterrupt()])
+    def test_caller_failure_kills_children(self, forks, error):
+        start = time.monotonic()
+        with pytest.raises(type(error)):
+            map_trials(_caller_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), error=error)
+        # the children sleep for 60 s unless killed
+        assert len(forks) == 2 and time.monotonic() - start < 30
 
     def test_block_streams_depend_on_seed_and_block_only(self):
         def first_draw(seed, block):

@@ -255,6 +255,32 @@ class TestBlockFanOut:
             reports.append(out.read_bytes())
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
+    def test_children_leave_piped_stdout_alone(self, tmp_path):
+        # a child must not flush the stdio buffers it inherits: each summary
+        # line reaches a piped stdout once
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "aqsim.cli",
+                    "--scenario", "recovery-failure",
+                    "--trials", "5000",
+                    "--workers", workers,
+                    "--out", str(out),
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 2
+            assert lines[0].startswith("recovery failure: mean candidate fidelity")
+            assert lines[1] == f"report written to {out}"
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0]
+
 
 # Fixed-seed reports at 300 trials. An engine change that moves one random
 # draw, one branch or one rounding of a fidelity moves these numbers, so a
@@ -334,6 +360,8 @@ class TestExitCodes:
             (["--scenario", "honest", "--idealized-comparison", "false",
               "--comparison", "whole-register", "--r-prime", "ghz"],
              ["--idealized-comparison false", "--comparison whole-register", "--r-prime ghz"]),
+            (["--scenario", "recovery-failure", "--mt", "forward-particle"],
+             ["--scenario recovery-failure", "--mt forward-particle"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):
