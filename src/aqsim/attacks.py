@@ -115,7 +115,7 @@ CSV_HEADER = ["strategy", "n", "m", "trials", "acceptance", "prediction", "ci_lo
 
 def _orthogonal_qubit(state: StateVector) -> StateVector:
     a, b = state.amplitudes[..., 0], state.amplitudes[..., 1]
-    return StateVector(np.stack([-np.conj(b), np.conj(a)], axis=-1))
+    return StateVector.owning(np.stack([-np.conj(b), np.conj(a)], axis=-1))
 
 
 def forge(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator) -> StateVector:
@@ -255,7 +255,7 @@ def fidelity_drop(
 
 
 def _drop_trials(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator, size: int, **_):
-    block = StateVector(np.broadcast_to(message.amplitudes, (size,) + message.amplitudes.shape))
+    block = StateVector.owning(np.broadcast_to(message.amplitudes, (size,) + message.amplitudes.shape))
     return (qsim.register_fidelity(message, forge(block, strategy, rng)),)
 
 

@@ -196,6 +196,9 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
             m = 1
         if not 1 <= m <= n:
             errors.append(f"--m {m} must satisfy 1 <= m <= n (--n {n})")
+    elif m is not None:
+        used = f"--strategy {strategy.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
+        errors.append(f"--m {m} counts replaced qubits, which {used} does not replace")
 
     mt = pick("mt", "measure-x")
     variant = ProtocolVariant(

@@ -40,6 +40,7 @@ from .qsim import (
     BellOutcome,
     StateVector,
     XOutcome,
+    _check_unitary,
     apply_unitary,
     haar_random_unitary,
     join,
@@ -189,8 +190,8 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
     Each trial's transform comes from its own key. Alice and the arbitrator
     each derive it from the same K_a within one block, so the derivation is
     memoized on that K_a: the second call skips the Haar draws and QR, and the
-    unitaries are freed with the block's key. They are read-only, so no caller
-    can alter what the next one is handed.
+    unitaries are freed with the block's key. They are checked once, here, and
+    read-only, so no caller can alter what the next one is handed.
     """
     transform = key._transforms.get((n, model))
     if transform is not None:
@@ -203,6 +204,7 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
         keys = np.packbits(bits.reshape(-1, bits.shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
         u = haar_random_unitary(2**n, keys)
         unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
+    _check_unitary(unitaries, 1e-9)
     unitaries.setflags(write=False)
     transform = key._transforms[n, model] = SigningTransform(unitaries)
     return transform

@@ -220,7 +220,7 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int):
     )
     k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, (size,))
     ghz = qsim.ghz_state().amplitudes
-    return k_a, k_b, StateVector(np.broadcast_to(ghz, (n,) + ghz.shape))
+    return k_a, k_b, StateVector.owning(np.broadcast_to(ghz, (n,) + ghz.shape))
 
 
 def alice_sign(

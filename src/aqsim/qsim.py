@@ -14,6 +14,11 @@ suit: one uniform or Gaussian per trial, drawn as one array with the trial
 axis first. A register (see "Registers" below) adds a block axis last in
 batch, and the same operations act on every block of every trial.
 
+Checks. Each value is checked once, where it is made: StateVector(...) checks
+states that enter (callers' arrays, new_basis_state, ghz_state, the Haar
+sampler), operations on checked states build their results unchecked through
+StateVector.owning, and crypto.derive_signing_transform checks unitary stacks.
+
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
 PauliOp: a numpy int for a single state, an int array with the trial axis
@@ -166,18 +171,20 @@ class StateVector:
         slack = off > 1e-14
         if slack.any():  # renormalize exactly the trials that need it
             amps = amps / np.where(slack, np.sqrt(norm_sq), 1.0)[..., None]
-            amps.setflags(write=False)
         elif amps.flags.writeable:
             amps = amps.copy()
-            amps.setflags(write=False)
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_count", k)
 
     @classmethod
     def owning(cls, amps: np.ndarray) -> "StateVector":
-        """A state over `amps`, an array no caller holds: frozen in place, not copied."""
+        """A state over `amps`, made from checked states and held by no caller:
+        frozen in place, neither copied nor checked."""
         amps.setflags(write=False)
-        return cls(amps)
+        state = object.__new__(cls)
+        state.__dict__.update(amplitudes=amps, qubit_count=amps.shape[-1].bit_length() - 1)
+        return state
 
     @property
     def dim(self) -> int:
@@ -195,6 +202,7 @@ def new_basis_state(k: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {k} qubits")
     amps = np.zeros(2**k, dtype=complex)
     amps[index] = 1.0
+    amps.setflags(write=False)
     return StateVector(amps)
 
 
@@ -202,12 +210,13 @@ def ghz_state() -> StateVector:
     """Three-qubit GHZ state (|000> + |111>)/sqrt(2), qubits (Alice, Bob, arbitrator)."""
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[7] = _SQRT2_INV
+    amps.setflags(write=False)
     return StateVector(amps)
 
 
 def x_state(outcome) -> StateVector:
     """The x eigenstate of each trial's outcome."""
-    return StateVector(_X_BASIS[outcome])
+    return StateVector.owning(_X_BASIS[outcome])
 
 
 def _check_target(state: StateVector, target: int) -> None:
@@ -222,12 +231,8 @@ def _check_targets(state: StateVector, targets: tuple[int, ...]) -> None:
         _check_target(state, target)
 
 
-# The same few gate matrices recur in every block, so verified matrices are
-# memoized by value. The bound is in bytes because general-key unitaries are
-# fresh Haar draws (64 KiB each at n = 6) that never recur across trials.
+# Always empty; kept for its two readers, benchmarks/tracer.py and cache_probe.py.
 _UNITARY_CACHE: set[bytes] = set()
-_UNITARY_CACHE_MAX_BYTES = 4 * 2**20
-_unitary_cache_bytes = 0  # total key length in _UNITARY_CACHE
 
 # A stack of matrices is derived, factored and checked in chunks of at most
 # this many bytes: 256 trials at a time for 3-qubit matrices, 4 for the
@@ -245,26 +250,13 @@ def _chunks(stack: np.ndarray):
 
 def _check_unitary(matrix: np.ndarray, atol: float) -> None:
     """Raise unless every matrix of the stack (..., d, d) is unitary."""
-    global _unitary_cache_bytes
     d = matrix.shape[-1]
-    for chunk in _chunks(np.ascontiguousarray(matrix).reshape(-1, d, d)):
-        rows = chunk.reshape(len(chunk), -1)
-        keys = dict.fromkeys(rows.view(f"V{rows.itemsize * d * d}").ravel().tolist())
-        unseen = [key for key in keys if key not in _UNITARY_CACHE]
-        if not unseen:
-            continue
+    for chunk in _chunks(matrix.reshape(-1, d, d)):
         deviation = np.matmul(np.swapaxes(chunk.conj(), -1, -2), chunk)
         deviation -= np.eye(d)
         # np.allclose(U^H U, I, atol) and its default rtol, without its temporaries
         if not (np.abs(deviation) <= atol + 1e-5 * np.eye(d)).all():
             raise ValueError("matrix is not unitary")
-        if not _UNITARY_CACHE:  # emptied by a caller's clear()
-            _unitary_cache_bytes = 0
-        for key in unseen:
-            if _unitary_cache_bytes + len(key) > _UNITARY_CACHE_MAX_BYTES:
-                break
-            _UNITARY_CACHE.add(key)
-            _unitary_cache_bytes += len(key)
 
 
 def _targets_first(amps: np.ndarray, k: int, targets: tuple[int, ...]) -> np.ndarray:
@@ -310,12 +302,12 @@ def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
 
 
 def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
-    """Apply a full-register unitary: one (d, d) matrix, or one per trial."""
+    """Apply a full-register unitary: one (d, d) matrix, or one per trial. Callers pass
+    unitaries checked where they were made: SigningTransform stacks, inverse(), krons."""
     unitary = np.asarray(unitary, dtype=complex)
     d = state.dim
     if unitary.shape[-2:] != (d, d):
         raise ValueError(f"unitary shape {unitary.shape} does not match dimension {d}")
-    _check_unitary(unitary, 1e-9)
     return StateVector.owning(np.matmul(unitary, state.amplitudes[..., None])[..., 0])
 
 
@@ -455,7 +447,9 @@ def haar_random_state(k: int, rng: np.random.Generator, batch: tuple[int, ...] =
         raise ValueError("need at least one qubit")
     shape = batch + (2**k,)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return StateVector.owning(z / np.sqrt(_norm_sq(z))[..., None])
+    amps = z / np.sqrt(_norm_sq(z))[..., None]
+    amps.setflags(write=False)
+    return StateVector(amps)
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream seeded by key s is

@@ -1,6 +1,7 @@
 """Forgery strategies and Monte Carlo estimators."""
 
 import os
+import sys
 import time
 from dataclasses import replace
 
@@ -190,16 +191,21 @@ class TestEstimators:
         assert report.analytic_prediction == pytest.approx(0.625)
         assert report.ci_low <= 0.625 <= report.ci_high
 
-    def test_general_key_cache_bounded(self, monkeypatch):
-        # fresh Haar signing unitaries never recur, so only the byte bound
-        # stops them accumulating; 50 trials of 1 KiB unitaries overrun 16 KiB
+    def test_general_key_block_checks_its_unitaries_once(self, monkeypatch):
+        # a block's fresh general-key stack is checked where it is derived,
+        # and apply_unitary trusts it, however many times it applies it
+        callers = []
+        check_unitary = qsim._check_unitary
+
+        def recording(matrix, atol):
+            callers.append(sys._getframe(1).f_code.co_name)
+            check_unitary(matrix, atol)
+
+        monkeypatch.setattr(qsim, "_check_unitary", recording)
+        monkeypatch.setattr(crypto, "_check_unitary", recording, raising=False)
         cfg = RunConfig(3, WHOLE_REGISTER_VARIANT)
-        strat = ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)
-        for bound in (qsim._UNITARY_CACHE_MAX_BYTES, 16 * 2**10):
-            monkeypatch.setattr(qsim, "_UNITARY_CACHE_MAX_BYTES", bound)
-            qsim._UNITARY_CACHE.clear()
-            estimate_forgery_acceptance(cfg, strat, trials=50, seed=11)
-            assert 0 < sum(map(len, qsim._UNITARY_CACHE)) <= bound
+        _attack_trials(cfg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER), rng(12), BLOCK_TRIALS)
+        assert callers == ["derive_signing_transform"]
 
     def test_garble_acceptance(self):
         cfg = RunConfig(1, PER_QUBIT_VARIANT)
@@ -452,7 +458,7 @@ class TestBlockLength:
         size = block_trials(state_width(config))
         assert size > BLOCK_TRIALS
         widest = []
-        post_init = qsim.StateVector.__post_init__
+        post_init, owning = qsim.StateVector.__post_init__, qsim.StateVector.owning
         apply_unitary = qsim.apply_unitary
 
         def recorded(array):
@@ -463,11 +469,17 @@ class TestBlockLength:
             post_init(state)
             recorded(state.amplitudes)
 
+        def recording_owned(amps):
+            state = owning(amps)
+            recorded(state.amplitudes)
+            return state
+
         def recording_apply(state, unitary):
             recorded(unitary)
             return apply_unitary(state, unitary)
 
         monkeypatch.setattr(qsim.StateVector, "__post_init__", recording_post_init)
+        monkeypatch.setattr(qsim.StateVector, "owning", staticmethod(recording_owned))
         monkeypatch.setattr(qsim, "apply_unitary", recording_apply)
         monkeypatch.setattr(crypto, "apply_unitary", recording_apply)
         if strategy is None:

@@ -175,13 +175,18 @@ def _qsim_calls(monkeypatch, run) -> collections.Counter:
                 hit = wrappers.get(id(value))
                 if hit is not None and hit[0] is value:
                     monkeypatch.setattr(mod, attr, hit[1])
-    post_init = qsim.StateVector.__post_init__
+    post_init, owning = qsim.StateVector.__post_init__, qsim.StateVector.owning
 
     def constructing(state):
         counts["StateVector"] += 1
         post_init(state)
 
+    def owned(amps):
+        counts["StateVector"] += 1
+        return owning(amps)
+
     monkeypatch.setattr(qsim.StateVector, "__post_init__", constructing)
+    monkeypatch.setattr(qsim.StateVector, "owning", staticmethod(owned))
     run()
     monkeypatch.undo()
     return counts

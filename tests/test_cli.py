@@ -362,6 +362,14 @@ class TestExitCodes:
              ["--idealized-comparison false", "--comparison whole-register", "--r-prime ghz"]),
             (["--scenario", "recovery-failure", "--mt", "forward-particle"],
              ["--scenario recovery-failure", "--mt forward-particle"]),
+            (["--scenario", "forgery", "--strategy", "replace-whole-register", "--key-model", "general",
+              "--comparison", "whole-register", "--m", "2"],
+             ["--m 2", "--strategy replace-whole-register"]),
+            (["--scenario", "forgery", "--strategy", "garble-signature", "--m", "1"],
+             ["--m 1", "--strategy garble-signature"]),
+            (["--scenario", "honest", "--m", "5"], ["--m 5", "--scenario honest"]),
+            (["--scenario", "recovery-failure", "--m", "1"], ["--m 1", "--scenario recovery-failure"]),
+            (["--scenario", "q-estimate", "--m", "1"], ["--m 1", "--scenario q-estimate"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):

@@ -107,8 +107,9 @@ class TestSwapTest:
             detect_probability(ua, ub), abs=ATOL
         )
         trials = 20000
-        f_plain = sum(bool(swap_test(a, b, r).different) for _ in range(trials))
-        f_rot = sum(bool(swap_test(ua, ub, r).different) for _ in range(trials))
+        block_a, block_ua = (StateVector(np.broadcast_to(s.amplitudes, (trials, 2))) for s in (a, ua))
+        f_plain = np.count_nonzero(swap_test(block_a, b, r).different)
+        f_rot = np.count_nonzero(swap_test(block_ua, ub, r).different)
         p = detect_probability(a, b)
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(f_plain - f_rot) / trials < 6 * sigma
@@ -122,10 +123,8 @@ class TestAverageQ:
     def test_monte_carlo_n1(self):
         r = rng(8)
         trials = 20000
-        hits = sum(
-            bool(swap_test(haar_random_state(1, r), haar_random_state(1, r), r).different)
-            for _ in range(trials)
-        )
+        a, b = haar_random_state(1, r, (trials,)), haar_random_state(1, r, (trials,))
+        hits = np.count_nonzero(swap_test(a, b, r).different)
         assert hits / trials == pytest.approx(0.25, abs=0.015)
 
     def test_invalid_n(self):

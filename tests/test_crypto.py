@@ -199,6 +199,17 @@ class TestSigningTransform:
         with pytest.raises(ValueError):
             derive_signing_transform(make_key([0, 1]), 3, SigningModel.PER_QUBIT_PRODUCT)
 
+    def test_derivation_rejects_non_unitary(self, monkeypatch):
+        # the one check of a signing stack is at its derivation; nothing is memoized
+        def doubled_identity(dim, keys):
+            return 2 * np.broadcast_to(np.eye(dim, dtype=complex), (len(keys), dim, dim))
+
+        monkeypatch.setattr(crypto, "haar_random_unitary", doubled_identity)
+        key = random_ka(2, SigningModel.GENERAL_UNITARY, seed=7)
+        with pytest.raises(ValueError, match="not unitary"):
+            derive_signing_transform(key, 2, SigningModel.GENERAL_UNITARY)
+        assert not key._transforms
+
     def test_sign_and_invert(self):
         key = random_ka(2, SigningModel.PER_QUBIT_PRODUCT, seed=7)
         t = derive_signing_transform(key, 2, SigningModel.PER_QUBIT_PRODUCT)

@@ -399,13 +399,19 @@ class TestBlockWidths:
         # Every step of a per-qubit run acts on one message qubit at a time, so
         # the widest state is a GHZ triple plus one message qubit, whatever n.
         widths = []
-        post_init = qsim.StateVector.__post_init__
+        post_init, owning = qsim.StateVector.__post_init__, qsim.StateVector.owning
 
         def recording(state):
             post_init(state)
             widths.append(state.qubit_count)
 
+        def recording_owned(amps):
+            state = owning(amps)
+            widths.append(state.qubit_count)
+            return state
+
         monkeypatch.setattr(qsim.StateVector, "__post_init__", recording)
+        monkeypatch.setattr(qsim.StateVector, "owning", staticmethod(recording_owned))
         strategy = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=3)
 
         def tap(message, sig, r):

@@ -43,6 +43,11 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def block(state, trials):
+    """`trials` copies of a single state, as one block."""
+    return StateVector(np.broadcast_to(state.amplitudes, (trials, state.dim)))
+
+
 @st.composite
 def single_qubit_states(draw):
     parts = draw(
@@ -109,7 +114,7 @@ class TestGhz:
 
     def test_first_qubit_measurement_uniform(self):
         r = rng(11)
-        outcomes = [measure(ghz_state(), (0,), Z_BASIS, r)[0] for _ in range(20000)]
+        outcomes, _ = measure(block(ghz_state(), 20000), (0,), Z_BASIS, r)
         freq = np.mean(outcomes)
         sigma = 0.5 / np.sqrt(20000)
         assert abs(freq - 0.5) < 3 * sigma
@@ -214,7 +219,7 @@ class TestMeasurement:
         a, b = np.sqrt(0.3), np.sqrt(0.7)
         phi = StateVector(np.array([a, 0, 0, -b], dtype=complex))
         trials = 20000
-        hits = sum(measure_x(phi, 0, r)[0] == operator.index(XOutcome.PLUS_X) for _ in range(trials))
+        hits = np.count_nonzero(measure_x(block(phi, trials), 0, r)[0] == operator.index(XOutcome.PLUS_X))
         sigma = 0.5 / np.sqrt(trials)
         assert abs(hits / trials - 0.5) < 3 * sigma
 
@@ -252,9 +257,7 @@ class TestBellMeasurement:
         p = haar_random_state(1, r)
         joint = tensor(p, ghz_state())
         trials = 20000
-        counts = np.zeros(len(BellOutcome))
-        for _ in range(trials):
-            counts[bell_measure(joint, 0, 1, r)[0]] += 1
+        counts = np.bincount(bell_measure(block(joint, trials), 0, 1, r)[0], minlength=len(BellOutcome))
         sigma = np.sqrt(0.25 * 0.75 / trials)
         for o in BellOutcome:
             assert abs(counts[o] / trials - 0.25) < 3 * sigma
@@ -420,11 +423,8 @@ class TestHaar:
         r = rng(18)
         u = qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]
         ref = new_basis_state(1, 0)
-        plain = [fidelity(haar_random_state(1, r), ref) for _ in range(20000)]
-        rotated = [
-            fidelity(qsim.apply_unitary(haar_random_state(1, r), u), ref)
-            for _ in range(20000)
-        ]
+        plain = fidelity(haar_random_state(1, r, (20000,)), ref)
+        rotated = fidelity(qsim.apply_unitary(haar_random_state(1, r, (20000,)), u), ref)
         assert abs(np.mean(plain) - np.mean(rotated)) < 4 * np.std(plain) / np.sqrt(20000)
 
 
