@@ -202,7 +202,7 @@ class TestEstimators:
             check_unitary(matrix, atol)
 
         monkeypatch.setattr(qsim, "_check_unitary", recording)
-        monkeypatch.setattr(crypto, "_check_unitary", recording, raising=False)
+        monkeypatch.setattr(crypto, "_check_unitary", recording)
         cfg = RunConfig(3, WHOLE_REGISTER_VARIANT)
         _attack_trials(cfg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER), rng(12), BLOCK_TRIALS)
         assert callers == ["derive_signing_transform"]
