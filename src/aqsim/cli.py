@@ -189,6 +189,8 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         errors.append(f"--trials must be >= 1, got {trials}")
     if workers < 1:
         errors.append(f"--workers must be >= 1, got {workers}")
+    if seed < 0:
+        errors.append(f"--seed must be >= 0, got {seed}")
 
     strategy = StrategyKind(pick("strategy", "replace-qubits"))
     if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:

@@ -181,6 +181,7 @@ class SigningTransform:
 # Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
 # and generates non-commuting transforms.
 _PER_QUBIT_SET = np.stack([np.eye(2, dtype=complex), HADAMARD, PHASE_S, HADAMARD @ PHASE_S])
+_check_unitary(_PER_QUBIT_SET, 1e-9)  # once: a per-qubit stack is a gather from it
 _PER_QUBIT_SET.setflags(write=False)  # shared by every per-qubit transform
 
 
@@ -190,8 +191,10 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
     Each trial's transform comes from its own key. Alice and the arbitrator
     each derive it from the same K_a within one block, so the derivation is
     memoized on that K_a: the second call skips the Haar draws and QR, and the
-    unitaries are freed with the block's key. They are checked once, here, and
-    read-only, so no caller can alter what the next one is handed.
+    unitaries are freed with the block's key. A general key's unitaries are
+    checked once, here; a per-qubit stack is a gather from _PER_QUBIT_SET,
+    checked at import. Both are read-only, so no caller can alter what the
+    next one is handed.
     """
     transform = key._transforms.get((n, model))
     if transform is not None:
@@ -204,7 +207,7 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
         keys = np.packbits(bits.reshape(-1, bits.shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
         u = haar_random_unitary(2**n, keys)
         unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
-    _check_unitary(unitaries, 1e-9)
+        _check_unitary(unitaries, 1e-9)
     unitaries.setflags(write=False)
     transform = key._transforms[n, model] = SigningTransform(unitaries)
     return transform
@@ -237,10 +240,11 @@ def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVe
     if pad.shape[-1] != 2 * qubit_count(register):
         raise ValueError(f"{pad.shape[-1]} pad bits for {qubit_count(register)} qubits at 2 each")
     index, signs, weights = _pad_tables(k)
-    # trials, blocks, (x, z): one bit per qubit in block, packed into a mask
-    masks = np.matmul(np.swapaxes(pad.reshape(pad.shape[:-1] + (-1, k, 2)), -1, -2), weights)
-    source = index ^ masks[..., 0, None]
-    sign = signs[(source if encrypt else index) & masks[..., 1, None]]
+    # trials, blocks, qubits in block, (x, z); each bit column packed into a mask
+    bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))
+    x, z = np.vecdot(bits[..., 0], weights)[..., None], np.vecdot(bits[..., 1], weights)[..., None]
+    source = index ^ x
+    sign = signs[(source if encrypt else index) & z]
     amps = register.amplitudes
     shape = np.broadcast_shapes(amps.shape, source.shape)
     rows = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))

@@ -17,7 +17,15 @@ batch, and the same operations act on every block of every trial.
 Checks. Each value is checked once, where it is made: StateVector(...) checks
 states that enter (callers' arrays, new_basis_state, ghz_state, the Haar
 sampler), operations on checked states build their results unchecked through
-StateVector.owning, and crypto.derive_signing_transform checks unitary stacks.
+StateVector.owning, crypto.derive_signing_transform checks general-key
+unitary stacks, and crypto checks its per-qubit table once at import (a
+per-qubit stack is a gather from it).
+
+One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
+the per-row norms and inner products (_norm_sq, _inner) are elementwise or
+np.vecdot forms, bit for bit equal to np.matmul's and without its call per
+matrix; a measurement transposes its targets to the front once, not once per
+outcome.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -136,16 +144,16 @@ def _inner(a: np.ndarray, b: np.ndarray):
     a pair of single states takes directly."""
     if a.ndim == b.ndim == 1:
         return np.vdot(a, b)
-    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _norm_sq(amps: np.ndarray):
-    """<a|a> per trial: np.vdot for one state; for a block, one real product
-    over each row's (re, im) pairs, which copies nothing."""
+    """<a|a> per trial: np.vdot for one state; for a block, one real dot
+    product per row over its (re, im) pairs, which copies nothing."""
     if amps.ndim == 1:
         return np.vdot(amps, amps).real
     pairs = np.ascontiguousarray(amps).view(np.float64)
-    return np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
+    return np.vecdot(pairs, pairs)
 
 
 @dataclass(frozen=True)
@@ -303,12 +311,19 @@ def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
 
 def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
     """Apply a full-register unitary: one (d, d) matrix, or one per trial. Callers pass
-    unitaries checked where they were made: SigningTransform stacks, inverse(), krons."""
+    unitaries checked where they were made: SigningTransform stacks, inverse(), krons.
+
+    One-qubit blocks take the 2x2 product elementwise, which equals np.matmul's
+    bit for bit without its call per matrix; wider blocks keep np.matmul.
+    """
     unitary = np.asarray(unitary, dtype=complex)
     d = state.dim
     if unitary.shape[-2:] != (d, d):
         raise ValueError(f"unitary shape {unitary.shape} does not match dimension {d}")
-    return StateVector.owning(np.matmul(unitary, state.amplitudes[..., None])[..., 0])
+    amps = state.amplitudes
+    if d == 2:
+        return StateVector.owning(unitary[..., 0] * amps[..., 0, None] + unitary[..., 1] * amps[..., 1, None])
+    return StateVector.owning(np.matmul(unitary, amps[..., None])[..., 0])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -370,11 +385,11 @@ def fidelity(a: StateVector, b: StateVector):
     return np.abs(inner_product(a, b)) ** 2
 
 
-def _project_out(state: StateVector, targets: tuple[int, ...], basis_vector: np.ndarray):
-    """Contract `targets` against basis_vector's conjugate, in every trial;
+def _project_out(state: StateVector, basis_vector: np.ndarray, columns: np.ndarray):
+    """Contract the measured qubits against basis_vector's conjugate, in every
+    trial, given `columns`, the state's _targets_first matrix over them;
     returns (residual amplitudes, probability)."""
-    bra = basis_vector.conj().reshape(1, -1)
-    residual = np.dot(bra, _targets_first(state.amplitudes, state.qubit_count, targets))
+    residual = np.dot(basis_vector.conj().reshape(1, -1), columns)
     residual = residual.reshape(state.batch + (-1,))
     return residual, _norm_sq(residual)[()]
 
@@ -401,10 +416,11 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
     """
     _check_targets(state, targets)
     u = rng.random(state.batch)[()]
+    columns = _targets_first(state.amplitudes, state.qubit_count, targets)
     residuals, probs, cumulative = [], [], []
     acc = 0.0
     for outcome in outcomes:
-        residual, p = _project_out(state, targets, outcome.vector)
+        residual, p = _project_out(state, outcome.vector, columns)
         acc = acc + p
         residuals.append(residual)
         probs.append(p)
@@ -426,7 +442,7 @@ def project(state: StateVector, targets: tuple[int, ...], outcome):
     enumerate branches with it.
     """
     _check_targets(state, targets)
-    residual, p = _project_out(state, targets, outcome.vector)
+    residual, p = _project_out(state, outcome.vector, _targets_first(state.amplitudes, state.qubit_count, targets))
     return p, None if np.any(p < ATOL) else _post_measurement(state, targets, residual, p)
 
 

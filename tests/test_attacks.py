@@ -207,6 +207,21 @@ class TestEstimators:
         _attack_trials(cfg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER), rng(12), BLOCK_TRIALS)
         assert callers == ["derive_signing_transform"]
 
+    def test_per_qubit_block_checks_no_unitaries(self, monkeypatch):
+        # a per-qubit stack is a gather from crypto's table, checked at import
+        callers = []
+        check_unitary = qsim._check_unitary
+
+        def recording(matrix, atol):
+            callers.append(sys._getframe(1).f_code.co_name)
+            check_unitary(matrix, atol)
+
+        monkeypatch.setattr(qsim, "_check_unitary", recording)
+        monkeypatch.setattr(crypto, "_check_unitary", recording)
+        cfg = RunConfig(6, PER_QUBIT_VARIANT)
+        _attack_trials(cfg, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=2), rng(13), BLOCK_TRIALS)
+        assert callers == []
+
     def test_garble_acceptance(self):
         cfg = RunConfig(1, PER_QUBIT_VARIANT)
         strat = ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE)

@@ -382,6 +382,22 @@ class TestExitCodes:
                 assert all(flag in err for flag in flags), err
                 assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["honest", "q-estimate", "correlation-table"])
+    def test_negative_seed_rejected_before_trial_one(self, tmp_path, capsys, scenario):
+        # numpy's SeedSequence would reject it inside trial 1, naming no flag
+        out = tmp_path / "r.json"
+        assert main(["--scenario", scenario, "--seed", "-1", "--trials", "10", "--out", str(out)]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"scenario": "honest", "trials": 10, "seed": -1}))
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_failure(self, tmp_path, capsys):
         code = main(
             ["--scenario", "honest", "--trials", "2", "--out", str(tmp_path)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqsim import qsim
+from aqsim import crypto, qsim
 from aqsim.qsim import (
     ATOL,
     BellOutcome,
@@ -261,6 +261,16 @@ class TestBellMeasurement:
         sigma = np.sqrt(0.25 * 0.75 / trials)
         for o in BellOutcome:
             assert abs(counts[o] / trials - 0.25) < 3 * sigma
+
+    def test_targets_transposed_once(self, monkeypatch):
+        # every outcome is projected from the one targets-first matrix
+        targets_first = qsim._targets_first
+        built = []
+        monkeypatch.setattr(qsim, "_targets_first", lambda *a: built.append(a) or targets_first(*a))
+        joint = tensor(haar_random_state(1, rng(13)), ghz_state())
+        drawn, _ = bell_measure(block(joint, 1000), 2, 0, rng(14))
+        assert set(drawn.tolist()) == {0, 1, 2, 3}  # every outcome was projected
+        assert len(built) == 1
 
     def test_errors(self):
         joint = tensor(haar_random_state(1, rng()), ghz_state())
@@ -538,6 +548,16 @@ def _tensordot_project_out(state, targets, basis_vector):
     return residual, float(np.vdot(residual, residual).real)
 
 
+def _matmul_mask_qotp(amps, pad, k, encrypt):
+    """The one-time pad with its X/Z masks packed by one integer matmul."""
+    index, signs, weights = crypto._pad_tables(k)
+    masks = np.matmul(np.swapaxes(pad.reshape(pad.shape[:-1] + (-1, k, 2)), -1, -2), weights)
+    source = index ^ masks[..., 0, None]
+    sign = signs[(source if encrypt else index) & masks[..., 1, None]]
+    shape = np.broadcast_shapes(amps.shape, source.shape)
+    return np.take_along_axis(np.broadcast_to(amps, shape), np.broadcast_to(source, shape), -1) * sign
+
+
 class TestPrimitivesMatchNumpy:
     """qsim's hand-rolled products against the generic numpy formulas they
     replace, compared exactly: reports stay byte-identical only if every
@@ -563,10 +583,43 @@ class TestPrimitivesMatchNumpy:
                 for t in (1, 2):
                     for targets in itertools.permutations(range(k), t):
                         for vec in [*bras[t], haar_random_state(t, r).amplitudes]:
-                            res, p = qsim._project_out(state, targets, vec)
+                            columns = qsim._targets_first(state.amplitudes, k, targets)
+                            res, p = qsim._project_out(state, vec, columns)
                             ref_res, ref_p = _tensordot_project_out(state, targets, vec)
                             assert np.array_equal(res, ref_res), (k, targets)
                             assert p == ref_p, (k, targets)
+
+    def test_apply_unitary_2x2_equals_matmul(self):
+        # one-qubit blocks take the product elementwise
+        r = rng(33)
+        register = haar_random_state(1, r, (341, 6))
+        keys = r.integers(0, 2**64, size=341 * 6, dtype=np.uint64)
+        per_trial = qsim.haar_random_unitary(2, keys).reshape(341, 6, 2, 2)
+        for unitary in (per_trial, per_trial[0], qsim.HADAMARD):
+            expected = np.matmul(unitary, register.amplitudes[..., None])[..., 0]
+            assert np.array_equal(qsim.apply_unitary(register, unitary).amplitudes, expected)
+
+    def test_block_norm_and_inner_equal_matmul(self):
+        r = rng(34)
+        for batch, k in (((341, 6), 1), ((341, 1), 3), ((300,), 6)):
+            a = haar_random_state(k, r, batch).amplitudes
+            b = haar_random_state(k, r, batch).amplitudes
+            pairs = a.view(np.float64)
+            norm_sq = np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
+            inner = np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+            assert np.array_equal(qsim._norm_sq(a), norm_sq)
+            assert np.array_equal(qsim._inner(a, b), inner)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("encrypt", [True, False])
+    def test_qotp_equals_matmul_masks(self, k, encrypt):
+        r = rng(35 + k)
+        blocks = 6 // k
+        register = haar_random_state(k, r, (200, blocks))
+        pads = r.integers(0, 2, size=(200, 2 * k * blocks), dtype=np.uint8)
+        for pad in (pads, pads[0]):  # one pad per trial, or one for the whole block
+            expected = _matmul_mask_qotp(register.amplitudes, pad, k, encrypt)
+            assert np.array_equal(crypto._qotp(register, pad, encrypt).amplitudes, expected)
 
     def test_apply_one_qubit_equals_tensordot(self):
         r = rng(32)
