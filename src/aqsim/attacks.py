@@ -329,28 +329,43 @@ def map_trials(fn, trials: int, seed: int, workers: int = 1, **kwargs) -> tuple:
     output. fn need not read seed and i, which name the block to a caller
     that wraps fn.
 
-    With workers > 1 the blocks are split into p = min(workers, blocks)
-    shares of consecutive blocks and near-equal trial counts. The calling
-    process runs the lightest share and p - 1 forked children run the
-    others, each through the module's `_run_chunk` and sending its blocks
-    back as one pickle. An exception raised in a child's blocks is raised
+    With workers > 1 the blocks are split into p = min(workers, blocks,
+    usable CPUs) shares of consecutive blocks and near-equal trial counts
+    (`_shares`). The calling process runs the heaviest share, so that the
+    children's fork and exit overlap its own work, and p - 1 forked children
+    run the others, each through the module's `_run_chunk` and sending its
+    blocks back as one pickle. An exception raised in a child's blocks is raised
     here with its own type and message; a child that ends without sending
     a result raises RuntimeError naming its exit status. If anything fails
     here, the children still running are killed; no child outlives the call.
     """
     length = block_trials(kwargs.pop("width"))
-    starts = range(0, trials, length)
-    if workers <= 1:
-        blocks = _run_chunk((fn, kwargs, seed, starts, trials, length))
+    shares = _shares(trials, length, workers)
+    jobs = [(fn, kwargs, seed, share, trials, length) for share in shares]
+    if len(jobs) == 1:
+        blocks = _run_chunk(jobs[0])
     else:
-        p = min(workers, len(starts))
-        # floor division puts the larger shares last, with the short last block
-        bounds = [k * len(starts) // p for k in range(p + 1)]
-        shares = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
         sizes = [min(share.stop, trials) - share.start for share in shares]
-        jobs = [(fn, kwargs, seed, share, trials, length) for share in shares]
-        blocks = [block for part in _fan_out(jobs, sizes.index(min(sizes))) for block in part]
+        blocks = [block for part in _fan_out(jobs, sizes.index(max(sizes))) for block in part]
     return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(trials: int, length: int, workers: int) -> list[range]:
+    """The first trials of the blocks of `length`, split into min(workers,
+    blocks, usable CPUs) shares of consecutive blocks."""
+    starts = range(0, trials, length)
+    p = max(1, min(workers, len(starts), _usable_cpus()))
+    # floor division puts the larger shares last, with the short last block
+    bounds = [k * len(starts) // p for k in range(p + 1)]
+    return [starts[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _fan_out(jobs: list, own: int) -> list:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import os
@@ -31,8 +33,8 @@ from .protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
-    build_pauli_frame,
     corrected_share_fidelity,
+    pauli_frame,
     run_protocol,
 )
 
@@ -358,7 +360,7 @@ def scenario_q_estimate(cfg: ExperimentConfig):
 
 
 def scenario_correlation_table(cfg: ExperimentConfig):
-    frame = build_pauli_frame()
+    frame = pauli_frame()
     rng = np.random.default_rng(cfg.seed)
     probes = [qsim.haar_random_state(1, rng) for _ in range(100)]
     rows_data = []
@@ -420,7 +422,33 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
+# glibc's mallopt parameters (malloc.h) and the values this process keeps:
+# arrays below 32 MiB come from the heap, not from mmap, and freed heap memory
+# is kept up to 256 MiB, so each block reuses the pages the one before it
+# freed instead of faulting in fresh ones.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+
+
+def _libc():
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def keep_freed_memory() -> tuple[int, ...]:
+    """Apply _HEAP_POLICY to this process's allocator, once per process;
+    forked workers inherit it. Returns each mallopt call's result (1 where
+    glibc took it), or () where the C library has no mallopt."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return ()
+    return tuple(mallopt(param, value) for param, value in _HEAP_POLICY)
+
+
 def run_scenario(cfg: ExperimentConfig) -> int:
+    keep_freed_memory()
+    pauli_frame()  # built once here, so forked workers inherit it
     results, header, rows, summary = _SCENARIOS[cfg.scenario](cfg)
     if cfg.format == "json":
         payload = serialize.dumps({"config": _config_echo(cfg), "results": results})

@@ -13,7 +13,8 @@ and block by block on a register's block axis. A test's outcome is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,18 @@ from .qsim import StateVector, _norm_sq, fidelity, tensor
 @dataclass(frozen=True)
 class ComparisonResult:
     different: np.ndarray  # per trial and block: the antisymmetric outcome, which proves the inputs differ
-    post_state: StateVector  # joint (a, b) register after the projection
+    square: np.ndarray = field(repr=False)  # joint (a, b) amplitudes before the test, rows a's basis, columns b's
+
+    @cached_property
+    def post_state(self) -> StateVector:
+        """The joint (a, b) register after the projection, built when first read."""
+        swapped = np.swapaxes(self.square, -1, -2)  # SWAP, as a view
+        branch = self.square - swapped  # twice the antisymmetric projection
+        sym = ~self.different[..., None, None]  # else the symmetric one
+        np.add(self.square, swapped, out=branch, where=sym)
+        joint = branch.reshape(branch.shape[:-2] + (branch.shape[-1] ** 2,))
+        joint /= np.sqrt(_norm_sq(joint))[..., None]
+        return StateVector.owning(joint)
 
 
 def detect_probability(a: StateVector, b: StateVector) -> float:
@@ -39,13 +51,9 @@ def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> Compa
     joint = tensor(a, b).amplitudes
     batch = joint.shape[:-1]
     square = joint.reshape(batch + (a.dim, a.dim))  # rows index a's basis, columns b's
-    swapped = np.swapaxes(square, -1, -2)  # SWAP, as a view
-    branch = (square - swapped).reshape(joint.shape)  # twice the antisymmetric projection
+    branch = (square - np.swapaxes(square, -1, -2)).reshape(joint.shape)  # twice the antisymmetric projection
     different = rng.random(batch)[()] < _norm_sq(branch) / 4.0
-    sym = ~different[..., None, None]  # else the symmetric one
-    np.add(square, swapped, out=branch.reshape(square.shape), where=sym)
-    branch /= np.sqrt(_norm_sq(branch))[..., None]
-    return ComparisonResult(different, StateVector.owning(branch))
+    return ComparisonResult(different, square)
 
 
 def average_q(n: int) -> float:

@@ -41,6 +41,9 @@ from aqsim.protocol import (
     run_protocol,
 )
 
+# the unpatched attacks._usable_cpus, which tests/conftest.py pins to 2 in every test
+_USABLE_CPUS = attacks._usable_cpus
+
 PER_QUBIT_VARIANT = ProtocolVariant(
     RPrimeSource.FROM_MESSAGE_P,
     MtMode.MEASURE_X,
@@ -376,7 +379,7 @@ class TestMapTrials:
 
         monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
         map_trials(_echo_block, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, offset=0)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert {int(path.name) for path in tmp_path.iterdir()} == {os.getpid(), *forks}
 
     def test_child_exception_reaches_caller(self, forks):
@@ -403,15 +406,53 @@ class TestMapTrials:
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
             map_trials(_child_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), how="exit")
-        assert len(forks) == 2 and time.monotonic() - start < 30
+        assert len(forks) == 1 and time.monotonic() - start < 30
 
     @pytest.mark.parametrize("error", [ValueError("caller's block failed"), KeyboardInterrupt()])
     def test_caller_failure_kills_children(self, forks, error):
         start = time.monotonic()
         with pytest.raises(type(error)):
             map_trials(_caller_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), error=error)
-        # the children sleep for 60 s unless killed
-        assert len(forks) == 2 and time.monotonic() - start < 30
+        # the child sleeps for 60 s unless killed
+        assert len(forks) == 1 and time.monotonic() - start < 30
+
+    def test_caller_runs_the_largest_share(self, monkeypatch, forks, tmp_path):
+        # recovery-failure at n = 1: 10000 trials are 5 blocks of 2048, split
+        # into shares of 2 and 3 blocks
+        run_chunk = attacks._run_chunk
+
+        def recording_run_chunk(job):
+            *_, share, trials, length = job
+            (tmp_path / str(os.getpid())).write_text(str(min(share.stop, trials) - share.start))
+            return run_chunk(job)
+
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        argv = ["--scenario", "recovery-failure", "--trials", "10000", "--workers", "2"]
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        shares = {int(path.name): int(path.read_text()) for path in tmp_path.iterdir() if path.name.isdigit()}
+        assert len(forks) == 1
+        assert shares == {os.getpid(): 5904, forks[0]: 4096}
+
+    def test_shares_capped_at_usable_cpus(self, monkeypatch, forks):
+        # --workers 500 on 10^6 recovery trials: 489 blocks of 2048
+        length = block_trials(16)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(attacks, "_usable_cpus", lambda: cpus)
+            shares = attacks._shares(10**6, length, 500)
+            assert len(shares) == cpus
+            assert [i for share in shares for i in share] == list(range(0, 10**6, length))
+        monkeypatch.setattr(attacks, "_usable_cpus", lambda: 2)
+        serial = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=1, width=4096, offset=0)
+        forked = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=500, width=4096, offset=0)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, forked, strict=True))
+        assert len(forks) == 1
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no sched_getaffinity on this platform")
+        assert _USABLE_CPUS() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _USABLE_CPUS() == os.cpu_count()
 
     def test_block_streams_depend_on_seed_and_block_only(self):
         def first_draw(seed, block):

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
+from aqsim import attacks, cli, protocol
 from aqsim.attacks import block_trials
 from aqsim.cli import (
     MAX_N_PER_QUBIT,
@@ -280,6 +283,73 @@ class TestBlockFanOut:
             assert lines[1] == f"report written to {out}"
             reports.append(out.read_bytes())
         assert reports[1] == reports[0]
+
+
+class _StubLibc:
+    """A C library whose mallopt records each call in `events` and succeeds."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def mallopt(self, param, value):
+        self.events.append(("mallopt", param, value))
+        return 1
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    """A process in which keep_freed_memory has not run yet."""
+    cli.keep_freed_memory.cache_clear()
+    yield
+    cli.keep_freed_memory.cache_clear()
+
+
+class TestRunnerSetUp:
+    def test_heap_policy_applied_before_first_block_once(self, monkeypatch, fresh_heap_policy, tmp_path):
+        events = []
+        run_chunk = attacks._run_chunk
+
+        def recording_run_chunk(job):
+            events.append(("block",))
+            return run_chunk(job)
+
+        monkeypatch.setattr(cli, "_libc", lambda: _StubLibc(events))
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        argv = ["--scenario", "recovery-failure", "--trials", "300"]
+        for name in ("a.json", "b.json"):
+            assert run_main(tmp_path, argv, name=name)[0] == 0
+        assert events == [
+            ("mallopt", cli._M_MMAP_THRESHOLD, 32 << 20),
+            ("mallopt", cli._M_TRIM_THRESHOLD, 256 << 20),
+            ("block",),
+            ("block",),
+        ]
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_heap_policy_without_mallopt_is_a_no_op(self, monkeypatch, fresh_heap_policy, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_libc", lambda: object())
+        assert run_main(tmp_path, ["--scenario", "honest", "--trials", "30"])[0] == 0
+        assert cli.keep_freed_memory() == ()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_glibc_takes_the_heap_policy(self, fresh_heap_policy):
+        assert cli.keep_freed_memory() == (1, 1)
+
+    def test_children_inherit_the_pauli_frame(self, monkeypatch, tmp_path):
+        # each process records whether the frame was built before its first block
+        run_chunk = attacks._run_chunk
+
+        def recording_run_chunk(job):
+            (tmp_path / f"{os.getpid()}.frame").write_text(str(protocol._FRAME is not None))
+            return run_chunk(job)
+
+        monkeypatch.setattr(protocol, "_FRAME", None)
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        argv = ["--scenario", "recovery-failure", "--trials", str(2 * block_trials(16)), "--workers", "2"]
+        assert run_main(tmp_path, argv)[0] == 0
+        built = [path.read_text() for path in tmp_path.glob("*.frame")]
+        assert built == ["True", "True"]
 
 
 # Fixed-seed reports at 300 trials. An engine change that moves one random

@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from aqsim import qsim
+from aqsim import comparison, qsim
 from aqsim.comparison import (
     average_q,
     compare_product,
     detect_probability,
     swap_test,
+)
+from aqsim.crypto import SigningModel
+from aqsim.protocol import (
+    ComparisonMode,
+    MessageKnowledge,
+    MtMode,
+    ProtocolVariant,
+    RPrimeSource,
+    RunConfig,
+    run_protocol,
 )
 from aqsim.qsim import ATOL, StateVector, fidelity, haar_random_state, new_basis_state
 
@@ -82,6 +92,45 @@ class TestSwapTest:
             assert np.vdot(post.amplitudes, post.amplitudes).real == pytest.approx(
                 1.0, abs=ATOL
             )
+
+    @pytest.mark.parametrize(
+        "k, batch", [(1, ()), (1, (300, 6)), (3, (300, 1))], ids=["single", "one-qubit-blocks", "register"]
+    )
+    def test_post_state_equals_eager_formula(self, k, batch):
+        r = rng(7)
+        a, b = haar_random_state(k, r, batch), haar_random_state(k, r, batch)
+        result = swap_test(a, b, r)
+        assert "post_state" not in vars(result)  # built on first read only
+        # the eager projection, which post_state must equal bit for bit
+        joint = qsim.tensor(a, b).amplitudes
+        square = joint.reshape(batch + (a.dim, a.dim))
+        swapped = np.swapaxes(square, -1, -2)
+        branch = (square - swapped).reshape(joint.shape)
+        np.add(square, swapped, out=branch.reshape(square.shape), where=~result.different[..., None, None])
+        branch /= np.sqrt(qsim._norm_sq(branch))[..., None]
+        assert np.array_equal(result.post_state.amplitudes, branch)
+        assert result.post_state is result.post_state
+
+    @pytest.mark.parametrize("idealized", [True, False])
+    def test_post_state_built_only_for_disturbed_particles(self, monkeypatch, idealized):
+        results = []
+        test = comparison.swap_test
+
+        def recording_swap_test(a, b, rng):
+            results.append(test(a, b, rng))
+            return results[-1]
+
+        monkeypatch.setattr(comparison, "swap_test", recording_swap_test)
+        variant = ProtocolVariant(
+            RPrimeSource.FROM_GHZ_PARTICLE,
+            MtMode.MEASURE_X,
+            MessageKnowledge.ALICE_ONLY,
+            SigningModel.PER_QUBIT_PRODUCT,
+            ComparisonMode.PER_QUBIT,
+        )
+        run_protocol(RunConfig(2, variant, idealized), 3, size=50)
+        built = ["post_state" in vars(result) for result in results]
+        assert built == [not idealized]  # the arbitrator's one test
 
     def test_empirical_frequency_grid(self):
         # overlaps 0, 1/4, 1/2, 3/4, 1 realized with planar single-qubit
