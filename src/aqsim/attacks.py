@@ -38,6 +38,7 @@ from .protocol import (
     ComparisonMode,
     MessageKnowledge,
     MtMode,
+    ProtocolVariant,
     RPrimeSource,
     RunConfig,
     run_protocol,
@@ -51,22 +52,20 @@ class StrategyKind(Enum):
     GARBLE_SIGNATURE = "garble-signature"
 
 
-def haar_qubit_sampler(rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
-    return qsim.haar_random_state(1, rng, batch)
-
-
 @dataclass(frozen=True)
 class ForgeryStrategy:
     kind: StrategyKind
     m: int | None = None  # replaced qubit count, ReplaceQubits only
-    # (rng, batch) -> replacement single-qubit states, one per entry of batch
-    # (trials, then the m replaced qubits), or one state for every entry
-    sampler: object = haar_qubit_sampler
 
-    def validate(self, n: int) -> None:
-        if self.kind is StrategyKind.REPLACE_QUBITS:
-            if self.m is None or not 1 <= self.m <= n:
-                raise ValueError(f"replaced qubit count m={self.m} outside 1..{n}")
+    def validate(self, n: int, variant: ProtocolVariant) -> None:
+        """Reject this attack on n message qubits under `variant` with a
+        ValueError naming the CLI flags behind the conflict."""
+        if self.kind is StrategyKind.REPLACE_QUBITS and not (self.m is not None and 1 <= self.m <= n):
+            raise ValueError(f"--m {self.m} must satisfy 1 <= m <= n (--n {n})")
+        if n > 1 and self.kind is StrategyKind.REPLACE_WHOLE_REGISTER and variant.comparison_mode is ComparisonMode.PER_QUBIT:
+            raise ValueError(f"--strategy replace-whole-register sends an entangled message at --n {n}, which --comparison per-qubit cannot split")
+        if n > 1 and self.kind is StrategyKind.GARBLE_SIGNATURE and variant.key_model is SigningModel.GENERAL_UNITARY:
+            raise ValueError(f"--strategy garble-signature replaces the signature's first qubit, which --key-model general entangles at --n {n}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +120,13 @@ def _orthogonal_qubit(state: StateVector) -> StateVector:
 def forge(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator) -> StateVector:
     """Produce the substituted message register in every trial of the message's block."""
     n = qsim.qubit_count(message)
-    strategy.validate(n)
     batch = message.batch[:-1]
     if strategy.kind is StrategyKind.REPLACE_WHOLE_REGISTER:
         return qsim.haar_random_state(n, rng, batch + (1,))
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
-        if message.qubit_count != 1:
-            raise ValueError(f"qubit replacement needs one-qubit blocks, got {message.qubit_count}-qubit blocks")
         # each trial's m replaced qubits: the first m of a uniformly random order
         replaced = np.argsort(rng.random(batch + (n,)), axis=-1)[..., : strategy.m, None]
-        samples = strategy.sampler(rng, batch + (strategy.m,))
+        samples = qsim.haar_random_state(1, rng, batch + (strategy.m,))
         amps = message.amplitudes.copy()
         np.put_along_axis(amps, replaced, samples.amplitudes, axis=-2)
         return StateVector.owning(amps)
@@ -144,8 +140,6 @@ def _garble_tap(message, sig, rng):
     the arbitrator's comparison sees an exactly orthogonal first qubit.
     """
     state = sig["sig_state"]
-    if state.qubit_count != 1:
-        raise ValueError("garbling needs the signature's first qubit in a block of its own")
     garbled = state.amplitudes.copy()
     garbled[..., 0, :] = _orthogonal_qubit(state).amplitudes[..., 0, :]
     return message, {**sig, "sig_state": StateVector.owning(garbled)}
@@ -166,11 +160,7 @@ def analytic_acceptance(config: RunConfig, strategy: ForgeryStrategy) -> float |
     ):
         return None
     if strategy.kind is StrategyKind.REPLACE_QUBITS:
-        if (
-            v.comparison_mode is ComparisonMode.PER_QUBIT
-            and v.key_model is SigningModel.PER_QUBIT_PRODUCT
-            and strategy.sampler is haar_qubit_sampler
-        ):
+        if v.comparison_mode is ComparisonMode.PER_QUBIT and v.key_model is SigningModel.PER_QUBIT_PRODUCT:
             return 0.75**strategy.m
         return None
     if strategy.kind is StrategyKind.REPLACE_WHOLE_REGISTER:
@@ -222,7 +212,7 @@ def estimate_forgery_acceptance(
     """Acceptance rate of forged runs through the full protocol."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    strategy.validate(config.n)
+    strategy.validate(config.n, config.variant)
     accepted, gammas, fids = map_trials(
         _attack_trials, trials, seed, workers, width=state_width(config), config=config, strategy=strategy
     )
@@ -241,22 +231,6 @@ def estimate_forgery_acceptance(
         analytic_prediction=analytic_acceptance(config, strategy),
         variant=config.variant,
     )
-
-
-def fidelity_drop(
-    p: StateVector, strategy: ForgeryStrategy, trials: int, seed: int
-) -> float:
-    """Mean fidelity between the original message and its forged replacement."""
-    n = qsim.qubit_count(p)
-    strategy.validate(n)
-    # the forged register: n one-qubit blocks, or one block of 2^n amplitudes
-    (fids,) = map_trials(_drop_trials, trials, seed, width=2**n, message=p, strategy=strategy)
-    return float(np.mean(fids))
-
-
-def _drop_trials(message: StateVector, strategy: ForgeryStrategy, rng: np.random.Generator, size: int, **_):
-    block = StateVector.owning(np.broadcast_to(message.amplitudes, (size,) + message.amplitudes.shape))
-    return (qsim.register_fidelity(message, forge(block, strategy, rng)),)
 
 
 def _recovery_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):

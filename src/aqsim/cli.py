@@ -27,6 +27,8 @@ from . import attacks, comparison, qsim, serialize
 from .attacks import ForgeryStrategy, StrategyKind, binomial_ci, map_trials
 from .crypto import SigningModel
 from .protocol import (
+    MAX_N_PER_QUBIT,  # noqa: F401  (re-exported beside q-estimate's limit)
+    MAX_N_WHOLE_REGISTER,
     ComparisonMode,
     MessageKnowledge,
     MtMode,
@@ -40,14 +42,6 @@ from .protocol import (
 
 OUTPUT_DIR_ENV = "AQSIM_OUT_DIR"
 DEFAULT_SEED = 0
-
-# Largest --n per path. Per-qubit keys and comparison keep every register as n
-# blocks of at most 4 qubits (a message qubit and its GHZ triple), each step one
-# call over all of them, so memory is linear in n. Whole-register paths act on
-# 2^n amplitudes; at n = 6 the SWAP test's joint state has 12 qubits, the most
-# qsim.ATOL allows.
-MAX_N_PER_QUBIT = 64
-MAX_N_WHOLE_REGISTER = 6
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,8 +192,6 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:
         if m is None:
             m = 1
-        if not 1 <= m <= n:
-            errors.append(f"--m {m} must satisfy 1 <= m <= n (--n {n})")
     elif m is not None:
         used = f"--strategy {strategy.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
         errors.append(f"--m {m} counts replaced qubits, which {used} does not replace")
@@ -226,9 +218,17 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
             f"--scenario recovery-failure rebuilds Bob's candidate from M_t's x outcome, "
             f"which --mt {variant.m_t_mode.value} does not measure"
         )
+    # the library's own rules, one error line for each that is broken
+    if scenario is Scenario.FORGERY:
+        try:
+            ForgeryStrategy(strategy, m).validate(n, variant)
+        except ValueError as e:
+            errors += e.args
     if n >= 1 and scenario in (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE):
-        attack = strategy if scenario is Scenario.FORGERY else None
-        errors += conflicts(RunConfig(n, variant, idealized), attack)
+        try:
+            RunConfig(n, variant, idealized)
+        except ValueError as e:
+            errors += e.args
 
     if errors:
         raise ConfigError(errors)
@@ -245,33 +245,6 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         format=fmt,
         workers=workers,
     )
-
-
-def conflicts(config: RunConfig, strategy: StrategyKind | None) -> list[str]:
-    """Why `config` under `strategy` (None for honest runs) cannot run: one
-    message per conflict, naming its flags."""
-    v, n = config.variant, config.n
-    per_qubit_cmp = v.comparison_mode is ComparisonMode.PER_QUBIT
-    general = v.key_model is SigningModel.GENERAL_UNITARY
-    disturbed_ghz = not config.idealized_comparison and v.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
-    if per_qubit_cmp and not general:
-        limit, path = MAX_N_PER_QUBIT, "--key-model per-qubit with --comparison per-qubit"
-    else:
-        limit, path = MAX_N_WHOLE_REGISTER, "--comparison whole-register or --key-model general"
-    rules = [
-        (n > limit, f"--n {n} exceeds {limit}, the largest n for {path}"),
-        (n > 1 and per_qubit_cmp and general,
-         f"--key-model general entangles the signature at --n {n}, so --comparison per-qubit cannot split it"),
-        (n > 1 and per_qubit_cmp and strategy is StrategyKind.REPLACE_WHOLE_REGISTER,
-         f"--strategy replace-whole-register sends an entangled message at --n {n}, which --comparison per-qubit cannot split"),
-        (n > 1 and general and strategy is StrategyKind.GARBLE_SIGNATURE,
-         f"--strategy garble-signature replaces the signature's first qubit, which --key-model general entangles at --n {n}"),
-        (disturbed_ghz and not per_qubit_cmp,
-         "--idealized-comparison false with --comparison whole-register and --r-prime ghz leaves the GHZ particles entangled with the discarded register"),
-        (disturbed_ghz and v.m_t_mode is MtMode.FORWARD_PARTICLE,
-         "--idealized-comparison false with --r-prime ghz disturbs the GHZ particles, which --mt forward-particle cannot forward"),
-    ]
-    return [message for broken, message in rules if broken]
 
 
 # ---------------------------------------------------------------------------

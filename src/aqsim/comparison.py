@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qsim import StateVector, _norm_sq, fidelity, tensor
+from .qsim import StateVector, _norm_sq, tensor
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class ComparisonResult:
         joint = branch.reshape(branch.shape[:-2] + (branch.shape[-1] ** 2,))
         joint /= np.sqrt(_norm_sq(joint))[..., None]
         return StateVector.owning(joint)
-
-
-def detect_probability(a: StateVector, b: StateVector) -> float:
-    """Analytic probability of the conclusive 'different' outcome."""
-    return (1.0 - fidelity(a, b)) / 2.0
 
 
 def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> ComparisonResult:

@@ -86,14 +86,6 @@ class KeyMaterial:
             )
         return self.bits[..., start : start + length]
 
-    def to_hex(self) -> str:
-        return np.packbits(self.bits).tobytes().hex()
-
-    @staticmethod
-    def from_hex(hexstr: str, owner_pair: OwnerPair, n_bits: int) -> "KeyMaterial":
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))[:n_bits]
-        return KeyMaterial(bits, owner_pair)
-
     @staticmethod
     def random(
         n_bits: int, owner_pair: OwnerPair, rng: np.random.Generator, batch: tuple[int, ...] = ()

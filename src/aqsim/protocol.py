@@ -71,6 +71,15 @@ class ProtocolVariant:
     comparison_mode: ComparisonMode
 
 
+# Largest n per path. Per-qubit keys and comparison keep every register as n
+# blocks of at most 4 qubits (a message qubit and its GHZ triple), each step one
+# call over all of them, so memory is linear in n. Whole-register paths act on
+# 2^n amplitudes; at n = 6 the SWAP test's joint state has 12 qubits, the most
+# qsim.ATOL allows.
+MAX_N_PER_QUBIT = 64
+MAX_N_WHOLE_REGISTER = 6
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n: int
@@ -81,8 +90,35 @@ class RunConfig:
     idealized_comparison: bool = True
 
     def __post_init__(self):
+        """Reject a run the variant leaves undefined: one ValueError whose
+        args are every conflict, each naming the CLI flags behind it."""
         if self.n < 1:
             raise ValueError("message needs at least one qubit")
+        v, n = self.variant, self.n
+        per_qubit_cmp = v.comparison_mode is ComparisonMode.PER_QUBIT
+        general = v.key_model is SigningModel.GENERAL_UNITARY
+        if per_qubit_cmp and not general:
+            limit, path = MAX_N_PER_QUBIT, "--key-model per-qubit with --comparison per-qubit"
+        else:
+            limit, path = MAX_N_WHOLE_REGISTER, "--comparison whole-register or --key-model general"
+        rules = [
+            (n > limit, f"--n {n} exceeds {limit}, the largest n for {path}"),
+            (n > 1 and per_qubit_cmp and general,
+             f"--key-model general entangles the signature at --n {n}, so --comparison per-qubit cannot split it"),
+            (self.disturbs_ghz and not per_qubit_cmp,
+             "--idealized-comparison false with --comparison whole-register and --r-prime ghz leaves the GHZ particles entangled with the discarded register"),
+            (self.disturbs_ghz and v.m_t_mode is MtMode.FORWARD_PARTICLE,
+             "--idealized-comparison false with --r-prime ghz disturbs the GHZ particles, which --mt forward-particle cannot forward"),
+        ]
+        conflicts = [message for broken, message in rules if broken]
+        if conflicts:
+            raise ValueError(*conflicts)
+
+    @property
+    def disturbs_ghz(self) -> bool:
+        """Whether the comparison's post-measurement state flows back into the
+        GHZ particles (R' built from them, comparison not idealized)."""
+        return not self.idealized_comparison and self.variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
 
 
 class Verdict(qsim.Ordered):
@@ -311,32 +347,19 @@ def arbitrator_verify(
     r_prime = _signature_reference(p_received, particles, m_a, m_b, transform, variant)
 
     post_particles = particles
-    disturbed_ghz = not config.idealized_comparison and variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        if r.qubit_count != 1 or r_prime.qubit_count != 1:
-            raise ValueError("per-qubit comparison needs one-qubit blocks in R and R'")
         result = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
-        if disturbed_ghz:
+        if config.disturbs_ghz:
             post_particles = _recover_particles(result.post_state, transform, m_a, m_b)
     else:
         result = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
-        if disturbed_ghz:
-            raise ValueError(
-                "non-idealized comparison with whole-register GHZ-sourced R' "
-                "leaves the particles entangled with the discarded register"
-            )
     different = result.different.any(-1)
 
-    m_t = None
-    out_particles = None
+    m_t = out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
         # the particle is the last qubit, also inside a post-comparison joint
         m_t, _ = qsim.measure_x(post_particles, post_particles.qubit_count - 1, rng)
     else:
-        if post_particles is not particles:
-            raise ValueError(
-                "non-idealized comparison cannot forward disturbed GHZ particles"
-            )
         out_particles = particles
 
     gamma = (~different).astype(np.uint8)

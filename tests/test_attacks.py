@@ -22,9 +22,7 @@ from aqsim.attacks import (
     block_rng,
     block_trials,
     estimate_forgery_acceptance,
-    fidelity_drop,
     forge,
-    haar_qubit_sampler,
     map_trials,
     recovery_failure_experiment,
     state_width,
@@ -75,10 +73,11 @@ class TestForge:
             assert changed == m
 
     def test_m_bounds(self):
-        msg = haar_product_message(2, rng(2))
         for m in (0, 3, None):
-            with pytest.raises(ValueError):
-                forge(msg, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m), rng(3))
+            with pytest.raises(ValueError, match=rf"^--m {m} must satisfy 1 <= m <= n \(--n 2\)$"):
+                ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m).validate(2, PER_QUBIT_VARIANT)
+        for m in (1, 2):
+            ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m).validate(2, PER_QUBIT_VARIANT)
 
     def test_whole_register_generally_entangled(self):
         msg = haar_product_message(2, rng(4))
@@ -97,30 +96,6 @@ class TestForge:
         for _ in range(20):
             s = qsim.haar_random_state(1, r)
             assert qsim.fidelity(s, _orthogonal_qubit(s)) < 1e-12
-
-    def test_custom_sampler(self):
-        plus = qsim.x_state(qsim.XOutcome.PLUS_X)
-        strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r, batch: plus)
-        forged = forge(haar_product_message(1, rng(9)), strat, rng(10))
-        assert qsim.register_fidelity(forged, plus) >= 1 - 1e-12
-
-
-class TestFidelityDrop:
-    def test_identity_sampler_no_drop(self):
-        # a sampler that hands back the original factor leaves fidelity at 1
-        msg1 = haar_product_message(1, rng(13))
-        keep = ForgeryStrategy(
-            StrategyKind.REPLACE_QUBITS, m=1, sampler=lambda r, batch: qsim.StateVector(msg1.amplitudes[0])
-        )
-        assert fidelity_drop(msg1, keep, trials=50, seed=1) == pytest.approx(1.0)
-
-    def test_haar_halves_per_replaced_qubit(self):
-        # E[|<p|haar>|^2] = 1/2 per qubit, so the drop factorizes as (1/2)^m
-        msg = haar_product_message(3, rng(14))
-        for m in (1, 2, 3):
-            strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m)
-            mean = fidelity_drop(msg, strat, trials=20000, seed=2)
-            assert mean == pytest.approx(0.5**m, abs=0.02)
 
 
 class TestAnalytics:
@@ -543,3 +518,43 @@ class TestBlockLength:
         else:
             _attack_trials(config, strategy, rng(30), size)
         assert widest and max(widest) <= size * state_width(config) * 16 <= 2**19
+
+
+REPLACE_ONE = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 1)
+GHZ_DISTURBED = {"r_prime_source": RPrimeSource.FROM_GHZ_PARTICLE}
+
+# (n, variant, idealized comparison, strategy, the message that rejects it)
+INVALID_RUNS = {
+    "general-keys-per-qubit-comparison": (
+        2, _variant(SigningModel.GENERAL_UNITARY), True, REPLACE_ONE, "--key-model general entangles"),
+    "whole-register-strategy-per-qubit-comparison": (
+        2, PER_QUBIT_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
+        "--strategy replace-whole-register sends an entangled message"),
+    "garble-general-keys": (
+        2, WHOLE_REGISTER_VARIANT, True, ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE),
+        "--strategy garble-signature replaces the signature's first qubit"),
+    "disturbed-ghz-whole-register": (
+        1, _variant(cmp=ComparisonMode.WHOLE_REGISTER, **GHZ_DISTURBED), False, REPLACE_ONE,
+        "--idealized-comparison false with --comparison whole-register"),
+    "disturbed-ghz-forward-particle": (
+        1, _variant(m_t_mode=MtMode.FORWARD_PARTICLE, **GHZ_DISTURBED), False, REPLACE_ONE,
+        "--mt forward-particle cannot forward"),
+    "whole-register-n7": (
+        7, WHOLE_REGISTER_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
+        "--n 7 exceeds 6"),
+    "per-qubit-n65": (65, PER_QUBIT_VARIANT, True, REPLACE_ONE, "--n 65 exceeds 64"),
+    "m-beyond-n": (2, PER_QUBIT_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 3), "--m 3 must satisfy"),
+}
+
+
+class TestInvalidRunsRejected:
+    @pytest.mark.parametrize("name", sorted(INVALID_RUNS))
+    def test_library_call_raises_before_any_block(self, monkeypatch, forks, name):
+        # a library caller gets the CLI's rules, in the calling process,
+        # before a block runs or a worker is forked
+        n, variant, idealized, strategy, message = INVALID_RUNS[name]
+        jobs = []
+        monkeypatch.setattr(attacks, "_run_chunk", jobs.append)
+        with pytest.raises(ValueError, match=message):
+            estimate_forgery_acceptance(RunConfig(n, variant, idealized), strategy, 3 * BLOCK_TRIALS, 1, workers=2)
+        assert jobs == [] and forks == []

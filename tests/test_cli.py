@@ -452,6 +452,18 @@ class TestExitCodes:
                 assert all(flag in err for flag in flags), err
                 assert not out.exists()
 
+    def test_strategy_and_config_conflicts_each_printed(self, tmp_path, capsys):
+        # ForgeryStrategy.validate and RunConfig each reject this run
+        out = tmp_path / "r.json"
+        argv = ["--scenario", "forgery", "--n", "70", "--m", "80", "--key-model", "general", "--out", str(out)]
+        assert main(argv) == 2
+        assert sorted(capsys.readouterr().err.splitlines()) == [
+            "error: --key-model general entangles the signature at --n 70, so --comparison per-qubit cannot split it",
+            "error: --m 80 must satisfy 1 <= m <= n (--n 70)",
+            "error: --n 70 exceeds 6, the largest n for --comparison whole-register or --key-model general",
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["honest", "q-estimate", "correlation-table"])
     def test_negative_seed_rejected_before_trial_one(self, tmp_path, capsys, scenario):
         # numpy's SeedSequence would reject it inside trial 1, naming no flag

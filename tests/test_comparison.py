@@ -7,7 +7,6 @@ from aqsim import comparison, qsim
 from aqsim.comparison import (
     average_q,
     compare_product,
-    detect_probability,
     swap_test,
 )
 from aqsim.crypto import SigningModel
@@ -20,7 +19,7 @@ from aqsim.protocol import (
     RunConfig,
     run_protocol,
 )
-from aqsim.qsim import ATOL, StateVector, fidelity, haar_random_state, new_basis_state
+from aqsim.qsim import ATOL, StateVector, haar_random_state, new_basis_state
 
 
 def rng(seed=0):
@@ -37,44 +36,6 @@ def oracle_detect_probability(a: StateVector, b: StateVector) -> float:
     proj = (np.eye(d * d) - swap) / 2.0
     joint = np.kron(a.amplitudes, b.amplitudes)
     return float(np.vdot(joint, proj @ joint).real)
-
-
-class TestDetectProbability:
-    def test_identical_zero(self):
-        s = haar_random_state(2, rng(1))
-        assert detect_probability(s, s) == pytest.approx(0.0, abs=ATOL)
-
-    def test_orthogonal_half(self):
-        p = detect_probability(new_basis_state(1, 0), new_basis_state(1, 1))
-        assert p == pytest.approx(0.5, abs=ATOL)
-        assert p == pytest.approx(
-            oracle_detect_probability(new_basis_state(1, 0), new_basis_state(1, 1)), abs=ATOL
-        )
-
-    def test_half_overlap_quarter(self):
-        plus = qsim.x_state(qsim.XOutcome.PLUS_X)
-        p = detect_probability(new_basis_state(1, 0), plus)
-        assert p == pytest.approx(0.25, abs=ATOL)
-        assert p == pytest.approx(oracle_detect_probability(new_basis_state(1, 0), plus), abs=ATOL)
-
-    def test_matches_oracle_random(self):
-        r = rng(2)
-        for k in (1, 2):
-            for _ in range(20):
-                a, b = haar_random_state(k, r), haar_random_state(k, r)
-                assert detect_probability(a, b) == pytest.approx(
-                    oracle_detect_probability(a, b), abs=ATOL
-                )
-
-    def test_never_exceeds_half(self):
-        r = rng(3)
-        for _ in range(200):
-            a, b = haar_random_state(2, r), haar_random_state(2, r)
-            assert detect_probability(a, b) <= 0.5 + ATOL
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            detect_probability(new_basis_state(1, 0), new_basis_state(2, 0))
 
 
 class TestSwapTest:
@@ -152,14 +113,12 @@ class TestSwapTest:
         a, b = haar_random_state(1, r), haar_random_state(1, r)
         u = qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]
         ua, ub = qsim.apply_unitary(a, u), qsim.apply_unitary(b, u)
-        assert detect_probability(a, b) == pytest.approx(
-            detect_probability(ua, ub), abs=ATOL
-        )
+        p = oracle_detect_probability(a, b)
+        assert p == pytest.approx(oracle_detect_probability(ua, ub), abs=ATOL)
         trials = 20000
         block_a, block_ua = (StateVector(np.broadcast_to(s.amplitudes, (trials, 2))) for s in (a, ua))
         f_plain = np.count_nonzero(swap_test(block_a, b, r).different)
         f_rot = np.count_nonzero(swap_test(block_ua, ub, r).different)
-        p = detect_probability(a, b)
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(f_plain - f_rot) / trials < 6 * sigma
 

@@ -65,11 +65,6 @@ class TestKeyMaterial:
         with pytest.raises(ValueError):
             make_key([0, 1]).slice(1, 2)
 
-    def test_hex_roundtrip(self):
-        key = KeyMaterial.random(37, OwnerPair.BOB_ARBITRATOR, rng(1))
-        back = KeyMaterial.from_hex(key.to_hex(), OwnerPair.BOB_ARBITRATOR, 37)
-        assert np.array_equal(key.bits, back.bits)
-
     def test_layouts_disjoint(self):
         layouts = [crypto.ka_layout(3, model) for model in SigningModel]
         layouts.append({f"{b}.{f}": span for b, fields in crypto.kb_layout(3).items() for f, span in fields.items()})

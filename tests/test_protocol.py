@@ -378,9 +378,8 @@ class TestNonIdealizedComparison:
             mt=MtMode.FORWARD_PARTICLE,
             knowledge=MessageKnowledge.KNOWN_TO_ALL,
         )
-        cfg = RunConfig(1, v, idealized_comparison=False)
-        with pytest.raises(ValueError):
-            run_protocol(cfg, 0, 1)
+        with pytest.raises(ValueError, match="--mt forward-particle cannot forward"):
+            RunConfig(1, v, idealized_comparison=False)
 
     def test_ghz_source_whole_register_unsupported(self):
         v = variant(
@@ -388,9 +387,8 @@ class TestNonIdealizedComparison:
             keys=SigningModel.GENERAL_UNITARY,
             cmp=ComparisonMode.WHOLE_REGISTER,
         )
-        cfg = RunConfig(1, v, idealized_comparison=False)
-        with pytest.raises(ValueError):
-            run_protocol(cfg, 0, 1)
+        with pytest.raises(ValueError, match="entangled with the discarded register"):
+            RunConfig(1, v, idealized_comparison=False)
 
 
 class TestBlockWidths:
