@@ -188,7 +188,10 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     if seed < 0:
         errors.append(f"--seed must be >= 0, got {seed}")
 
-    strategy = StrategyKind(pick("strategy", "replace-qubits"))
+    strategy = pick("strategy", None)
+    if strategy is not None and scenario is not Scenario.FORGERY:
+        errors.append(f"--strategy {strategy} picks a forgery, which --scenario {scenario.value} does not run")
+    strategy = StrategyKind(strategy or "replace-qubits")
     if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:
         if m is None:
             m = 1

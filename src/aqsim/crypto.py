@@ -41,6 +41,7 @@ from .qsim import (
     StateVector,
     XOutcome,
     _check_unitary,
+    _flip_and_phase,
     apply_unitary,
     haar_random_unitary,
     join,
@@ -218,19 +219,37 @@ def _pad_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVector:
-    """The pad's Paulis on every block of every trial, as one gather and a sign.
+# On a one-qubit block, the sign of output bit i in row 2a + b: (-1)^((i^a) & b)
+# for X^a Z^b, (-1)^(i & b) for Z^b X^a. Shaped as qsim._flip_and_phase's
+# phase, (..., 2, 1).
+_ENCRYPT_SIGNS = np.array([[1, 1], [1, -1], [1, 1], [-1, 1]], dtype=complex)[..., None]
+_DECRYPT_SIGNS = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=complex)[..., None]
+_ENCRYPT_SIGNS.setflags(write=False)
+_DECRYPT_SIGNS.setflags(write=False)
 
-    Per block, x and z pack the X bits pad[2i] and Z bits pad[2i+1] of its
-    qubits into masks. X^a Z^b on each qubit maps amplitude i to
-    (-1)^popcount((i^x) & z) psi[i^x]; its inverse, Z^b X^a, to
-    (-1)^popcount(i & z) psi[i^x]. Each trial has its own pad, or one pad
-    without a trial axis serves the whole block.
+
+def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVector:
+    """The pad's Paulis on every block of every trial.
+
+    A qubit's X^a Z^b, (a, b) = pad[2i], pad[2i+1], maps amplitude i to
+    (-1)^((i^a) & b) psi[i^a]; its inverse, Z^b X^a, to (-1)^(i & b) psi[i^a].
+    One-qubit blocks take that as it stands: a swap of the amplitude pair
+    where a is set, then a sign row. Wider blocks pack each block's X and Z
+    bits into masks x and z and take one gather and a sign,
+    (-1)^popcount((i^x) & z) psi[i^x] and (-1)^popcount(i & z) psi[i^x].
+    Each trial has its own pad, or one pad without a trial axis serves the
+    whole block.
     """
     pad = np.asarray(pad_bits, dtype=np.uint8)
     k = register.qubit_count
     if pad.shape[-1] != 2 * qubit_count(register):
         raise ValueError(f"{pad.shape[-1]} pad bits for {qubit_count(register)} qubits at 2 each")
+    if k == 1:
+        a, b = pad[..., 0::2], pad[..., 1::2]
+        block = register.amplitudes[..., None]
+        signs = (_ENCRYPT_SIGNS if encrypt else _DECRYPT_SIGNS)[2 * a + b]
+        out = _flip_and_phase(block, a.view(bool)[..., None, None], signs)
+        return StateVector.owning(out[..., 0])
     index, signs, weights = _pad_tables(k)
     # trials, blocks, qubits in block, (x, z); each bit column packed into a mask
     bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))

@@ -24,8 +24,11 @@ per-qubit stack is a gather from it).
 One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
 the per-row norms and inner products (_norm_sq, _inner) are elementwise or
 np.vecdot forms, bit for bit equal to np.matmul's and without its call per
-matrix; a measurement transposes its targets to the front once, not once per
-outcome.
+matrix. A Pauli, and crypto's one-time pad on one-qubit blocks, is a swap
+of the amplitude pair where it flips the qubit and a row of phases
+(_flip_and_phase), with no index array. A measurement transposes its targets
+to the front once, not once per outcome, and keeps only the drawn branch:
+besides that matrix it holds two residuals, whatever the number of outcomes.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -299,13 +302,22 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
     return StateVector.owning(out.reshape(batch + (-1,)))
 
 
+def _flip_and_phase(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """A Pauli-like map on the qubit axis of `block` (..., 2, rest): flip the
+    qubit where `flip` holds, then multiply the amplitude of output bit b by
+    phase[..., b, :]; a fresh array."""
+    out = np.where(flip, block[..., ::-1, :], block)
+    out *= phase
+    return out
+
+
 def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
     """Apply a Pauli to one qubit (matrix-free): one PauliOp for every trial,
     or an int array of PauliOp positions, one per trial."""
     _check_target(state, target)
     k = state.qubit_count
     block = state.amplitudes.reshape(state.batch + (2**target, 2, 2 ** (k - target - 1)))
-    out = np.where(_PAULI_FLIP[pauli], block[..., ::-1, :], block) * _PAULI_PHASE[pauli]
+    out = _flip_and_phase(block, _PAULI_FLIP[pauli], _PAULI_PHASE[pauli])
     return StateVector.owning(out.reshape(out.shape[:-3] + (-1,)))
 
 
@@ -395,10 +407,12 @@ def _project_out(state: StateVector, basis_vector: np.ndarray, columns: np.ndarr
 
 
 def _post_measurement(state: StateVector, targets, residual: np.ndarray, p):
-    """The renormalized residual of a branch of probability p; None if no qubit remains."""
+    """The residual of a branch of probability p, renormalized in place (it is
+    fresh and held by no caller); None if no qubit remains."""
     if len(targets) == state.qubit_count:
         return None
-    return StateVector.owning(residual / np.sqrt(p)[..., None])
+    residual /= np.sqrt(p)[..., None]
+    return StateVector.owning(residual)
 
 
 def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.random.Generator):
@@ -411,27 +425,32 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
     its u; if u lands in the float slack past every bin, the last outcome of
     nonzero probability. The outcomes are projected in order, and the loop
     stops once every trial has its outcome, so for one state no outcome after
-    the drawn one is projected. Returns (the drawn outcomes' positions in
+    the drawn one is projected. Only the drawn branch is kept: the first
+    outcome's residual is the output, and each later outcome is copied into
+    the trials it takes. Returns (the drawn outcomes' positions in
     `outcomes`; renormalized residual, or None if no qubit remains).
     """
     _check_targets(state, targets)
-    u = rng.random(state.batch)[()]
+    u = rng.random(state.batch)
     columns = _targets_first(state.amplitudes, state.qubit_count, targets)
-    residuals, probs, cumulative = [], [], []
-    acc = 0.0
-    for outcome in outcomes:
-        residual, p = _project_out(state, outcome.vector, columns)
-        acc = acc + p
-        residuals.append(residual)
-        probs.append(p)
-        cumulative.append(acc)
+    for position, outcome in enumerate(outcomes):
+        branch, p_branch = _project_out(state, outcome.vector, columns)
+        if position == 0:
+            residual, p, acc = branch, p_branch, p_branch
+            drawn = np.zeros(state.batch, dtype=np.intp)
+        else:
+            prev, acc = acc, acc + p_branch
+            # a trial no earlier bin holds takes this bin if it has width: for
+            # good if u lies inside it, else until a later bin of width, so a u
+            # past every bin ends on the last bin of nonzero width
+            take = (prev <= u) & (prev < acc)
+            np.copyto(residual, branch, where=take[..., None])
+            p = np.where(take, p_branch, p)
+            drawn[take] = position
+        del branch  # freed before the next outcome's projection
         if (u < acc).all():
             break
-    else:  # some u lies past every bin: move it just below the total, into the last bin of nonzero width
-        u = np.minimum(u, np.nextafter(acc, 0.0))
-    drawn = sum(c <= u for c in cumulative)  # bins wholly below u
-    residual, p = np.choose(drawn[..., None], residuals), np.choose(drawn, probs)
-    return drawn, _post_measurement(state, targets, residual, p)
+    return drawn[()], _post_measurement(state, targets, residual, p)
 
 
 def project(state: StateVector, targets: tuple[int, ...], outcome):

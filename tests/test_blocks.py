@@ -1,11 +1,13 @@
 """A block of T trials is T independent runs: row t of a block equals the
 one-trial block (T = 1) fed row t of the block's random draws. And a block
-costs the same number of qsim calls whatever the register's size."""
+costs the same number of qsim calls whatever the register's size, and a
+bounded number of bytes per trial and qubit."""
 
 import collections
 import functools
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +208,19 @@ def test_block_calls_independent_of_register_size(monkeypatch):
     }
     assert counts[2]["apply_pauli"] > 0 and counts[2]["bell_measure"] == 1
     assert counts[16] == counts[2]
+
+
+def test_block_footprint_per_qubit_row():
+    # a measurement keeps only the drawn branch and a one-qubit pad builds no
+    # index array, so a 2048-trial forge n=1 m=1 block peaks below 900 traced
+    # bytes per trial and qubit (1116 when every Bell outcome's residual was kept)
+    config, trials = RunConfig(1, _variant()), 2048
+    forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1))
+    run_protocol(config, block_rng(37, 0), channel_tap=forging, size=trials)  # warm-up
+    tracemalloc.start()
+    try:
+        run_protocol(config, block_rng(37, 1), channel_tap=forging, size=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (trials * config.n) <= 900

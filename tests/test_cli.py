@@ -440,6 +440,10 @@ class TestExitCodes:
             (["--scenario", "honest", "--m", "5"], ["--m 5", "--scenario honest"]),
             (["--scenario", "recovery-failure", "--m", "1"], ["--m 1", "--scenario recovery-failure"]),
             (["--scenario", "q-estimate", "--m", "1"], ["--m 1", "--scenario q-estimate"]),
+            (["--scenario", "honest", "--strategy", "garble-signature"],
+             ["--strategy garble-signature", "--scenario honest"]),
+            (["--scenario", "recovery-failure", "--strategy", "replace-qubits"],
+             ["--strategy replace-qubits", "--scenario recovery-failure"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):
@@ -451,6 +455,15 @@ class TestExitCodes:
                 assert code == 2, argv
                 assert all(flag in err for flag in flags), err
                 assert not out.exists()
+
+    def test_strategy_in_config_file_outside_forgery_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"scenario": "q-estimate", "strategy": "replace-qubits", "trials": 10}))
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--strategy replace-qubits" in err and "--scenario q-estimate" in err
+        assert not out.exists()
 
     def test_strategy_and_config_conflicts_each_printed(self, tmp_path, capsys):
         # ForgeryStrategy.validate and RunConfig each reject this run

@@ -374,6 +374,91 @@ class TestMeasureContract:
             assert r.random() == reference.random()
 
 
+def _choose_measure(state, targets, outcomes, rng):
+    """measure() with every projected outcome's residual kept in a list and the
+    drawn one picked by np.choose, a u past every bin moved just below the
+    total: the oracle that measure()'s drawn-branch-only form must equal."""
+    u = rng.random(state.batch)[()]
+    columns = qsim._targets_first(state.amplitudes, state.qubit_count, targets)
+    residuals, probs, cumulative = [], [], []
+    acc = 0.0
+    for outcome in outcomes:
+        residual, p = qsim._project_out(state, outcome.vector, columns)
+        acc = acc + p
+        residuals.append(residual)
+        probs.append(p)
+        cumulative.append(acc)
+        if (u < acc).all():
+            break
+    else:
+        u = np.minimum(u, np.nextafter(acc, 0.0))
+    drawn = sum(c <= u for c in cumulative)
+    residual, p = np.choose(drawn[..., None], residuals), np.choose(drawn, probs)
+    if len(targets) == state.qubit_count:
+        return drawn, None
+    return drawn, residual / np.sqrt(p)[..., None]
+
+
+def _sparse_states(k, r, trials):
+    """Random k-qubit states, as `trials` rows, with some basis amplitudes set
+    to zero so that some outcomes have probability 0."""
+    amps = haar_random_state(k, r, (trials,)).amplitudes.copy()
+    amps[r.random(amps.shape) < 0.5] = 0
+    amps[~amps.any(-1), -1] = 1
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    return amps
+
+
+def _edge_uniforms(state, targets, outcomes):
+    """Per trial: u = 0, every cumulative probability exactly, the float below
+    each, and values past the total (the total itself, 1.0 and 1.5)."""
+    columns = qsim._targets_first(state.amplitudes, state.qubit_count, targets)
+    acc, edges = 0.0, []
+    for outcome in outcomes:
+        acc = acc + qsim._project_out(state, outcome.vector, columns)[1]
+        edges += [acc, np.nextafter(acc, 0.0)]
+    zeros = np.zeros(state.batch)
+    return [zeros, *edges, zeros + 1.0, zeros + 1.5]
+
+
+class TestMeasureOracle:
+    """measure() against _choose_measure, bit for bit: drawn positions and
+    residual amplitudes, for blocks and single states, 1- and 2-qubit
+    targets, zero-probability outcomes and uniforms at every bin edge and
+    past the total."""
+
+    @staticmethod
+    def _assert_same(state, targets, outcomes, uniforms):
+        drawn, residual = measure(state, targets, outcomes, _Replay(uniforms))
+        ref_drawn, ref_residual = _choose_measure(state, targets, outcomes, _Replay(uniforms))
+        assert np.shape(drawn) == np.shape(ref_drawn)
+        assert np.array_equal(drawn, ref_drawn), (targets, uniforms)
+        if ref_residual is None:
+            assert residual is None
+        else:  # equal bits, signs of zeros included
+            assert np.array_equal(residual.amplitudes.view(np.int64), ref_residual.view(np.int64))
+
+    def test_equals_choose_oracle(self):
+        r = rng(44)
+        bases = {1: (tuple(XOutcome), Z_BASIS), 2: (tuple(BellOutcome),)}
+        trials = 8
+        for k in (1, 2, 3, 4):
+            for amps in (haar_random_state(k, r, (trials,)).amplitudes, _sparse_states(k, r, trials)):
+                block_state = StateVector(amps)
+                for t in (1, 2):
+                    for targets, outcomes in itertools.product(itertools.permutations(range(k), t), bases[t]):
+                        uniforms = _edge_uniforms(block_state, targets, outcomes)
+                        for u in uniforms:
+                            self._assert_same(block_state, targets, outcomes, u)
+                        # rows drawing from different edges in one block
+                        mixed = np.stack(uniforms)[r.integers(0, len(uniforms), trials), np.arange(trials)]
+                        self._assert_same(block_state, targets, outcomes, mixed)
+                        for row in (0, 1):
+                            single = StateVector(amps[row])
+                            for u in uniforms:
+                                self._assert_same(single, targets, outcomes, np.array(u[row]))
+
+
 class TestOverlap:
     def test_inner_product_examples(self):
         psi = haar_random_state(2, rng(13))
