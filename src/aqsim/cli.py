@@ -14,6 +14,7 @@ import argparse
 import csv
 import ctypes
 import functools
+import gc
 import io
 import json
 import os
@@ -82,6 +83,18 @@ class ConfigError(Exception):
 
 # --mt's short spelling; every other variant flag takes exactly its enum's values
 _MT_ALIASES = {"forward": MtMode.FORWARD_PARTICLE.value}
+
+# The scenarios that run the protocol, and so read its variant flags
+_PROTOCOL_SCENARIOS = (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE)
+# Each variant flag's argparse dest, and the flag that error lines name
+_VARIANT_FLAGS = {
+    "r_prime": "--r-prime",
+    "mt": "--mt",
+    "knowledge": "--knowledge",
+    "key_model": "--key-model",
+    "comparison": "--comparison",
+    "idealized": "--idealized-comparison",
+}
 
 
 def _choices(enum) -> list[str]:
@@ -199,6 +212,11 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         used = f"--strategy {strategy.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
         errors.append(f"--m {m} counts replaced qubits, which {used} does not replace")
 
+    if scenario not in _PROTOCOL_SCENARIOS:
+        for dest, flag in _VARIANT_FLAGS.items():
+            value = pick(dest, None)
+            if value is not None:
+                errors.append(f"{flag} {value} sets a protocol variant, which --scenario {scenario.value} does not run")
     mt = pick("mt", "measure-x")
     variant = ProtocolVariant(
         r_prime_source=RPrimeSource(pick("r_prime", "message")),
@@ -227,7 +245,7 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
             ForgeryStrategy(strategy, m).validate(n, variant)
         except ValueError as e:
             errors += e.args
-    if n >= 1 and scenario in (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE):
+    if n >= 1 and scenario in _PROTOCOL_SCENARIOS:
         try:
             RunConfig(n, variant, idealized)
         except ValueError as e:
@@ -422,9 +440,20 @@ def keep_freed_memory() -> tuple[int, ...]:
     return tuple(mallopt(param, value) for param, value in _HEAP_POLICY)
 
 
+@functools.cache
+def freeze_set_up_heap() -> None:
+    """Move every object alive now (modules, config, Pauli frame) to the
+    garbage collector's permanent generation, once per process; forked workers
+    inherit it. No later collection walks them again, the interpreter's
+    collections at exit included; objects made after it are collected as
+    before."""
+    gc.freeze()
+
+
 def run_scenario(cfg: ExperimentConfig) -> int:
     keep_freed_memory()
     pauli_frame()  # built once here, so forked workers inherit it
+    freeze_set_up_heap()
     results, header, rows, summary = _SCENARIOS[cfg.scenario](cfg)
     if cfg.format == "json":
         payload = serialize.dumps({"config": _config_echo(cfg), "results": results})

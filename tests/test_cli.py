@@ -1,15 +1,19 @@
 """CLI config validation, scenario runs, and report formats."""
 
 import csv
+import gc
 import json
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 
-from aqsim import attacks, cli, protocol
+from aqsim import attacks, cli, crypto, protocol
 from aqsim.attacks import block_trials
 from aqsim.cli import (
     MAX_N_PER_QUBIT,
@@ -22,7 +26,7 @@ from aqsim.cli import (
     run_scenario,
     validate_config,
 )
-from aqsim.crypto import SigningModel
+from aqsim.crypto import KeyMaterial, OwnerPair, SigningModel
 from aqsim.protocol import ComparisonMode, MtMode
 
 
@@ -304,6 +308,14 @@ def fresh_heap_policy():
     cli.keep_freed_memory.cache_clear()
 
 
+@pytest.fixture
+def fresh_freeze():
+    """A process in which freeze_set_up_heap has not run yet."""
+    cli.freeze_set_up_heap.cache_clear()
+    yield
+    cli.freeze_set_up_heap.cache_clear()
+
+
 class TestRunnerSetUp:
     def test_heap_policy_applied_before_first_block_once(self, monkeypatch, fresh_heap_policy, tmp_path):
         events = []
@@ -350,6 +362,92 @@ class TestRunnerSetUp:
         assert run_main(tmp_path, argv)[0] == 0
         built = [path.read_text() for path in tmp_path.glob("*.frame")]
         assert built == ["True", "True"]
+
+    def test_heap_frozen_after_the_frame_before_first_block_once(self, monkeypatch, fresh_freeze, tmp_path):
+        events = []
+        frame, run_chunk = cli.pauli_frame, attacks._run_chunk
+
+        def recording_frame():
+            events.append("frame")
+            return frame()
+
+        def recording_run_chunk(job):
+            events.append("block")
+            return run_chunk(job)
+
+        monkeypatch.setattr(cli, "pauli_frame", recording_frame)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        argv = ["--scenario", "recovery-failure", "--trials", "300"]
+        for name in ("a.json", "b.json"):
+            assert run_main(tmp_path, argv, name=name)[0] == 0
+        assert events == ["frame", "freeze", "block", "frame", "block"]
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_children_inherit_the_frozen_heap(self, monkeypatch, fresh_freeze, tmp_path):
+        # each process records whether the heap was frozen before its first block
+        run_chunk = attacks._run_chunk
+
+        def recording_run_chunk(job):
+            (tmp_path / f"{os.getpid()}.frozen").write_text(str(gc.get_freeze_count() > 0))
+            return run_chunk(job)
+
+        gc.unfreeze()  # as in a process whose heap was never frozen
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
+        argv = ["--scenario", "recovery-failure", "--trials", str(2 * block_trials(16)), "--workers", "2"]
+        assert run_main(tmp_path, argv)[0] == 0
+        frozen = [path.read_text() for path in tmp_path.glob("*.frozen")]
+        assert frozen == ["True", "True"]
+
+    def test_blocks_collectable_after_the_freeze(self, tmp_path, capsys):
+        argv = ["--scenario", "forgery", "--n", "2", "--key-model", "general", "--comparison", "whole-register",
+                "--trials", "300"]
+        assert run_main(tmp_path, argv)[0] == 0  # freezes the heap, if no earlier run did
+        assert gc.get_freeze_count() > 0
+        # a block made after the freeze: its K_a memo is freed with its key
+        model = SigningModel.GENERAL_UNITARY
+        key = KeyMaterial.random(
+            crypto.ka_bits_required(2, model), OwnerPair.ALICE_ARBITRATOR, np.random.default_rng(13), (300,)
+        )
+        ref = weakref.ref(crypto.derive_signing_transform(key, 2, model))
+        del key
+        gc.collect()
+        assert ref() is None
+        # and what a whole run leaves behind is freed, run after run
+        tracemalloc.start()
+        try:
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            ends = []
+            for _ in range(3):
+                assert run_main(tmp_path, argv)[0] == 0
+                capsys.readouterr()  # the captured summary lines are not the run's
+                gc.collect()
+                ends.append(tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(ends) < 16 << 10, ends
+        assert ends[2] - ends[0] < 8 << 10, ends
+
+    def test_process_exit_loses_no_output(self, tmp_path, capsys):
+        # a frozen heap is not walked again at exit; the report and every
+        # stdout line are still written
+        argv = ["--scenario", "forgery", "--n", "2", "--m", "1", "--trials", "3000", "--seed", "9"]
+        code, own = run_main(tmp_path, argv, name="own.json")
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        out = tmp_path / "child.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "aqsim.cli", *argv, "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [summary, f"report written to {out}"]
+        assert proc.stderr == ""
+        assert out.read_bytes() == own.read_bytes()
 
 
 # Fixed-seed reports at 300 trials. An engine change that moves one random
@@ -444,6 +542,13 @@ class TestExitCodes:
              ["--strategy garble-signature", "--scenario honest"]),
             (["--scenario", "recovery-failure", "--strategy", "replace-qubits"],
              ["--strategy replace-qubits", "--scenario recovery-failure"]),
+            (["--scenario", "q-estimate", "--key-model", "general", "--comparison", "per-qubit"],
+             ["--key-model general", "--comparison per-qubit", "--scenario q-estimate"]),
+            (["--scenario", "q-estimate", "--r-prime", "ghz", "--idealized-comparison", "false"],
+             ["--r-prime ghz", "--idealized-comparison false", "--scenario q-estimate"]),
+            (["--scenario", "correlation-table", "--mt", "forward"], ["--mt forward", "--scenario correlation-table"]),
+            (["--scenario", "correlation-table", "--knowledge", "alice-only"],
+             ["--knowledge alice-only", "--scenario correlation-table"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):
@@ -455,6 +560,20 @@ class TestExitCodes:
                 assert code == 2, argv
                 assert all(flag in err for flag in flags), err
                 assert not out.exists()
+        # the variant flags in a config file, outside the scenarios that run the protocol
+        values = {"r_prime": "message", "mt": "measure-x", "knowledge": "all", "key_model": "per-qubit",
+                  "comparison": "whole-register", "idealized_comparison": True}
+        for scenario in ("q-estimate", "correlation-table"):
+            cfg_file = tmp_path / "exp.json"
+            cfg_file.write_text(json.dumps({"scenario": scenario, "trials": 2, **values}))
+            out = tmp_path / "r.json"
+            assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+            assert sorted(capsys.readouterr().err.splitlines()) == sorted(
+                f"error: --{key.replace('_', '-')} {str(value).lower()} sets a protocol variant, "
+                f"which --scenario {scenario} does not run"
+                for key, value in values.items()
+            )
+            assert not out.exists()
 
     def test_strategy_in_config_file_outside_forgery_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.json"
