@@ -80,7 +80,6 @@ class AttackReport:
     gamma_rate: float
     mean_fidelity: float
     analytic_prediction: float | None
-    variant: object
 
     def to_dict(self) -> dict:
         return {
@@ -229,12 +228,21 @@ def estimate_forgery_acceptance(
         gamma_rate=gammas / trials,
         mean_fidelity=float(np.mean(fids)),
         analytic_prediction=analytic_acceptance(config, strategy),
-        variant=config.variant,
     )
 
 
 def _recovery_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):
     return (run_protocol(config, rng, size=size).extras["candidate_fidelity"],)
+
+
+def validate_recovery_variant(variant: ProtocolVariant) -> None:
+    """Reject a recovery-failure run under `variant` with a ValueError naming
+    the CLI flags behind the conflict."""
+    if variant.m_t_mode is not MtMode.MEASURE_X:
+        raise ValueError(
+            f"--scenario recovery-failure rebuilds Bob's candidate from M_t's x outcome, "
+            f"which --mt {variant.m_t_mode.value} does not measure"
+        )
 
 
 def recovery_failure_experiment(
@@ -245,8 +253,7 @@ def recovery_failure_experiment(
     Honest runs under the MeasureX variant; strictly below 1 because an
     x-outcome cannot identify the particle's state.
     """
-    if config.variant.m_t_mode is not MtMode.MEASURE_X:
-        raise ValueError("recovery failure is only defined for the MeasureX variant")
+    validate_recovery_variant(config.variant)
     (fids,) = map_trials(_recovery_trials, trials, seed, workers, width=state_width(config), config=config)
     return float(np.mean(fids))
 

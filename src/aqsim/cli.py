@@ -16,6 +16,7 @@ import ctypes
 import functools
 import gc
 import io
+import itertools
 import json
 import os
 import sys
@@ -28,7 +29,6 @@ from . import attacks, comparison, qsim, serialize
 from .attacks import ForgeryStrategy, StrategyKind, binomial_ci, map_trials
 from .crypto import SigningModel
 from .protocol import (
-    MAX_N_PER_QUBIT,  # noqa: F401  (re-exported beside q-estimate's limit)
     MAX_N_WHOLE_REGISTER,
     ComparisonMode,
     MessageKnowledge,
@@ -40,6 +40,7 @@ from .protocol import (
     pauli_frame,
     run_protocol,
 )
+from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 OUTPUT_DIR_ENV = "AQSIM_OUT_DIR"
 DEFAULT_SEED = 0
@@ -212,6 +213,11 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         used = f"--strategy {strategy.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
         errors.append(f"--m {m} counts replaced qubits, which {used} does not replace")
 
+    if scenario is Scenario.CORRELATION_TABLE:
+        for dest in ("n", "trials", "workers"):
+            value = pick(dest, None)
+            if value is not None:
+                errors.append(f"--{dest} {value} applies to Monte Carlo trials, which --scenario {scenario.value} does not run")
     if scenario not in _PROTOCOL_SCENARIOS:
         for dest, flag in _VARIANT_FLAGS.items():
             value = pick(dest, None)
@@ -234,17 +240,14 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
 
     if scenario is Scenario.Q_ESTIMATE and n > MAX_N_WHOLE_REGISTER:
         errors.append(f"--n {n} exceeds {MAX_N_WHOLE_REGISTER}, the largest n for --scenario q-estimate")
-    if scenario is Scenario.RECOVERY_FAILURE and variant.m_t_mode is not MtMode.MEASURE_X:
-        errors.append(
-            f"--scenario recovery-failure rebuilds Bob's candidate from M_t's x outcome, "
-            f"which --mt {variant.m_t_mode.value} does not measure"
-        )
     # the library's own rules, one error line for each that is broken
-    if scenario is Scenario.FORGERY:
-        try:
+    try:
+        if scenario is Scenario.FORGERY:
             ForgeryStrategy(strategy, m).validate(n, variant)
-        except ValueError as e:
-            errors += e.args
+        elif scenario is Scenario.RECOVERY_FAILURE:
+            attacks.validate_recovery_variant(variant)
+    except ValueError as e:
+        errors += e.args
     if n >= 1 and scenario in _PROTOCOL_SCENARIOS:
         try:
             RunConfig(n, variant, idealized)
@@ -356,12 +359,12 @@ def scenario_q_estimate(cfg: ExperimentConfig):
 def scenario_correlation_table(cfg: ExperimentConfig):
     frame = pauli_frame()
     rng = np.random.default_rng(cfg.seed)
-    probes = [qsim.haar_random_state(1, rng) for _ in range(100)]
+    # drawn one by one, so each probe is the one earlier reports drew
+    probes = StateVector.owning(np.stack([qsim.haar_random_state(1, rng).amplitudes for _ in range(100)]))
     rows_data = []
-    for (m_a, m_b), pauli in sorted(
-        frame.table.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        worst = min(1.0, *(corrected_share_fidelity(p, m_a, m_b, pauli) for p in probes))
+    for m_a, m_b in sorted(itertools.product(BellOutcome, XOutcome), key=lambda pair: (pair[0].value, pair[1].value)):
+        pauli = tuple(PauliOp)[frame[m_a, m_b]]
+        worst = min(1.0, corrected_share_fidelity(probes, m_a, m_b, pauli).min())
         rows_data.append(
             {
                 "bell": m_a.value,
@@ -369,7 +372,7 @@ def scenario_correlation_table(cfg: ExperimentConfig):
                 "pauli": pauli.value,
                 "verified": bool(worst >= 1.0 - qsim.ATOL),
                 "min_fidelity": worst,
-                "probes": len(probes),
+                "probes": len(probes.amplitudes),
             }
         )
     res = {"rows": rows_data}

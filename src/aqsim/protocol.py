@@ -29,6 +29,7 @@ axis last.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,53 +137,19 @@ def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...
 # Pauli frame
 
 
-@dataclass(frozen=True)
-class PauliFrame:
-    """(Bell outcome, x outcome) -> Pauli correction for the arbitrator's share.
+def corrected_share_fidelity(probes: StateVector, m_a: BellOutcome, m_b: XOutcome, pauli: PauliOp) -> np.ndarray:
+    """Message qubits through the GHZ correlation, on fixed outcomes.
 
-    Built by brute force: every entry is solved against random probe messages
-    at construction, so a convention mismatch anywhere upstream fails loudly
-    rather than silently corrupting corrections.
+    Each probe (x) GHZ is projected on Bell outcome m_a of (probe, Alice's
+    share), then on x outcome m_b of Bob's share; returns the fidelity of each
+    probe's arbitrator share, corrected by `pauli`, with the probe (0.0 for
+    every probe if either branch has probability below qsim.ATOL in any).
     """
-
-    table: dict[tuple[BellOutcome, XOutcome], PauliOp]
-    # the table as PauliOp positions indexed by (Bell, x) positions
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        positions = np.zeros((len(BellOutcome), len(XOutcome)), dtype=np.intp)
-        for (m_a, m_b), pauli in self.table.items():
-            positions[m_a, m_b] = operator.index(pauli)
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-
-    def correction(self, m_a, m_b):
-        """The PauliOp position for each outcome pair, given as positions or members."""
-        return self.positions[m_a, m_b]
-
-
-def corrected_share_fidelity(
-    probe: StateVector, m_a: BellOutcome, m_b: XOutcome, pauli: PauliOp
-) -> float:
-    """One message qubit through the GHZ correlation, on fixed outcomes.
-
-    probe (x) GHZ is projected on Bell outcome m_a of (probe, Alice's share),
-    then on x outcome m_b of Bob's share; returns the fidelity of the
-    arbitrator's share, corrected by `pauli`, with the probe (0.0 if either
-    branch has probability below qsim.ATOL).
-    """
-    _, pair = qsim.project(qsim.tensor(probe, qsim.ghz_state()), (0, 1), m_a)
+    _, pair = qsim.project(qsim.tensor(probes, qsim.ghz_state()), (0, 1), m_a)
     share = None if pair is None else qsim.project(pair, (0,), m_b)[1]
     if share is None:
-        return 0.0
-    return qsim.fidelity(qsim.apply_pauli(share, pauli, 0), probe)
-
-
-def _solve_correction(m_a: BellOutcome, m_b: XOutcome, probes) -> PauliOp:
-    for pauli in PauliOp:
-        if all(corrected_share_fidelity(p, m_a, m_b, pauli) >= 1.0 - qsim.ATOL for p in probes):
-            return pauli
-    raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
+        return np.zeros(probes.batch)
+    return qsim.fidelity(qsim.apply_pauli(share, pauli, 0), probes)
 
 
 # The random probe messages every frame entry is solved against.
@@ -190,28 +157,36 @@ _PROBE_COUNT = 3
 _PROBE_SEED = 2024
 
 
-def build_pauli_frame() -> PauliFrame:
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = [qsim.haar_random_state(1, rng) for _ in range(_PROBE_COUNT)]
-    table = {
-        (m_a, m_b): _solve_correction(m_a, m_b, probes)
-        for m_a in BellOutcome
-        for m_b in XOutcome
-    }
-    frame = PauliFrame(table)
-    if frame.correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) != operator.index(PauliOp.Z):
+def build_pauli_frame() -> np.ndarray:
+    """The arbitrator's Pauli correction for each (Bell outcome, x outcome):
+    a read-only (len(BellOutcome), len(XOutcome)) array of PauliOp positions.
+
+    Built by brute force: each entry is the first Pauli that corrects every
+    random probe message, all probes solved as one block, so a convention
+    mismatch anywhere upstream fails loudly rather than silently corrupting
+    corrections.
+    """
+    probes = qsim.haar_random_state(1, np.random.default_rng(_PROBE_SEED), (_PROBE_COUNT,))
+    frame = np.empty((len(BellOutcome), len(XOutcome)), dtype=np.intp)
+    for m_a in BellOutcome:
+        for m_b in XOutcome:
+            for pauli in PauliOp:
+                if (corrected_share_fidelity(probes, m_a, m_b, pauli) >= 1.0 - qsim.ATOL).all():
+                    frame[m_a, m_b] = operator.index(pauli)
+                    break
+            else:
+                raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
+    if frame[BellOutcome.PSI_MINUS, XOutcome.PLUS_X] != operator.index(PauliOp.Z):
         raise RuntimeError("Pauli frame convention broken: (psi-, +x) must map to Z")
+    frame.setflags(write=False)
     return frame
 
 
-_FRAME: PauliFrame | None = None
-
-
-def pauli_frame() -> PauliFrame:
-    global _FRAME
-    if _FRAME is None:
-        _FRAME = build_pauli_frame()
-    return _FRAME
+@functools.cache
+def pauli_frame() -> np.ndarray:
+    """build_pauli_frame(), built on the first call in a process; index it
+    with (Bell, x) positions, such as pauli_frame()[m_a, m_b]."""
+    return build_pauli_frame()
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +293,7 @@ def _signature_reference(
     if variant.r_prime_source is RPrimeSource.FROM_MESSAGE_P:
         source = p_received
     else:
-        source = qsim.apply_pauli(particles, pauli_frame().correction(m_a, m_b), 0)
+        source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
     return transform.apply(source)
 
 
@@ -384,7 +359,7 @@ def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> St
     last. Each trial undoes its own transform.
     """
     undone = qsim.apply_unitary(disturbed_joints, qsim.kron(np.eye(2), transform.inverse().unitaries))
-    return qsim.apply_pauli(undone, pauli_frame().correction(m_a, m_b), 1)
+    return qsim.apply_pauli(undone, pauli_frame()[m_a, m_b], 1)
 
 
 def bob_final_verify(
@@ -416,12 +391,12 @@ def bob_final_verify(
 
     if measured_mt:
         m_t = crypto.bits_to_x_outcomes(opened["mt_bits"])
-        candidate = qsim.apply_pauli(qsim.x_state(m_t), frame.correction(m_a, m_b), 0)
+        candidate = qsim.apply_pauli(qsim.x_state(m_t), frame[m_a, m_b], 0)
         # M_t only tells Bob the particle was not orthogonal to one x state;
         # there is nothing more to test against, so the gamma gate decides.
         return passed, candidate
 
-    p_prime = qsim.apply_pauli(opened["particles"], frame.correction(m_a, m_b), 0)
+    p_prime = qsim.apply_pauli(opened["particles"], frame[m_a, m_b], 0)
     if reference is None:
         raise ValueError("final comparison needs a reference message")
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:

@@ -7,19 +7,25 @@ renormalized residual state, which is all the protocol layer ever needs.
 
 Trial axis. A StateVector holds one state per trial: its amplitudes have shape
 batch + (2^k,), with batch (T,) for a block of T trials and () for a single
-state. Every operation acts on each trial independently, broadcasts batch
-shapes (a single state, such as the GHZ triple, pairs with every trial of a
-block), and returns values with the same leading axes. Random draws follow
-suit: one uniform or Gaussian per trial, drawn as one array with the trial
-axis first. A register (see "Registers" below) adds a block axis last in
-batch, and the same operations act on every block of every trial.
+state. A single state runs the same code as a block, and gets the bits the
+same state gets in a row of a block. The one exception is a measurement that
+leaves fewer than two qubits: np.dot hands its contraction to BLAS, whose
+rounding of a column can depend on how many columns the product has
+(OpenBLAS takes them four at a time). Every operation acts on each trial
+independently, broadcasts batch shapes (a single state, such as the GHZ
+triple, pairs with every trial of a block), and returns values with the same
+leading axes. Random draws follow suit: one uniform or Gaussian per trial,
+drawn as one array with the trial axis first. A register (see "Registers"
+below) adds a block axis last in batch, and the same operations act on every
+block of every trial.
 
 Checks. Each value is checked once, where it is made: StateVector(...) checks
 states that enter (callers' arrays, new_basis_state, ghz_state, the Haar
 sampler), operations on checked states build their results unchecked through
 StateVector.owning, crypto.derive_signing_transform checks general-key
-unitary stacks, and crypto checks its per-qubit table once at import (a
-per-qubit stack is a gather from it).
+unitary stacks, crypto checks its per-qubit table once at import (a
+per-qubit stack is a gather from it), and protocol solves and checks the
+Pauli frame once per process, each entry on one block of probes.
 
 One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
 the per-row norms and inner products (_norm_sq, _inner) are elementwise or
@@ -143,18 +149,13 @@ _read_only(_PAULI_MATRICES, _PAULI_FLIP, _PAULI_PHASE, _BELL_BASIS, _X_BASIS)
 
 
 def _inner(a: np.ndarray, b: np.ndarray):
-    """<a|b> per trial. A block's rows get np.vdot(a, b) bit for bit, the form
-    a pair of single states takes directly."""
-    if a.ndim == b.ndim == 1:
-        return np.vdot(a, b)
+    """<a|b> per trial."""
     return np.vecdot(a, b)
 
 
 def _norm_sq(amps: np.ndarray):
-    """<a|a> per trial: np.vdot for one state; for a block, one real dot
-    product per row over its (re, im) pairs, which copies nothing."""
-    if amps.ndim == 1:
-        return np.vdot(amps, amps).real
+    """<a|a> per trial: one real dot product per row over its (re, im) pairs,
+    which copies nothing."""
     pairs = np.ascontiguousarray(amps).view(np.float64)
     return np.vecdot(pairs, pairs)
 
@@ -275,17 +276,13 @@ def _targets_first(amps: np.ndarray, k: int, targets: tuple[int, ...]) -> np.nda
     trials and then the other qubits.
 
     For one state this is the operand np.tensordot builds for a contraction
-    over `targets`, so one np.dot with it gives tensordot's result bit for bit;
-    the transpose (a copy) is skipped when there is no trial axis and the
-    targets already lead in order.
+    over `targets`, so one np.dot with it gives tensordot's result bit for bit.
     """
     batch = amps.shape[:-1]
-    t = len(targets)
-    if batch or targets != tuple(range(t)):
-        b = len(batch)
-        rest = [b + q for q in range(k) if q not in targets]
-        amps = amps.reshape(batch + (2,) * k).transpose([*(b + q for q in targets), *range(b), *rest])
-    return amps.reshape(2**t, -1)
+    b = len(batch)
+    rest = [b + q for q in range(k) if q not in targets]
+    amps = amps.reshape(batch + (2,) * k).transpose([*(b + q for q in targets), *range(b), *rest])
+    return amps.reshape(2 ** len(targets), -1)
 
 
 def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
@@ -297,8 +294,8 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
     _check_target(state, target)
     k, batch = state.qubit_count, state.batch
     out = np.dot(gate, _targets_first(state.amplitudes, k, (target,)))
-    if batch or target:  # the product has the acted-on axis first; move it back
-        out = np.moveaxis(out.reshape((2,) + batch + (2,) * (k - 1)), 0, len(batch) + target)
+    # the product has the acted-on axis first; move it back
+    out = np.moveaxis(out.reshape((2,) + batch + (2,) * (k - 1)), 0, len(batch) + target)
     return StateVector.owning(out.reshape(batch + (-1,)))
 
 

@@ -151,13 +151,13 @@ def test_criterion_5_outcome_uniformity():
 def test_criterion_6_correlation_oracle():
     frame = build_pauli_frame()
     rng = np.random.default_rng(600)
-    probes = [qsim.haar_random_state(1, rng) for _ in range(100)]
+    probes = StateVector(np.stack([qsim.haar_random_state(1, rng).amplitudes for _ in range(100)]))
     worst = min(
-        corrected_share_fidelity(p, m_a, m_b, pauli)
-        for (m_a, m_b), pauli in frame.table.items()
-        for p in probes
+        corrected_share_fidelity(probes, m_a, m_b, tuple(PauliOp)[frame[m_a, m_b]]).min()
+        for m_a in BellOutcome
+        for m_b in XOutcome
     )
-    anchor = bool(frame.correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) == operator.index(PauliOp.Z))
+    anchor = bool(frame[BellOutcome.PSI_MINUS, XOutcome.PLUS_X] == operator.index(PauliOp.Z))
     ok = worst >= 1.0 - 1e-10 and anchor
     report(
         6,

@@ -16,7 +16,7 @@ import re
 import pytest
 
 import aqsim
-from aqsim import attacks
+from aqsim import attacks, protocol
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -62,3 +62,16 @@ def test_map_trials_signature_kept():
     params = inspect.signature(attacks.map_trials).parameters
     assert list(params) == ["fn", "trials", "seed", "workers", "kwargs"]
     assert params["workers"].default == 1
+
+
+def test_pauli_frame_builds_through_the_module_name(monkeypatch):
+    # tracer.py times the frame build by replacing protocol.build_pauli_frame,
+    # so the cached pauli_frame() must look the builder up there
+    built = object()
+    protocol.pauli_frame.cache_clear()
+    monkeypatch.setattr(protocol, "build_pauli_frame", lambda: built)
+    try:
+        assert protocol.pauli_frame() is built
+        assert protocol.pauli_frame.cache_info().misses == 1
+    finally:
+        protocol.pauli_frame.cache_clear()  # no later test sees the stand-in

@@ -16,7 +16,6 @@ import pytest
 from aqsim import attacks, cli, crypto, protocol
 from aqsim.attacks import block_trials
 from aqsim.cli import (
-    MAX_N_PER_QUBIT,
     MAX_N_WHOLE_REGISTER,
     ConfigError,
     ExperimentConfig,
@@ -27,7 +26,7 @@ from aqsim.cli import (
     validate_config,
 )
 from aqsim.crypto import KeyMaterial, OwnerPair, SigningModel
-from aqsim.protocol import ComparisonMode, MtMode
+from aqsim.protocol import MAX_N_PER_QUBIT, ComparisonMode, MtMode
 
 
 def parse(argv):
@@ -349,19 +348,21 @@ class TestRunnerSetUp:
         assert cli.keep_freed_memory() == (1, 1)
 
     def test_children_inherit_the_pauli_frame(self, monkeypatch, tmp_path):
-        # each process records whether the frame was built before its first block
+        # each process records how often it built the frame, before its first block
         run_chunk = attacks._run_chunk
 
         def recording_run_chunk(job):
-            (tmp_path / f"{os.getpid()}.frame").write_text(str(protocol._FRAME is not None))
+            info = protocol.pauli_frame.cache_info()
+            (tmp_path / f"{os.getpid()}.frame").write_text(f"{info.misses} {info.currsize}")
             return run_chunk(job)
 
-        monkeypatch.setattr(protocol, "_FRAME", None)
+        protocol.pauli_frame.cache_clear()
         monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
         argv = ["--scenario", "recovery-failure", "--trials", str(2 * block_trials(16)), "--workers", "2"]
         assert run_main(tmp_path, argv)[0] == 0
         built = [path.read_text() for path in tmp_path.glob("*.frame")]
-        assert built == ["True", "True"]
+        assert built == ["1 1", "1 1"]
+        assert protocol.pauli_frame.cache_info().misses == 1
 
     def test_heap_frozen_after_the_frame_before_first_block_once(self, monkeypatch, fresh_freeze, tmp_path):
         events = []
@@ -563,16 +564,27 @@ class TestExitCodes:
         # the variant flags in a config file, outside the scenarios that run the protocol
         values = {"r_prime": "message", "mt": "measure-x", "knowledge": "all", "key_model": "per-qubit",
                   "comparison": "whole-register", "idealized_comparison": True}
+        cfg_file = tmp_path / "exp.json"
+        out = tmp_path / "r.json"
         for scenario in ("q-estimate", "correlation-table"):
-            cfg_file = tmp_path / "exp.json"
-            cfg_file.write_text(json.dumps({"scenario": scenario, "trials": 2, **values}))
-            out = tmp_path / "r.json"
+            cfg_file.write_text(json.dumps({"scenario": scenario, **values}))
             assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
             assert sorted(capsys.readouterr().err.splitlines()) == sorted(
                 f"error: --{key.replace('_', '-')} {str(value).lower()} sets a protocol variant, "
                 f"which --scenario {scenario} does not run"
                 for key, value in values.items()
             )
+            assert not out.exists()
+        # the trial flags, which correlation-table does not read, from flags or a config file
+        unread = {"n": 3, "trials": 5, "workers": 4}
+        cfg_file.write_text(json.dumps({"scenario": "correlation-table", **unread}))
+        flags = ["--scenario", "correlation-table", "--n", "3", "--trials", "5", "--workers", "4"]
+        for argv in (flags, ["--config", str(cfg_file)]):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert sorted(capsys.readouterr().err.splitlines()) == [
+                f"error: --{key} {value} applies to Monte Carlo trials, which --scenario correlation-table does not run"
+                for key, value in unread.items()
+            ]
             assert not out.exists()
 
     def test_strategy_in_config_file_outside_forgery_rejected(self, tmp_path, capsys):
@@ -600,7 +612,8 @@ class TestExitCodes:
     def test_negative_seed_rejected_before_trial_one(self, tmp_path, capsys, scenario):
         # numpy's SeedSequence would reject it inside trial 1, naming no flag
         out = tmp_path / "r.json"
-        assert main(["--scenario", scenario, "--seed", "-1", "--trials", "10", "--out", str(out)]) == 2
+        trials = [] if scenario == "correlation-table" else ["--trials", "10"]
+        assert main(["--scenario", scenario, "--seed", "-1", *trials, "--out", str(out)]) == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 

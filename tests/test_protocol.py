@@ -68,10 +68,19 @@ class TestPauliFrame:
             (BellOutcome.PHI_MINUS, XOutcome.PLUS_X): PauliOp.Y,
             (BellOutcome.PHI_MINUS, XOutcome.MINUS_X): PauliOp.X,
         }
-        assert frame.table == expected
+        assert frame.shape == (len(BellOutcome), len(XOutcome)) and frame.dtype == np.intp
+        assert not frame.flags.writeable
+        assert {(m_a, m_b): tuple(PauliOp)[frame[m_a, m_b]] for m_a, m_b in expected} == expected
 
     def test_anchor_entry(self):
-        assert pauli_frame().correction(BellOutcome.PSI_MINUS, XOutcome.PLUS_X) == operator.index(PauliOp.Z)
+        assert pauli_frame()[BellOutcome.PSI_MINUS, XOutcome.PLUS_X] == operator.index(PauliOp.Z)
+
+    def test_built_once_per_process(self):
+        pauli_frame.cache_clear()
+        frame = pauli_frame()
+        assert pauli_frame() is frame
+        info = pauli_frame.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestInitialize:

@@ -30,7 +30,7 @@ from aqsim.qsim import (
     project,
     tensor,
 )
-from aqsim.protocol import corrected_share_fidelity
+from aqsim.protocol import corrected_share_fidelity, pauli_frame
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -374,6 +374,66 @@ class TestMeasureContract:
             assert r.random() == reference.random()
 
 
+def _same_bits(single, row):
+    single, row = np.asarray(single), np.asarray(row)
+    return single.shape == row.shape and single.dtype == row.dtype and single.tobytes() == row.tobytes()
+
+
+def _row(state, t):
+    return StateVector.owning(state.amplitudes[t])
+
+
+def _operation_bits(a, b, pauli, unitary, uniform, measured):
+    """What each operation returns on states a and b, keyed by name: the
+    measurements only where `measured` = (targets, outcomes) is given."""
+    out = {
+        "tensor": tensor(a, b).amplitudes,
+        "apply_pauli": apply_pauli(a, pauli, a.qubit_count - 1).amplitudes,
+        "apply_unitary": qsim.apply_unitary(a, unitary).amplitudes,
+        "fidelity": fidelity(a, b),
+    }
+    if measured is not None:
+        targets, outcomes = measured
+        p, residual = project(a, targets, outcomes[-1])
+        drawn, post = measure(a, targets, outcomes, uniform)
+        out.update(project=p, project_residual=residual.amplitudes, measure=drawn, measure_residual=post.amplitudes)
+    return out
+
+
+class TestSingleStateIsABlockRow:
+    def test_every_operation_gives_a_single_state_its_block_row_bits(self):
+        # A single state takes the block path, so it gets the bits the same
+        # state gets as row t of a block. Each measurement here leaves at
+        # least two qubits: see qsim "Trial axis" for why fewer may not.
+        r = rng(44)
+        trials = 20
+        mismatches = []
+        cases = ((1, None), (2, None), (3, ((1,), tuple(XOutcome))), (4, ((3, 0), tuple(BellOutcome))))
+        for k, measured in cases:
+            a, b = haar_random_state(k, r, (trials,)), haar_random_state(k, r, (trials,))
+            paulis = r.integers(0, len(PauliOp), size=trials)
+            unitaries = qsim.haar_random_unitary(2**k, r.integers(0, 2**64, size=trials, dtype=np.uint64))
+            uniforms = r.random(trials)
+            blocks = _operation_bits(a, b, paulis, unitaries, _Replay(uniforms), measured)
+            for t in range(trials):
+                singles = _operation_bits(
+                    _row(a, t), _row(b, t), paulis[t], unitaries[t], _FixedUniform(uniforms[t]), measured
+                )
+                mismatches += [(name, k, t) for name, bits in singles.items() if not _same_bits(bits, blocks[name][t])]
+        # 100 probes as one block against each frame entry, as the correlation table checks them
+        probes = haar_random_state(1, r, (100,))
+        for m_a in BellOutcome:
+            for m_b in XOutcome:
+                pauli = tuple(PauliOp)[pauli_frame()[m_a, m_b]]
+                block = corrected_share_fidelity(probes, m_a, m_b, pauli)
+                mismatches += [
+                    ("corrected_share_fidelity", m_a, m_b, t)
+                    for t in range(100)
+                    if not _same_bits(corrected_share_fidelity(_row(probes, t), m_a, m_b, pauli), block[t])
+                ]
+        assert not mismatches, f"{len(mismatches)} rows differ, first {mismatches[:5]}"
+
+
 def _choose_measure(state, targets, outcomes, rng):
     """measure() with every projected outcome's residual kept in a list and the
     drawn one picked by np.choose, a u past every bin moved just below the
@@ -624,13 +684,15 @@ class TestTeleportation:
 
 
 def _tensordot_project_out(state, targets, basis_vector):
-    """The generic contraction _project_out must reproduce bit for bit."""
+    """The generic contraction _project_out must reproduce bit for bit, and
+    the residual's norm by the block formula of test_block_norm_and_inner_equal_matmul."""
     k = state.qubit_count
     bra = basis_vector.conj().reshape([2] * len(targets))
     residual = np.tensordot(
         bra, state.amplitudes.reshape([2] * k), axes=(list(range(len(targets))), list(targets))
     ).reshape(-1)
-    return residual, float(np.vdot(residual, residual).real)
+    pairs = residual.view(np.float64)
+    return residual, np.matmul(pairs[None, :], pairs[:, None])[0, 0]
 
 
 def _matmul_mask_qotp(amps, pad, k, encrypt):
