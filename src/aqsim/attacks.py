@@ -27,7 +27,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,18 +82,7 @@ class AttackReport:
     analytic_prediction: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "acceptance_rate": self.acceptance_rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "gamma_rate": self.gamma_rate,
-            "mean_fidelity": self.mean_fidelity,
-            "analytic_prediction": self.analytic_prediction,
-        }
+        return {**asdict(self), "strategy": self.strategy.value}
 
     def csv_row(self) -> list:
         return [

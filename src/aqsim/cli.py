@@ -61,19 +61,13 @@ class Scenario(Enum):
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
-    n: int
-    m: int | None
+    run: RunConfig  # n, variant and comparison idealization
+    strategy: ForgeryStrategy  # kind and m; forgery alone reads it
     trials: int
     seed: int
-    variant: ProtocolVariant
-    idealized_comparison: bool
-    strategy: StrategyKind
     output_path: str
     format: str  # "json" or "csv"
     workers: int
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(self.n, self.variant, self.idealized_comparison)
 
 
 class ConfigError(Exception):
@@ -87,15 +81,22 @@ _MT_ALIASES = {"forward": MtMode.FORWARD_PARTICLE.value}
 
 # The scenarios that run the protocol, and so read its variant flags
 _PROTOCOL_SCENARIOS = (Scenario.HONEST, Scenario.FORGERY, Scenario.RECOVERY_FAILURE)
-# Each variant flag's argparse dest, and the flag that error lines name
-_VARIANT_FLAGS = {
-    "r_prime": "--r-prime",
-    "mt": "--mt",
-    "knowledge": "--knowledge",
-    "key_model": "--key-model",
-    "comparison": "--comparison",
-    "idealized": "--idealized-comparison",
-}
+_TRIAL_SCENARIOS = tuple(s for s in Scenario if s is not Scenario.CORRELATION_TABLE)
+# Flags that only some scenarios read: (argparse dest, the flag that error
+# lines name, what it sets, the scenarios that read it). Any other scenario
+# rejects the flag, rather than ignoring it.
+_SCOPED_FLAGS = (
+    ("strategy", "--strategy", "picks a forgery", (Scenario.FORGERY,)),
+    ("n", "--n", "applies to Monte Carlo trials", _TRIAL_SCENARIOS),
+    ("trials", "--trials", "applies to Monte Carlo trials", _TRIAL_SCENARIOS),
+    ("workers", "--workers", "applies to Monte Carlo trials", _TRIAL_SCENARIOS),
+    ("r_prime", "--r-prime", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+    ("mt", "--mt", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+    ("knowledge", "--knowledge", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+    ("key_model", "--key-model", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+    ("comparison", "--comparison", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+    ("idealized", "--idealized-comparison", "sets a protocol variant", _PROTOCOL_SCENARIOS),
+)
 
 
 def _choices(enum) -> list[str]:
@@ -135,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _file_args(path: str) -> argparse.Namespace:
     """A JSON config file's values, each checked and parsed as the value of its
-    flag (key `key_model` for `--key-model`); a key that names no flag is an
-    error, whatever its value."""
+    flag (key `key_model` for `--key-model`); a key that names no flag, or
+    `config`, is an error, whatever its value."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -156,6 +157,9 @@ def _file_args(path: str) -> argparse.Namespace:
         flag = f"--{key.replace('_', '-')}"
         if flag not in flags:
             errors.append(f"config file key {key!r} names no flag")
+            continue
+        if key == "config":
+            errors.append(f"config file key {key!r} names another config file, which is not read")
             continue
         if value is None:
             continue
@@ -202,27 +206,19 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     if seed < 0:
         errors.append(f"--seed must be >= 0, got {seed}")
 
-    strategy = pick("strategy", None)
-    if strategy is not None and scenario is not Scenario.FORGERY:
-        errors.append(f"--strategy {strategy} picks a forgery, which --scenario {scenario.value} does not run")
-    strategy = StrategyKind(strategy or "replace-qubits")
-    if scenario is Scenario.FORGERY and strategy is StrategyKind.REPLACE_QUBITS:
+    for dest, flag, sets, readers in _SCOPED_FLAGS:
+        value = pick(dest, None)
+        if value is not None and scenario not in readers:
+            errors.append(f"{flag} {value} {sets}, which --scenario {scenario.value} does not run")
+    kind = StrategyKind(pick("strategy", "replace-qubits"))
+    if scenario is Scenario.FORGERY and kind is StrategyKind.REPLACE_QUBITS:
         if m is None:
             m = 1
     elif m is not None:
-        used = f"--strategy {strategy.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
+        used = f"--strategy {kind.value}" if scenario is Scenario.FORGERY else f"--scenario {scenario.value}"
         errors.append(f"--m {m} counts replaced qubits, which {used} does not replace")
+    strategy = ForgeryStrategy(kind, m)
 
-    if scenario is Scenario.CORRELATION_TABLE:
-        for dest in ("n", "trials", "workers"):
-            value = pick(dest, None)
-            if value is not None:
-                errors.append(f"--{dest} {value} applies to Monte Carlo trials, which --scenario {scenario.value} does not run")
-    if scenario not in _PROTOCOL_SCENARIOS:
-        for dest, flag in _VARIANT_FLAGS.items():
-            value = pick(dest, None)
-            if value is not None:
-                errors.append(f"{flag} {value} sets a protocol variant, which --scenario {scenario.value} does not run")
     mt = pick("mt", "measure-x")
     variant = ProtocolVariant(
         r_prime_source=RPrimeSource(pick("r_prime", "message")),
@@ -243,28 +239,27 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     # the library's own rules, one error line for each that is broken
     try:
         if scenario is Scenario.FORGERY:
-            ForgeryStrategy(strategy, m).validate(n, variant)
+            strategy.validate(n, variant)
         elif scenario is Scenario.RECOVERY_FAILURE:
             attacks.validate_recovery_variant(variant)
     except ValueError as e:
         errors += e.args
-    if n >= 1 and scenario in _PROTOCOL_SCENARIOS:
-        try:
-            RunConfig(n, variant, idealized)
-        except ValueError as e:
+    try:
+        run = RunConfig(n, variant, idealized)
+    except ValueError as e:
+        # n < 1 has its line above, and so has every way a scenario that runs
+        # no protocol can break these rules
+        if scenario in _PROTOCOL_SCENARIOS and n >= 1 or not errors:
             errors += e.args
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
         scenario=scenario,
-        n=n,
-        m=m,
+        run=run,
+        strategy=strategy,
         trials=trials,
         seed=seed,
-        variant=variant,
-        idealized_comparison=idealized,
-        strategy=strategy,
         output_path=out,
         format=fmt,
         workers=workers,
@@ -281,9 +276,8 @@ def _honest_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):
 
 
 def scenario_honest(cfg: ExperimentConfig):
-    config = cfg.run_config()
     gammas, accepted = map_trials(
-        _honest_trials, cfg.trials, cfg.seed, cfg.workers, width=attacks.state_width(config), config=config
+        _honest_trials, cfg.trials, cfg.seed, cfg.workers, width=attacks.state_width(cfg.run), config=cfg.run
     )
     gamma_count, accepted = int(gammas.sum()), int(accepted.sum())
     g_lo, g_hi = binomial_ci(gamma_count, cfg.trials)
@@ -305,10 +299,7 @@ def scenario_honest(cfg: ExperimentConfig):
 
 
 def scenario_forgery(cfg: ExperimentConfig):
-    strategy = ForgeryStrategy(cfg.strategy, cfg.m)
-    report = attacks.estimate_forgery_acceptance(
-        cfg.run_config(), strategy, cfg.trials, cfg.seed, cfg.workers
-    )
+    report = attacks.estimate_forgery_acceptance(cfg.run, cfg.strategy, cfg.trials, cfg.seed, cfg.workers)
     res = report.to_dict()
     pred = report.analytic_prediction
     summary = [
@@ -329,7 +320,7 @@ def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
 
 def scenario_q_estimate(cfg: ExperimentConfig):
     rows_data = []
-    for n in range(1, cfg.n + 1):
+    for n in range(1, cfg.run.n + 1):
         # the SWAP test's joint state is the widest array: 4^n amplitudes
         (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, width=4**n, n=n)
         hits = int(different.sum())
@@ -386,9 +377,7 @@ def scenario_correlation_table(cfg: ExperimentConfig):
 
 
 def scenario_recovery_failure(cfg: ExperimentConfig):
-    mean_fid = attacks.recovery_failure_experiment(
-        cfg.run_config(), cfg.trials, cfg.seed, cfg.workers
-    )
+    mean_fid = attacks.recovery_failure_experiment(cfg.run, cfg.trials, cfg.seed, cfg.workers)
     res = {"trials": cfg.trials, "mean_candidate_fidelity": mean_fid}
     header = ["trials", "mean_candidate_fidelity"]
     rows = [[cfg.trials, f"{mean_fid:.6f}"]]
@@ -408,13 +397,13 @@ _SCENARIOS = {
 def _config_echo(cfg: ExperimentConfig) -> dict:
     return {
         "scenario": cfg.scenario.value,
-        "n": cfg.n,
-        "m": cfg.m,
+        "n": cfg.run.n,
+        "m": cfg.strategy.m,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "variant": serialize.variant_to_dict(cfg.variant),
-        "idealized_comparison": cfg.idealized_comparison,
-        "strategy": cfg.strategy.value,
+        "variant": serialize.variant_to_dict(cfg.run.variant),
+        "idealized_comparison": cfg.run.idealized_comparison,
+        "strategy": cfg.strategy.kind.value,
         "format": cfg.format,
     }
 

@@ -39,7 +39,6 @@ from .qsim import (
     PHASE_S,
     BellOutcome,
     StateVector,
-    XOutcome,
     _check_unitary,
     _flip_and_phase,
     apply_unitary,
@@ -48,11 +47,6 @@ from .qsim import (
     kron_blocks,
     qubit_count,
 )
-
-
-class OwnerPair(Enum):
-    ALICE_ARBITRATOR = "K_a"
-    BOB_ARBITRATOR = "K_b"
 
 
 class SigningModel(Enum):
@@ -66,7 +60,6 @@ class KeyMaterial:
     (length,)); sub-keys are disjoint slices of the last axis."""
 
     bits: np.ndarray
-    owner_pair: OwnerPair
     # signing transforms derived from these bits, by (n, model); freed with the key
     _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -88,10 +81,8 @@ class KeyMaterial:
         return self.bits[..., start : start + length]
 
     @staticmethod
-    def random(
-        n_bits: int, owner_pair: OwnerPair, rng: np.random.Generator, batch: tuple[int, ...] = ()
-    ) -> "KeyMaterial":
-        return KeyMaterial(rng.integers(0, 2, size=batch + (n_bits,), dtype=np.uint8), owner_pair)
+    def random(n_bits: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> "KeyMaterial":
+        return KeyMaterial(rng.integers(0, 2, size=batch + (n_bits,), dtype=np.uint8))
 
 
 GENERAL_UNITARY_SEED_BITS = 64
@@ -286,9 +277,9 @@ def classical_encrypt(bits: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 classical_decrypt = classical_encrypt  # XOR is an involution
 
-# Outcome positions (qubit axis last) to their classical bits, and back.
+# Bell outcome positions (qubit axis last) to their classical bits, and back.
+# An x outcome's position is its bit, sealed and opened as it is.
 _BELL_BITS = np.array([o.bits for o in BellOutcome], dtype=np.uint8)
-_X_BITS = np.array([o.bit for o in XOutcome], dtype=np.uint8)
 
 
 def bell_outcomes_to_bits(outcomes: np.ndarray) -> np.ndarray:
@@ -300,15 +291,6 @@ def bell_outcomes_to_bits(outcomes: np.ndarray) -> np.ndarray:
 def bits_to_bell_outcomes(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.intp)
     return 2 * bits[..., 0::2] + bits[..., 1::2]
-
-
-def x_outcomes_to_bits(outcomes: np.ndarray) -> np.ndarray:
-    """One bit per outcome along the last axis."""
-    return _X_BITS[outcomes]
-
-
-def bits_to_x_outcomes(bits: np.ndarray) -> np.ndarray:
-    return np.asarray(bits, dtype=np.intp)
 
 
 def _pad(value, pad: np.ndarray, quantum):

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .crypto import KeyMaterial, OwnerPair, SigningModel, SigningTransform
+from .crypto import KeyMaterial, SigningModel, SigningTransform
 from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 
@@ -120,11 +120,6 @@ class RunConfig:
         """Whether the comparison's post-measurement state flows back into the
         GHZ particles (R' built from them, comparison not idealized)."""
         return not self.idealized_comparison and self.variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
-
-
-class Verdict(qsim.Ordered):
-    REJECTED = "rejected"
-    ACCEPTED = "accepted"
 
 
 def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
@@ -226,10 +221,8 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int):
     if n < 1:
         raise ValueError("message needs at least one qubit")
     rng = np.random.default_rng(seed)
-    k_a = KeyMaterial.random(
-        crypto.ka_bits_required(n, variant.key_model), OwnerPair.ALICE_ARBITRATOR, rng, (size,)
-    )
-    k_b = KeyMaterial.random(crypto.kb_bits_required(n), OwnerPair.BOB_ARBITRATOR, rng, (size,))
+    k_a = KeyMaterial.random(crypto.ka_bits_required(n, variant.key_model), rng, (size,))
+    k_b = KeyMaterial.random(crypto.kb_bits_required(n), rng, (size,))
     ghz = qsim.ghz_state().amplitudes
     return k_a, k_b, StateVector.owning(np.broadcast_to(ghz, (n,) + ghz.shape))
 
@@ -277,7 +270,7 @@ def bob_receive_and_forward(
     if shared_pairs.batch[-1] != n:
         raise ValueError("GHZ share count does not match message size")
     m_b, particles = qsim.measure_x(shared_pairs, 0, rng)
-    fields = {"mb_bits": crypto.x_outcomes_to_bits(m_b), **sig, "msg_state": p_received}
+    fields = {"mb_bits": m_b, **sig, "msg_state": p_received}
     return crypto.seal(fields, k_b, crypto.kb_layout(n)["y_b"]), m_b, particles
 
 
@@ -315,7 +308,7 @@ def arbitrator_verify(
     layout = crypto.kb_layout(n)
     # every field of y_b; the signature fields are still sealed under K_a
     opened = crypto.unseal(y_b, k_b, layout["y_b"], y_b.keys())
-    m_b = crypto.bits_to_x_outcomes(opened["mb_bits"])
+    m_b = opened["mb_bits"]
     p_received = opened["msg_state"]
     m_a, r = crypto.open_signature(opened, k_a, variant.key_model)
     transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
@@ -341,7 +334,7 @@ def arbitrator_verify(
     fields = {
         "ma_bits": crypto.bell_outcomes_to_bits(m_a),
         "mb_bits": opened["mb_bits"],
-        "mt_bits": None if m_t is None else crypto.x_outcomes_to_bits(m_t),
+        "mt_bits": m_t,
         "gamma_bit": gamma[..., None],
         "sig_bell_bits": opened["sig_bell_bits"],
         "sig_state": opened["sig_state"],
@@ -386,12 +379,11 @@ def bob_final_verify(
     opened = crypto.unseal(y_tb, k_b, crypto.kb_layout(qsim.qubit_count(y_tb["sig_state"]))["y_tb"], names)
     frame = pauli_frame()
     m_a = crypto.bits_to_bell_outcomes(opened["ma_bits"])
-    m_b = crypto.bits_to_x_outcomes(opened["mb_bits"])
+    m_b = opened["mb_bits"]
     passed = opened["gamma_bit"][..., 0].astype(bool)
 
     if measured_mt:
-        m_t = crypto.bits_to_x_outcomes(opened["mt_bits"])
-        candidate = qsim.apply_pauli(qsim.x_state(m_t), frame[m_a, m_b], 0)
+        candidate = qsim.apply_pauli(qsim.x_state(opened["mt_bits"]), frame[m_a, m_b], 0)
         # M_t only tells Bob the particle was not orthogonal to one x state;
         # there is nothing more to test against, so the gamma gate decides.
         return passed, candidate

@@ -28,7 +28,7 @@ per-qubit stack is a gather from it), and protocol solves and checks the
 Pauli frame once per process, each entry on one block of probes.
 
 One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
-the per-row norms and inner products (_norm_sq, _inner) are elementwise or
+the per-row norms and inner products (_norm_sq, inner_product) are elementwise or
 np.vecdot forms, bit for bit equal to np.matmul's and without its call per
 matrix. A Pauli, and crypto's one-time pad on one-qubit blocks, is a swap
 of the amplitude pair where it flips the qubit and a row of phases
@@ -129,14 +129,10 @@ _BELL_ORDER = tuple(BellOutcome)
 
 
 class XOutcome(Ordered):
-    """x-basis measurement outcomes; serialize to 1 classical bit, the position."""
+    """x-basis measurement outcomes; an outcome's position is its classical bit."""
 
     PLUS_X = "+x"
     MINUS_X = "-x"
-
-    @property
-    def bit(self) -> int:
-        return operator.index(self)
 
     @property
     def vector(self) -> np.ndarray:
@@ -146,11 +142,6 @@ class XOutcome(Ordered):
 _X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 _X_ORDER = tuple(XOutcome)
 _read_only(_PAULI_MATRICES, _PAULI_FLIP, _PAULI_PHASE, _BELL_BASIS, _X_BASIS)
-
-
-def _inner(a: np.ndarray, b: np.ndarray):
-    """<a|b> per trial."""
-    return np.vecdot(a, b)
 
 
 def _norm_sq(amps: np.ndarray):
@@ -386,7 +377,7 @@ def inner_product(a: StateVector, b: StateVector):
     """<a|b> per trial, conjugate-linear in the first argument."""
     if a.qubit_count != b.qubit_count:
         raise ValueError("states live on different qubit counts")
-    return _inner(a.amplitudes, b.amplitudes)[()]
+    return np.vecdot(a.amplitudes, b.amplitudes)[()]
 
 
 def fidelity(a: StateVector, b: StateVector):

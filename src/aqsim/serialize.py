@@ -1,9 +1,10 @@
 """Structured-text (JSON-shaped) serialization for transcripts and reports.
 
 Complex amplitudes serialize as [re, im] pairs, outcome positions as the
-values of the enum members they index, and a sealed bundle (see crypto) as
-its fields under their own names. A transcript is a block of trials, so
-every per-trial field is a list with the trial axis first: trial t is row t.
+values of the enum members they index, verdicts as "accepted" or "rejected",
+and a sealed bundle (see crypto) as its fields under their own names. A
+transcript is a block of trials, so every per-trial field is a list with the
+trial axis first: trial t is row t.
 Dumping is deterministic (sorted keys, fixed separators) so identical seeds
 give byte-identical files.
 """
@@ -15,7 +16,7 @@ import json
 
 import numpy as np
 
-from .protocol import Transcript, Verdict
+from .protocol import Transcript
 from .qsim import BellOutcome, StateVector, XOutcome
 
 
@@ -69,7 +70,7 @@ def transcript_to_dict(t: Transcript) -> dict:
         "gamma": _plain(t.gamma),
         "y_b": None if t.y_b is None else bundle_to_dict(t.y_b),
         "y_tb": None if t.y_tb is None else bundle_to_dict(t.y_tb),
-        "verdict": _values(Verdict, t.accepted),
+        "verdict": None if t.accepted is None else np.where(t.accepted, "accepted", "rejected").tolist(),
         "extras": {key: _plain(value) for key, value in t.extras.items()},
     }
 

@@ -236,9 +236,7 @@ def test_criterion_10_property_bundle():
     # unitarity of derived signing transforms
     unit_ok = True
     for model in SigningModel:
-        key = crypto.KeyMaterial.random(
-            crypto.ka_bits_required(2, model), crypto.OwnerPair.ALICE_ARBITRATOR, rng
-        )
+        key = crypto.KeyMaterial.random(crypto.ka_bits_required(2, model), rng)
         for mat in crypto.derive_signing_transform(key, 2, model).unitaries:
             unit_ok = unit_ok and np.allclose(mat @ mat.conj().T, np.eye(len(mat)), atol=ATOL)
     checks["transform unitarity"] = unit_ok

@@ -25,7 +25,7 @@ from aqsim.cli import (
     run_scenario,
     validate_config,
 )
-from aqsim.crypto import KeyMaterial, OwnerPair, SigningModel
+from aqsim.crypto import KeyMaterial, SigningModel
 from aqsim.protocol import MAX_N_PER_QUBIT, ComparisonMode, MtMode
 
 
@@ -37,9 +37,9 @@ class TestValidateConfig:
     def test_defaults(self):
         cfg = parse(["--scenario", "honest"])
         assert cfg.scenario is Scenario.HONEST
-        assert cfg.n == 1 and cfg.trials == 10000 and cfg.seed == 0
+        assert cfg.run.n == 1 and cfg.trials == 10000 and cfg.seed == 0
         assert cfg.workers == 1 and cfg.format == "json"
-        assert cfg.idealized_comparison is True
+        assert cfg.run.idealized_comparison is True
         assert cfg.output_path.endswith("honest.json")
 
     def test_scenario_required(self):
@@ -48,7 +48,7 @@ class TestValidateConfig:
 
     def test_m_defaults_to_one_for_forgery(self):
         cfg = parse(["--scenario", "forgery", "--n", "3"])
-        assert cfg.m == 1
+        assert cfg.strategy.m == 1
 
     def test_m_bounds_error_names_both_flags(self):
         with pytest.raises(ConfigError) as exc:
@@ -71,11 +71,11 @@ class TestValidateConfig:
                 "--idealized-comparison", "false",
             ]
         )
-        v = cfg.variant
+        v = cfg.run.variant
         assert v.m_t_mode is MtMode.FORWARD_PARTICLE
         assert v.key_model is SigningModel.GENERAL_UNITARY
         assert v.comparison_mode is ComparisonMode.WHOLE_REGISTER
-        assert cfg.idealized_comparison is False
+        assert cfg.run.idealized_comparison is False
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.json"
@@ -83,9 +83,9 @@ class TestValidateConfig:
             json.dumps({"scenario": "q-estimate", "n": 3, "trials": 500, "seed": 7})
         )
         cfg = parse(["--config", str(cfg_file)])
-        assert cfg.scenario is Scenario.Q_ESTIMATE and cfg.n == 3 and cfg.seed == 7
+        assert cfg.scenario is Scenario.Q_ESTIMATE and cfg.run.n == 3 and cfg.seed == 7
         cfg = parse(["--config", str(cfg_file), "--trials", "9"])
-        assert cfg.trials == 9 and cfg.n == 3  # flag wins, file fills the rest
+        assert cfg.trials == 9 and cfg.run.n == 3  # flag wins, file fills the rest
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -128,14 +128,25 @@ class TestValidateConfig:
         assert f"config file key {key!r} names no flag" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_naming_a_config_file_rejected(self, tmp_path, capsys):
+        # a config file loads no other, so its `config` key would be ignored: exit 2 naming it
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"config": str(tmp_path / "missing.json"), "trials": 5}))
+        out = tmp_path / "report"
+        assert main(["--scenario", "honest", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config file key 'config' names another config file, which is not read"
+        ]
+        assert not out.exists()
+
     def test_config_file_values_typed_as_flags(self, tmp_path):
         cfg_file = tmp_path / "exp.json"
         cfg_file.write_text(
             json.dumps({"scenario": "forgery", "n": "3", "m": None, "idealized_comparison": False, "mt": "forward"})
         )
         cfg = parse(["--config", str(cfg_file)])
-        assert cfg.n == 3 and cfg.m == 1 and cfg.idealized_comparison is False
-        assert cfg.variant.m_t_mode is MtMode.FORWARD_PARTICLE
+        assert cfg.run.n == 3 and cfg.strategy.m == 1 and cfg.run.idealized_comparison is False
+        assert cfg.run.variant.m_t_mode is MtMode.FORWARD_PARTICLE
         cfg_file.write_text(json.dumps(["scenario", "honest"]))
         with pytest.raises(ConfigError, match="JSON object"):
             parse(["--config", str(cfg_file)])
@@ -155,14 +166,14 @@ class TestValidateConfig:
     )
     def test_max_n(self, flags, limit):
         argv = ["--scenario", "forgery", *flags]
-        assert parse([*argv, "--n", str(limit)]).n == limit
+        assert parse([*argv, "--n", str(limit)]).run.n == limit
         with pytest.raises(ConfigError, match=f"--n {limit + 1} exceeds {limit}"):
             parse([*argv, "--n", str(limit + 1)])
         assert main([*argv, "--n", str(limit + 1)]) == 2
 
     def test_max_n_q_estimate(self):
         argv = ["--scenario", "q-estimate", "--n"]
-        assert parse([*argv, str(MAX_N_WHOLE_REGISTER)]).n == MAX_N_WHOLE_REGISTER
+        assert parse([*argv, str(MAX_N_WHOLE_REGISTER)]).run.n == MAX_N_WHOLE_REGISTER
         assert main([*argv, str(MAX_N_WHOLE_REGISTER + 1)]) == 2
 
 
@@ -216,6 +227,21 @@ class TestScenarios:
         assert code == 0
         fid = json.loads(out.read_text())["results"]["mean_candidate_fidelity"]
         assert abs(fid - 2 / 3) < 0.1
+
+    @pytest.mark.parametrize("scenario", ["honest", "forgery", "recovery-failure"])
+    def test_one_run_config_per_run(self, monkeypatch, tmp_path, scenario):
+        # the RunConfig validate_config checks is the one the scenario runs
+        made = []
+        check = protocol.RunConfig.__post_init__
+
+        def counted(config):
+            made.append(config)
+            check(config)
+
+        monkeypatch.setattr(protocol.RunConfig, "__post_init__", counted)
+        code, _ = run_main(tmp_path, ["--scenario", scenario, "--trials", "10"])
+        assert code == 0
+        assert len(made) == 1
 
     def test_reports_byte_identical(self, tmp_path):
         argv = ["--scenario", "forgery", "--trials", "25", "--seed", "11"]
@@ -408,9 +434,7 @@ class TestRunnerSetUp:
         assert gc.get_freeze_count() > 0
         # a block made after the freeze: its K_a memo is freed with its key
         model = SigningModel.GENERAL_UNITARY
-        key = KeyMaterial.random(
-            crypto.ka_bits_required(2, model), OwnerPair.ALICE_ARBITRATOR, np.random.default_rng(13), (300,)
-        )
+        key = KeyMaterial.random(crypto.ka_bits_required(2, model), np.random.default_rng(13), (300,))
         ref = weakref.ref(crypto.derive_signing_transform(key, 2, model))
         del key
         gc.collect()
@@ -550,6 +574,16 @@ class TestExitCodes:
             (["--scenario", "correlation-table", "--mt", "forward"], ["--mt forward", "--scenario correlation-table"]),
             (["--scenario", "correlation-table", "--knowledge", "alice-only"],
              ["--knowledge alice-only", "--scenario correlation-table"]),
+            (["--scenario", "q-estimate", "--strategy", "replace-qubits"],
+             ["--strategy replace-qubits", "--scenario q-estimate"]),
+            (["--scenario", "correlation-table", "--strategy", "garble-signature"],
+             ["--strategy garble-signature", "--scenario correlation-table"]),
+            (["--scenario", "q-estimate", "--mt", "measure-x", "--knowledge", "all"],
+             ["--mt measure-x", "--knowledge all", "--scenario q-estimate"]),
+            (["--scenario", "correlation-table", "--r-prime", "message", "--key-model", "per-qubit",
+              "--comparison", "whole-register", "--idealized-comparison", "true"],
+             ["--r-prime message", "--key-model per-qubit", "--comparison whole-register",
+              "--idealized-comparison true", "--scenario correlation-table"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):

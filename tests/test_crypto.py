@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from aqsim import crypto, qsim
 from aqsim.crypto import (
     KeyMaterial,
-    OwnerPair,
     SigningModel,
     classical_decrypt,
     classical_encrypt,
@@ -34,14 +33,12 @@ def register(*blocks):
     return StateVector(np.stack([b.amplitudes for b in blocks], axis=-2))
 
 
-def make_key(bits, owner=OwnerPair.ALICE_ARBITRATOR):
-    return KeyMaterial(np.array(bits, dtype=np.uint8), owner)
+def make_key(bits):
+    return KeyMaterial(np.array(bits, dtype=np.uint8))
 
 
 def random_ka(n, model, seed=0):
-    return KeyMaterial.random(
-        crypto.ka_bits_required(n, model), OwnerPair.ALICE_ARBITRATOR, rng(seed)
-    )
+    return KeyMaterial.random(crypto.ka_bits_required(n, model), rng(seed))
 
 
 
@@ -124,7 +121,7 @@ class TestSigningTransform:
         for model in SigningModel:
             key = random_ka(2, model, seed=5)
             t1 = derive_signing_transform(key, 2, model)
-            t2 = derive_signing_transform(KeyMaterial(key.bits, key.owner_pair), 2, model)
+            t2 = derive_signing_transform(KeyMaterial(key.bits), 2, model)
             assert t2 is not t1
             for u1, u2 in zip(t1.unitaries, t2.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
@@ -135,7 +132,7 @@ class TestSigningTransform:
             key = random_ka(3, model, seed=11)
             memoized = derive_signing_transform(key, 3, model)
             assert derive_signing_transform(key, 3, model) is memoized
-            fresh = derive_signing_transform(KeyMaterial(key.bits, key.owner_pair), 3, model)
+            fresh = derive_signing_transform(KeyMaterial(key.bits), 3, model)
             assert fresh is not memoized
             for u1, u2 in zip(memoized.unitaries, fresh.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
@@ -178,7 +175,7 @@ class TestSigningTransform:
         bits[1, 0] = 1
         keys = [int("".join(map(str, row[:64])), 2) for row in bits]
         assert keys[:2] == [1, 2**63]
-        t = derive_signing_transform(KeyMaterial(bits, OwnerPair.ALICE_ARBITRATOR), n, SigningModel.GENERAL_UNITARY)
+        t = derive_signing_transform(KeyMaterial(bits), n, SigningModel.GENERAL_UNITARY)
         assert t.unitaries.shape == (3, 1, 4, 4)
         expected = qsim.haar_random_unitary(4, np.array(keys, dtype=np.uint64))
         assert np.array_equal(t.unitaries[:, 0], expected)
@@ -341,10 +338,10 @@ class TestSignaturePackage:
         trials = 10000
         model = SigningModel.PER_QUBIT_PRODUCT
         key = random_ka(1, model, seed=18)
-        key = KeyMaterial(np.broadcast_to(key.bits, (trials, len(key))), key.owner_pair)
+        key = KeyMaterial(np.broadcast_to(key.bits, (trials, len(key))))
         m_a = r.integers(0, 4, size=(trials, 1))
         sig = make_signature(m_a, haar_random_state(1, r, (trials, 1)), key, model)
-        wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        wrong = KeyMaterial.random(len(key), r, (trials,))
         m_a_back, _ = open_signature(sig, wrong, model)
         hits = np.count_nonzero((m_a_back == m_a).all(-1))
         sigma = np.sqrt(0.25 * 0.75 / trials)
@@ -355,9 +352,9 @@ class TestSignaturePackage:
         r = rng(19)
         trials = 20000
         model = SigningModel.PER_QUBIT_PRODUCT
-        key = KeyMaterial.random(crypto.ka_bits_required(1, model), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        key = KeyMaterial.random(crypto.ka_bits_required(1, model), r, (trials,))
         state = haar_random_state(1, r, (trials, 1))
         sig = make_signature(np.zeros((trials, 1), dtype=np.intp), state, key, model)  # psi+
-        wrong = KeyMaterial.random(len(key), OwnerPair.ALICE_ARBITRATOR, r, (trials,))
+        wrong = KeyMaterial.random(len(key), r, (trials,))
         _, state_back = open_signature(sig, wrong, model)
         assert qsim.register_fidelity(state_back, state).mean() == pytest.approx(0.5, abs=0.015)

@@ -115,10 +115,7 @@ class TestAliceSign:
     def test_identity_transform_signs_in_place(self):
         v = variant()
         n = 2
-        zero_ka = crypto.KeyMaterial(
-            np.zeros(crypto.ka_bits_required(n, v.key_model), dtype=np.uint8),
-            crypto.OwnerPair.ALICE_ARBITRATOR,
-        )
+        zero_ka = crypto.KeyMaterial(np.zeros(crypto.ka_bits_required(n, v.key_model), dtype=np.uint8))
         msg = haar_product_message(n, rng(2))
         triples = initialize(n, 0, v, 1)[2]
         sig, _, m_a, _ = alice_sign(msg, zero_ka, triples, v, rng(3))

@@ -749,13 +749,13 @@ class TestPrimitivesMatchNumpy:
     def test_block_norm_and_inner_equal_matmul(self):
         r = rng(34)
         for batch, k in (((341, 6), 1), ((341, 1), 3), ((300,), 6)):
-            a = haar_random_state(k, r, batch).amplitudes
-            b = haar_random_state(k, r, batch).amplitudes
+            state_a, state_b = haar_random_state(k, r, batch), haar_random_state(k, r, batch)
+            a, b = state_a.amplitudes, state_b.amplitudes
             pairs = a.view(np.float64)
             norm_sq = np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
             inner = np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
             assert np.array_equal(qsim._norm_sq(a), norm_sq)
-            assert np.array_equal(qsim._inner(a, b), inner)
+            assert np.array_equal(qsim.inner_product(state_a, state_b), inner)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     @pytest.mark.parametrize("encrypt", [True, False])
