@@ -9,11 +9,11 @@ general-unitary keys.
 
 Trials run in blocks (`map_trials`): a block is one `run_protocol` call over
 a trial axis, drawing from one generator seeded by (seed, block index). A
-block holds max(BLOCK_TRIALS, 2^15 // width) trials, width being the
-amplitudes per trial of the widest array it builds (`state_width`): narrow
-runs take long blocks, which share each numpy call's fixed cost among more
-trials, while no array of a block longer than BLOCK_TRIALS exceeds 2^15
-amplitudes (512 KiB). With more than one worker the calling process runs one
+block holds min(max(BLOCK_TRIALS, 2^15 // width), 2^18 // width) trials,
+width being the amplitudes per trial of the widest array it builds
+(`state_width`): narrow runs take long blocks, which share each numpy call's
+fixed cost among more trials, while no array of a block longer than
+BLOCK_TRIALS exceeds 2^15 amplitudes (512 KiB), nor of any block 2^18. With more than one worker the calling process runs one
 share of the blocks and forked children run the others; results do not
 depend on which process ran a block. A child's exception is raised in the
 caller, a child that ends without a result is a RuntimeError, and a failure
@@ -250,17 +250,18 @@ def recovery_failure_experiment(
 # ---------------------------------------------------------------------------
 # Deterministic trial fan-out
 
-# The fewest trials a block holds. Longer blocks are taken while the widest
-# array stays within _BLOCK_AMPLITUDES amplitudes per block; results are a
-# function of the seed and the block index for a block length, so changing
-# either constant changes reports.
+# The fewest trials a block holds, unless its widest array would pass
+# _MAX_BLOCK_AMPLITUDES. Longer blocks are taken while the widest array stays
+# within _BLOCK_AMPLITUDES; results are a function of the seed and the block
+# index for a block length, so changing any of these constants changes reports.
 BLOCK_TRIALS = 256
 _BLOCK_AMPLITUDES = 2**15
+_MAX_BLOCK_AMPLITUDES = 2**18
 
 
 def block_trials(width: int) -> int:
     """Trials per block for blocks whose widest array holds `width` amplitudes per trial."""
-    return max(BLOCK_TRIALS, _BLOCK_AMPLITUDES // width)
+    return min(max(BLOCK_TRIALS, _BLOCK_AMPLITUDES // width), _MAX_BLOCK_AMPLITUDES // width)
 
 
 def state_width(config: RunConfig) -> int:

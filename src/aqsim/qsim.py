@@ -8,16 +8,13 @@ renormalized residual state, which is all the protocol layer ever needs.
 Trial axis. A StateVector holds one state per trial: its amplitudes have shape
 batch + (2^k,), with batch (T,) for a block of T trials and () for a single
 state. A single state runs the same code as a block, and gets the bits the
-same state gets in a row of a block. The one exception is a measurement that
-leaves fewer than two qubits: np.dot hands its contraction to BLAS, whose
-rounding of a column can depend on how many columns the product has
-(OpenBLAS takes them four at a time). Every operation acts on each trial
-independently, broadcasts batch shapes (a single state, such as the GHZ
-triple, pairs with every trial of a block), and returns values with the same
-leading axes. Random draws follow suit: one uniform or Gaussian per trial,
-drawn as one array with the trial axis first. A register (see "Registers"
-below) adds a block axis last in batch, and the same operations act on every
-block of every trial.
+same state gets in a row of a block of any length. Every operation acts on
+each trial independently, broadcasts batch shapes (a single state, such as
+the GHZ triple, pairs with every trial of a block), and returns values with
+the same leading axes. Random draws follow suit: one uniform or Gaussian per
+trial, drawn as one array with the trial axis first. A register (see
+"Registers" below) adds a block axis last in batch, and the same operations
+act on every block of every trial.
 
 Checks. Each value is checked once, where it is made: StateVector(...) checks
 states that enter (callers' arrays, new_basis_state, ghz_state, the Haar
@@ -32,9 +29,15 @@ the per-row norms and inner products (_norm_sq, inner_product) are elementwise o
 np.vecdot forms, bit for bit equal to np.matmul's and without its call per
 matrix. A Pauli, and crypto's one-time pad on one-qubit blocks, is a swap
 of the amplitude pair where it flips the qubit and a row of phases
-(_flip_and_phase), with no index array. A measurement transposes its targets
-to the front once, not once per outcome, and keeps only the drawn branch:
-besides that matrix it holds two residuals, whatever the number of outcomes.
+(_flip_and_phase), with no index array.
+
+Measurement. A branch's residual is a sum over basis rows: conj(c_r) times
+the state's view with the targets fixed to row r, over the basis vector's
+nonzero entries c_r, two for Bell and x (_project_out). It copies none of
+the state and calls no BLAS, and measure keeps only the drawn branch. What
+still reaches BLAS or LAPACK does so once per row or matrix: np.vecdot,
+np.matmul for d > 2 and the Haar QR; apply_one_qubit's np.tensordot, which
+no protocol phase calls, is one product over the whole block.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -227,13 +230,6 @@ def _check_target(state: StateVector, target: int) -> None:
         raise ValueError(f"qubit index {target} out of range for {state.qubit_count} qubits")
 
 
-def _check_targets(state: StateVector, targets: tuple[int, ...]) -> None:
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"measured qubits {targets} are not distinct")
-    for target in targets:
-        _check_target(state, target)
-
-
 # Always empty; kept for its two readers, benchmarks/tracer.py and cache_probe.py.
 _UNITARY_CACHE: set[bytes] = set()
 
@@ -262,20 +258,6 @@ def _check_unitary(matrix: np.ndarray, atol: float) -> None:
             raise ValueError("matrix is not unitary")
 
 
-def _targets_first(amps: np.ndarray, k: int, targets: tuple[int, ...]) -> np.ndarray:
-    """The amplitudes as a (2^t, N) matrix: rows index `targets`, columns the
-    trials and then the other qubits.
-
-    For one state this is the operand np.tensordot builds for a contraction
-    over `targets`, so one np.dot with it gives tensordot's result bit for bit.
-    """
-    batch = amps.shape[:-1]
-    b = len(batch)
-    rest = [b + q for q in range(k) if q not in targets]
-    amps = amps.reshape(batch + (2,) * k).transpose([*(b + q for q in targets), *range(b), *rest])
-    return amps.reshape(2 ** len(targets), -1)
-
-
 def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
     """Apply one 2x2 unitary to one qubit of the register, in every trial."""
     gate = np.asarray(gate, dtype=complex)
@@ -283,11 +265,10 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
         raise ValueError(f"gate shape {gate.shape} is not 2x2")
     _check_unitary(gate, ATOL)
     _check_target(state, target)
-    k, batch = state.qubit_count, state.batch
-    out = np.dot(gate, _targets_first(state.amplitudes, k, (target,)))
-    # the product has the acted-on axis first; move it back
-    out = np.moveaxis(out.reshape((2,) + batch + (2,) * (k - 1)), 0, len(batch) + target)
-    return StateVector.owning(out.reshape(batch + (-1,)))
+    b = len(state.batch)
+    amps = state.amplitudes.reshape(state.batch + (2,) * state.qubit_count)
+    out = np.moveaxis(np.tensordot(gate, amps, axes=([1], [b + target])), 0, b + target)
+    return StateVector.owning(out.reshape(state.batch + (-1,)))
 
 
 def _flip_and_phase(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -385,11 +366,30 @@ def fidelity(a: StateVector, b: StateVector):
     return np.abs(inner_product(a, b)) ** 2
 
 
-def _project_out(state: StateVector, basis_vector: np.ndarray, columns: np.ndarray):
+def _basis_rows(state: StateVector, targets: tuple[int, ...]) -> list[np.ndarray]:
+    """The amplitudes with `targets` fixed to each of their basis rows r in
+    turn (the first target the most significant bit of r): basic-index views,
+    batch + (2,) * (k - len(targets)), so nothing is copied. Raises
+    ValueError unless the targets are distinct qubits of the state."""
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"measured qubits {targets} are not distinct")
+    for target in targets:
+        _check_target(state, target)
+    b = len(state.batch)
+    amps = state.amplitudes.reshape(state.batch + (2,) * state.qubit_count)
+    fixed = np.moveaxis(amps, [b + q for q in targets], range(len(targets)))
+    return [fixed[(*bits, ...)] for bits in np.ndindex((2,) * len(targets))]
+
+
+def _project_out(state: StateVector, basis_vector: np.ndarray, rows: list[np.ndarray]):
     """Contract the measured qubits against basis_vector's conjugate, in every
-    trial, given `columns`, the state's _targets_first matrix over them;
-    returns (residual amplitudes, probability)."""
-    residual = np.dot(basis_vector.conj().reshape(1, -1), columns)
+    trial: the sum of conj(c_r) rows[r] over its nonzero entries c_r in order,
+    `rows` being their _basis_rows; returns (residual amplitudes, probability)."""
+    first, *rest = np.flatnonzero(basis_vector)
+    coefficients = basis_vector.conj()
+    residual = coefficients[first] * rows[first]
+    for r in rest:
+        residual += coefficients[r] * rows[r]
     residual = residual.reshape(state.batch + (-1,))
     return residual, _norm_sq(residual)[()]
 
@@ -418,11 +418,10 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
     the trials it takes. Returns (the drawn outcomes' positions in
     `outcomes`; renormalized residual, or None if no qubit remains).
     """
-    _check_targets(state, targets)
+    rows = _basis_rows(state, targets)
     u = rng.random(state.batch)
-    columns = _targets_first(state.amplitudes, state.qubit_count, targets)
     for position, outcome in enumerate(outcomes):
-        branch, p_branch = _project_out(state, outcome.vector, columns)
+        branch, p_branch = _project_out(state, outcome.vector, rows)
         if position == 0:
             residual, p, acc = branch, p_branch, p_branch
             drawn = np.zeros(state.batch, dtype=np.intp)
@@ -448,8 +447,7 @@ def project(state: StateVector, targets: tuple[int, ...], outcome):
     also when the branch's probability is below ATOL (in any trial). Oracles
     enumerate branches with it.
     """
-    _check_targets(state, targets)
-    residual, p = _project_out(state, outcome.vector, _targets_first(state.amplitudes, state.qubit_count, targets))
+    residual, p = _project_out(state, outcome.vector, _basis_rows(state, targets))
     return p, None if np.any(p < ATOL) else _post_measurement(state, targets, residual, p)
 
 

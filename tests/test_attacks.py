@@ -264,8 +264,9 @@ def _echo_block(rng, seed, i, size, offset):
 
 
 # Widths (amplitudes per trial) and the block lengths the rule gives them: the
-# floor, a length that divides nothing evenly, and the longest the protocol takes.
-LENGTHS = {4096: BLOCK_TRIALS, 96: 341, 16: 2048}
+# 4 MiB cap, the floor, a length that divides nothing evenly, and the longest
+# the protocol takes.
+LENGTHS = {4096: 64, 1024: BLOCK_TRIALS, 96: 341, 16: 2048}
 
 
 def partial_trials(length):
@@ -336,11 +337,11 @@ class TestMapTrials:
         assert forks  # the fan-out ran
 
     def test_workers_beyond_blocks_fork_one_child_per_other_block(self, forks):
-        serial = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=1, width=4096, offset=0)
-        forked = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=4, width=4096, offset=0)
+        serial = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=1, width=1024, offset=0)
+        forked = map_trials(_echo_block, 2 * BLOCK_TRIALS, 8, workers=4, width=1024, offset=0)
         assert all(np.array_equal(a, b) for a, b in zip(serial, forked, strict=True))
         assert len(forks) == 1
-        map_trials(_echo_block, BLOCK_TRIALS, 8, workers=3, width=4096, offset=0)
+        map_trials(_echo_block, BLOCK_TRIALS, 8, workers=3, width=1024, offset=0)
         assert len(forks) == 1  # one block: the caller runs it alone
 
     def test_children_run_the_module_run_chunk(self, monkeypatch, forks, tmp_path):
@@ -353,13 +354,13 @@ class TestMapTrials:
             return run_chunk(job)
 
         monkeypatch.setattr(attacks, "_run_chunk", recording_run_chunk)
-        map_trials(_echo_block, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, offset=0)
+        map_trials(_echo_block, 3 * BLOCK_TRIALS, 8, workers=3, width=1024, offset=0)
         assert len(forks) == 1
         assert {int(path.name) for path in tmp_path.iterdir()} == {os.getpid(), *forks}
 
     def test_child_exception_reaches_caller(self, forks):
         with pytest.raises(ValueError, match=f"block at trial {BLOCK_TRIALS} failed"):
-            map_trials(_child_fails, 2 * BLOCK_TRIALS, 8, workers=2, width=4096, caller=os.getpid(), how="raise")
+            map_trials(_child_fails, 2 * BLOCK_TRIALS, 8, workers=2, width=1024, caller=os.getpid(), how="raise")
         assert len(forks) == 1
 
     def test_child_exception_is_a_cli_config_error(self, monkeypatch, forks, tmp_path, capsys):
@@ -380,14 +381,14 @@ class TestMapTrials:
     def test_child_ending_without_result_raises(self, forks):
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
-            map_trials(_child_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), how="exit")
+            map_trials(_child_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=1024, caller=os.getpid(), how="exit")
         assert len(forks) == 1 and time.monotonic() - start < 30
 
     @pytest.mark.parametrize("error", [ValueError("caller's block failed"), KeyboardInterrupt()])
     def test_caller_failure_kills_children(self, forks, error):
         start = time.monotonic()
         with pytest.raises(type(error)):
-            map_trials(_caller_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=4096, caller=os.getpid(), error=error)
+            map_trials(_caller_fails, 3 * BLOCK_TRIALS, 8, workers=3, width=1024, caller=os.getpid(), error=error)
         # the child sleeps for 60 s unless killed
         assert len(forks) == 1 and time.monotonic() - start < 30
 
@@ -417,8 +418,8 @@ class TestMapTrials:
             assert len(shares) == cpus
             assert [i for share in shares for i in share] == list(range(0, 10**6, length))
         monkeypatch.setattr(attacks, "_usable_cpus", lambda: 2)
-        serial = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=1, width=4096, offset=0)
-        forked = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=500, width=4096, offset=0)
+        serial = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=1, width=1024, offset=0)
+        forked = map_trials(_echo_block, 4 * BLOCK_TRIALS, 8, workers=500, width=1024, offset=0)
         assert all(np.array_equal(a, b) for a, b in zip(serial, forked, strict=True))
         assert len(forks) == 1
 
@@ -464,10 +465,11 @@ class TestBlockLength:
             "forge-n6": 341,
             "whole-n3": 512,
             "recovery-w2": 2048,
-            "whole-n6": 256,
+            "whole-n6": 64,
             "forge-n64": 256,
         }
-        assert block_trials(2**20) == BLOCK_TRIALS  # wider than the budget: the floor
+        assert block_trials(1024) == BLOCK_TRIALS  # wider than the budget: the floor
+        assert block_trials(4096) == 2**18 // 4096  # the floor's arrays would pass 4 MiB: the cap
 
     @pytest.mark.parametrize(
         "config, strategy",

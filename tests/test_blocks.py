@@ -211,9 +211,10 @@ def test_block_calls_independent_of_register_size(monkeypatch):
 
 
 def test_block_footprint_per_qubit_row():
-    # a measurement keeps only the drawn branch and a one-qubit pad builds no
-    # index array, so a 2048-trial forge n=1 m=1 block peaks below 900 traced
-    # bytes per trial and qubit (1116 when every Bell outcome's residual was kept)
+    # a measurement keeps only the drawn branch and copies none of the state,
+    # and a one-qubit pad builds no index array, so a 2048-trial forge n=1 m=1
+    # block peaks below 730 traced bytes per trial and qubit (1116 when every
+    # Bell outcome's residual was kept, 756 with a targets-first copy)
     config, trials = RunConfig(1, _variant()), 2048
     forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1))
     run_protocol(config, block_rng(37, 0), channel_tap=forging, size=trials)  # warm-up
@@ -223,4 +224,4 @@ def test_block_footprint_per_qubit_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (trials * config.n) <= 900
+    assert peak / (trials * config.n) <= 730

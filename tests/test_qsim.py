@@ -1,5 +1,6 @@
 """Unit and property tests for the statevector engine."""
 
+import functools
 import itertools
 import operator
 import tracemalloc
@@ -262,16 +263,6 @@ class TestBellMeasurement:
         for o in BellOutcome:
             assert abs(counts[o] / trials - 0.25) < 3 * sigma
 
-    def test_targets_transposed_once(self, monkeypatch):
-        # every outcome is projected from the one targets-first matrix
-        targets_first = qsim._targets_first
-        built = []
-        monkeypatch.setattr(qsim, "_targets_first", lambda *a: built.append(a) or targets_first(*a))
-        joint = tensor(haar_random_state(1, rng(13)), ghz_state())
-        drawn, _ = bell_measure(block(joint, 1000), 2, 0, rng(14))
-        assert set(drawn.tolist()) == {0, 1, 2, 3}  # every outcome was projected
-        assert len(built) == 1
-
     def test_errors(self):
         joint = tensor(haar_random_state(1, rng()), ghz_state())
         with pytest.raises(ValueError):
@@ -383,6 +374,20 @@ def _row(state, t):
     return StateVector.owning(state.amplitudes[t])
 
 
+def _measurement_bits(state, targets, outcomes, uniform):
+    """project()'s probability and residual for each outcome, and measure()'s
+    draw and residual, keyed by name; residuals only where a qubit remains."""
+    out = {}
+    for position, outcome in enumerate(outcomes):
+        out[f"project {position}"], residual = project(state, targets, outcome)
+        if residual is not None:
+            out[f"project residual {position}"] = residual.amplitudes
+    out["measure"], post = measure(state, targets, outcomes, uniform)
+    if post is not None:
+        out["measure residual"] = post.amplitudes
+    return out
+
+
 def _operation_bits(a, b, pauli, unitary, uniform, measured):
     """What each operation returns on states a and b, keyed by name: the
     measurements only where `measured` = (targets, outcomes) is given."""
@@ -393,22 +398,28 @@ def _operation_bits(a, b, pauli, unitary, uniform, measured):
         "fidelity": fidelity(a, b),
     }
     if measured is not None:
-        targets, outcomes = measured
-        p, residual = project(a, targets, outcomes[-1])
-        drawn, post = measure(a, targets, outcomes, uniform)
-        out.update(project=p, project_residual=residual.amplitudes, measure=drawn, measure_residual=post.amplitudes)
+        out.update(_measurement_bits(a, *measured, uniform))
     return out
 
 
 class TestSingleStateIsABlockRow:
     def test_every_operation_gives_a_single_state_its_block_row_bits(self):
         # A single state takes the block path, so it gets the bits the same
-        # state gets as row t of a block. Each measurement here leaves at
-        # least two qubits: see qsim "Trial axis" for why fewer may not.
+        # state gets as row t of a block, whatever the qubits a measurement leaves.
         r = rng(44)
         trials = 20
         mismatches = []
-        cases = ((1, None), (2, None), (3, ((1,), tuple(XOutcome))), (4, ((3, 0), tuple(BellOutcome))))
+        x, bell = tuple(XOutcome), tuple(BellOutcome)
+        cases = (
+            (1, None),
+            (1, ((0,), x)),
+            (2, None),
+            (2, ((1, 0), bell)),
+            (3, ((1,), x)),
+            (3, ((2, 0), bell)),
+            (3, ((1, 2), bell)),
+            (4, ((3, 0), bell)),
+        )
         for k, measured in cases:
             a, b = haar_random_state(k, r, (trials,)), haar_random_state(k, r, (trials,))
             paulis = r.integers(0, len(PauliOp), size=trials)
@@ -433,17 +444,34 @@ class TestSingleStateIsABlockRow:
                 ]
         assert not mismatches, f"{len(mismatches)} rows differ, first {mismatches[:5]}"
 
+    def test_a_trials_bits_do_not_depend_on_its_blocks_length(self):
+        # every prefix of a 64-trial block gives exactly the full block's first rows
+        r = rng(45)
+        trials = 64
+        mismatches = []
+        for k in (1, 2, 3, 4):
+            full_state = haar_random_state(k, r, (trials,))
+            uniforms = r.random(trials)
+            measured = [((q,), tuple(XOutcome)) for q in range(k)]
+            measured += [(pair, tuple(BellOutcome)) for pair in itertools.permutations(range(k), 2)]
+            for targets, outcomes in measured:
+                full = _measurement_bits(full_state, targets, outcomes, _Replay(uniforms))
+                for n in range(1, trials):
+                    prefix = StateVector(full_state.amplitudes[:n])
+                    bits = _measurement_bits(prefix, targets, outcomes, _Replay(uniforms[:n]))
+                    mismatches += [(k, targets, n, name) for name, got in bits.items() if not _same_bits(got, full[name][:n])]
+        assert not mismatches, f"{len(mismatches)} prefixes differ, first {mismatches[:5]}"
+
 
 def _choose_measure(state, targets, outcomes, rng):
     """measure() with every projected outcome's residual kept in a list and the
     drawn one picked by np.choose, a u past every bin moved just below the
     total: the oracle that measure()'s drawn-branch-only form must equal."""
     u = rng.random(state.batch)[()]
-    columns = qsim._targets_first(state.amplitudes, state.qubit_count, targets)
     residuals, probs, cumulative = [], [], []
     acc = 0.0
     for outcome in outcomes:
-        residual, p = qsim._project_out(state, outcome.vector, columns)
+        residual, p = _row_sum_project_out(state, targets, outcome.vector)
         acc = acc + p
         residuals.append(residual)
         probs.append(p)
@@ -472,10 +500,9 @@ def _sparse_states(k, r, trials):
 def _edge_uniforms(state, targets, outcomes):
     """Per trial: u = 0, every cumulative probability exactly, the float below
     each, and values past the total (the total itself, 1.0 and 1.5)."""
-    columns = qsim._targets_first(state.amplitudes, state.qubit_count, targets)
     acc, edges = 0.0, []
     for outcome in outcomes:
-        acc = acc + qsim._project_out(state, outcome.vector, columns)[1]
+        acc = acc + _row_sum_project_out(state, targets, outcome.vector)[1]
         edges += [acc, np.nextafter(acc, 0.0)]
     zeros = np.zeros(state.batch)
     return [zeros, *edges, zeros + 1.0, zeros + 1.5]
@@ -683,16 +710,38 @@ class TestTeleportation:
             qsim.product_factors(StateVector(np.array([SQRT2_INV, 0, 0, SQRT2_INV])))
 
 
+def _norm_sq_matmul(residual):
+    """<r|r> per row by the block formula of test_block_norm_and_inner_equal_matmul."""
+    pairs = residual.view(np.float64)
+    return np.matmul(pairs[..., None, :], pairs[..., :, None])[..., 0, 0]
+
+
+def _row_sum_project_out(state, targets, basis_vector):
+    """One outcome's (residual, probability) in every trial, as the sum over
+    basis_vector's nonzero entries c_r, in order, of conj(c_r) times the
+    amplitudes with the targets set to r's bits: what _project_out must
+    reproduce bit for bit."""
+    batch, k = state.batch, state.qubit_count
+    amps = state.amplitudes.reshape(batch + (2,) * k)
+    terms = []
+    for r in np.flatnonzero(basis_vector):
+        index = [slice(None)] * (len(batch) + k)
+        for q, bit in zip(targets, np.unravel_index(r, (2,) * len(targets))):
+            index[len(batch) + q] = bit
+        # an array even when every qubit is fixed: numpy's scalar product rounds otherwise
+        terms.append(np.conj(basis_vector[r]) * amps[(*index, ...)])
+    residual = np.reshape(functools.reduce(operator.add, terms), batch + (-1,))
+    return residual, _norm_sq_matmul(residual)
+
+
 def _tensordot_project_out(state, targets, basis_vector):
-    """The generic contraction _project_out must reproduce bit for bit, and
-    the residual's norm by the block formula of test_block_norm_and_inner_equal_matmul."""
+    """The generic contraction of one state, which _project_out matches to 1e-15."""
     k = state.qubit_count
     bra = basis_vector.conj().reshape([2] * len(targets))
     residual = np.tensordot(
         bra, state.amplitudes.reshape([2] * k), axes=(list(range(len(targets))), list(targets))
     ).reshape(-1)
-    pairs = residual.view(np.float64)
-    return residual, np.matmul(pairs[None, :], pairs[:, None])[0, 0]
+    return residual, _norm_sq_matmul(residual)
 
 
 def _matmul_mask_qotp(amps, pad, k, encrypt):
@@ -719,6 +768,7 @@ class TestPrimitivesMatchNumpy:
                 assert np.array_equal(tensor(a, b).amplitudes, expected.amplitudes)
 
     def test_project_out_equals_tensordot(self):
+        # the row sum bit for bit; np.tensordot's BLAS contraction to 1e-15
         r = rng(31)
         bras = {
             1: [o.vector for o in XOutcome] + [np.array([1, 0j]), np.array([0, 1 + 0j])],
@@ -729,12 +779,14 @@ class TestPrimitivesMatchNumpy:
                 state = haar_random_state(k, r)
                 for t in (1, 2):
                     for targets in itertools.permutations(range(k), t):
+                        rows = qsim._basis_rows(state, targets)
                         for vec in [*bras[t], haar_random_state(t, r).amplitudes]:
-                            columns = qsim._targets_first(state.amplitudes, k, targets)
-                            res, p = qsim._project_out(state, vec, columns)
-                            ref_res, ref_p = _tensordot_project_out(state, targets, vec)
-                            assert np.array_equal(res, ref_res), (k, targets)
-                            assert p == ref_p, (k, targets)
+                            res, p = qsim._project_out(state, vec, rows)
+                            ref_res, ref_p = _row_sum_project_out(state, targets, vec)
+                            assert np.array_equal(res, ref_res) and p == ref_p, (k, targets)
+                            dot_res, dot_p = _tensordot_project_out(state, targets, vec)
+                            assert np.abs(res - dot_res).max() <= 1e-15, (k, targets)
+                            assert abs(p - dot_p) <= 1e-15, (k, targets)
 
     def test_apply_unitary_2x2_equals_matmul(self):
         # one-qubit blocks take the product elementwise
