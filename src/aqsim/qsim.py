@@ -34,10 +34,12 @@ of the amplitude pair where it flips the qubit and a row of phases
 Measurement. A branch's residual is a sum over basis rows: conj(c_r) times
 the state's view with the targets fixed to row r, over the basis vector's
 nonzero entries c_r, two for Bell and x (_project_out). It copies none of
-the state and calls no BLAS, and measure keeps only the drawn branch. What
-still reaches BLAS or LAPACK does so once per row or matrix: np.vecdot,
-np.matmul for d > 2 and the Haar QR; apply_one_qubit's np.tensordot, which
-no protocol phase calls, is one product over the whole block.
+the state and calls no BLAS, and measure keeps only the drawn branch. A gate
+on one qubit (apply_one_qubit) is the same 2x2 product as apply_unitary's,
+elementwise, and Haar unitaries up to 8 x 8 are orthonormalized by
+Gram-Schmidt over the trial axis. What still reaches BLAS or LAPACK does so
+once per row or matrix: np.vecdot, np.matmul for d > 2 and, for d >= 16,
+the Haar QR.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -233,11 +235,13 @@ def _check_target(state: StateVector, target: int) -> None:
 # Always empty; kept for its two readers, benchmarks/tracer.py and cache_probe.py.
 _UNITARY_CACHE: set[bytes] = set()
 
-# A stack of matrices is derived, factored and checked in chunks of at most
-# this many bytes: 256 trials at a time for 3-qubit matrices, 4 for the
-# 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB. A keyed Haar
-# chunk's hash, uniforms, Ginibre matrix and QR take about 4 times the chunk,
-# so a long block's derivation needs no more scratch than a 256-trial one.
+# A stack of matrices is derived, orthonormalized and checked in chunks of at
+# most this many bytes: 256 trials at a time for 3-qubit matrices, 4 for the
+# 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB. Deriving a
+# keyed Haar chunk takes at most about 4 chunks of scratch (its hash,
+# uniforms and Ginibre matrix, then that matrix with Gram-Schmidt's working
+# copy or with the QR), so a long block's derivation needs no more scratch
+# than a 256-trial one.
 _CHUNK_BYTES = 2**18
 
 
@@ -265,9 +269,10 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
         raise ValueError(f"gate shape {gate.shape} is not 2x2")
     _check_unitary(gate, ATOL)
     _check_target(state, target)
-    b = len(state.batch)
-    amps = state.amplitudes.reshape(state.batch + (2,) * state.qubit_count)
-    out = np.moveaxis(np.tensordot(gate, amps, axes=([1], [b + target])), 0, b + target)
+    k = state.qubit_count
+    block = state.amplitudes.reshape(state.batch + (2**target, 2, 2 ** (k - target - 1)))
+    # output row r is gate[r, 0] a_0 + gate[r, 1] a_1, elementwise, as apply_unitary's 2x2 product
+    out = gate[:, 0, None] * block[..., 0:1, :] + gate[:, 1, None] * block[..., 1:2, :]
     return StateVector.owning(out.reshape(state.batch + (-1,)))
 
 
@@ -494,15 +499,20 @@ def splitmix64(keys: np.ndarray, count: int) -> np.ndarray:
     return z
 
 
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+_ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
+
+
 def _keyed_ginibre(keys: np.ndarray, dim: int) -> np.ndarray:
     """One (dim, dim) complex Ginibre matrix per key, E|z_ij|^2 = 1: entry e
     (row-major) takes outputs 2e and 2e+1 of the key's SplitMix64 stream as
     uniforms u, v in (0, 1), and Box-Muller makes it sqrt(-ln u) e^(2 pi i v)."""
     bits = splitmix64(keys, 2 * dim * dim)
-    bits >>= np.uint64(12)  # 52 bits, so that (bits + 1/2) 2^-52 is exact and inside (0, 1)
-    uniform = bits.astype(np.float64)
-    uniform += 0.5
-    uniform *= 2.0**-52
+    bits >>= np.uint64(12)  # 52 bits b, so that (b + 1/2) 2^-52 is exact and inside (0, 1)
+    # b as the mantissa of 1 + b 2^-52; subtracting 1 - 2^-53 leaves (b + 1/2) 2^-52 exactly
+    bits |= _ONE_BITS
+    uniform = bits.view(np.float64)
+    uniform -= _ONE_MINUS_HALF_ULP
     uniform = uniform.reshape(len(keys), dim, dim, 2)
     radius = np.log(uniform[..., 0])
     radius *= -1.0
@@ -524,8 +534,74 @@ def _phase_fixed_q(z: np.ndarray, out: np.ndarray) -> None:
     np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
 
 
+def _sum_rows(p: np.ndarray) -> np.ndarray:
+    """p summed over its first axis by folding halves onto themselves in place:
+    an order fixed by len(p) alone, so a trial's sum has the same bits
+    whatever the other axes hold."""
+    n = len(p)
+    while n > 1:
+        half = n // 2
+        p[:half] += p[half : 2 * half]
+        if n % 2:
+            p[0] += p[2 * half]
+        n = half
+    return p[0]
+
+
+def _gram_schmidt_q(z: np.ndarray, out: np.ndarray) -> None:
+    """The Q of _phase_fixed_q, from two passes of modified Gram-Schmidt over
+    each Ginibre matrix's columns, written to `out`. The passes leave the
+    columns orthogonal, and dividing each by its norm makes R's diagonal real
+    and positive, so no phase fix is needed (Mezzadri 2007). The second pass
+    keeps the loss of orthogonality O(eps) at any condition number (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 101:87, 2005). Every
+    operation is elementwise over the trial axis, last in the (column, row,
+    trial) layout, so a trial's bits do not depend on the stack's length."""
+    d, trials = z.shape[-1], len(z)
+    v = np.ascontiguousarray(z.transpose(2, 1, 0))
+    scratch = np.empty(v.size, dtype=complex)
+    norm_sq = np.empty((d, trials))
+    inverse = np.zeros(trials, dtype=complex)  # a complex row scales faster than a real one
+    with np.errstate():  # restores the buffer size on exit
+        # numpy copies broadcast operands through buffers of its buffer size
+        # (8192 elements) when the loop along the trial axis is shorter; one
+        # row of trials per buffer leaves nothing to copy
+        np.setbufsize(16 * -(-trials // 16))
+        for final in (False, True):
+            for j in range(d):
+                column, rest = v[j], v[j + 1 :]
+                # conj(v_j) v_l for l >= j, rows first so that _sum_rows folds contiguous halves
+                dots = scratch[: (len(rest) + 1) * d * trials].reshape(d, len(rest) + 1, trials)
+                np.multiply(column.conj()[:, None], v[j:].transpose(1, 0, 2), out=dots)
+                dots = _sum_rows(dots)  # <v_j|v_j>, then <v_j|v_l> for l > j
+                if final:
+                    norm_sq[j] = dots[0].real
+                if len(rest):
+                    np.divide(1.0, dots[0].real, out=inverse.real)
+                    dots[1:] *= inverse
+                    # _sum_rows left the dots at the front of scratch; the rest is free
+                    projection = scratch[dots.size : dots.size + rest.size].reshape(rest.shape)
+                    rest -= np.multiply(column, dots[1:, None], out=projection)
+        inverse_norm = np.zeros((d, trials), dtype=complex)
+        np.divide(1.0, np.sqrt(norm_sq), out=inverse_norm.real)
+        v *= inverse_norm[:, None]
+    np.copyto(out, v.transpose(2, 1, 0))
+
+
+# Largest dimension orthonormalized by _gram_schmidt_q; larger ones take one
+# LAPACK QR per matrix (_phase_fixed_q). Medians per 256 KiB chunk, one BLAS
+# thread (BENCH_haar.json "derivation"), QR against Gram-Schmidt: d = 8 (256
+# keys) 1.03 against 0.62 ms, d = 16 (64 keys) 0.78 against 1.38 ms, d = 64
+# (4 keys) 1.1 against 15.7 ms. Both do O(d^3) work per matrix: the QR's
+# fixed cost per matrix dominates up to d = 8, Gram-Schmidt's passes over
+# memory above.
+_GRAM_SCHMIDT_MAX_DIM = 8
+
+
 def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries via QR of Ginibre matrices with phase fix.
+    """Haar-distributed unitaries: the Q of Ginibre matrices whose R has a
+    positive real diagonal (Mezzadri 2007), by Gram-Schmidt for dim <= 8 and
+    by QR with phase fix above.
 
     A (T,) uint64 array of keys derives a (T, dim, dim) stack: row t is a
     function of keys[t] alone (the SplitMix64 stream it seeds, see
@@ -533,10 +609,11 @@ def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
     (_CHUNK_BYTES).
     """
     keys = np.asarray(keys, dtype=np.uint64)
+    orthonormalize = _gram_schmidt_q if dim <= _GRAM_SCHMIDT_MAX_DIM else _phase_fixed_q
     u = np.empty((len(keys), dim, dim), dtype=complex)
     done = 0
     for chunk in _chunks(u):
-        _phase_fixed_q(_keyed_ginibre(keys[done : done + len(chunk)], dim), out=chunk)
+        orthonormalize(_keyed_ginibre(keys[done : done + len(chunk)], dim), out=chunk)
         done += len(chunk)
     return u
 

@@ -394,6 +394,7 @@ def _operation_bits(a, b, pauli, unitary, uniform, measured):
     out = {
         "tensor": tensor(a, b).amplitudes,
         "apply_pauli": apply_pauli(a, pauli, a.qubit_count - 1).amplitudes,
+        "apply_one_qubit": apply_one_qubit(a, qsim.HADAMARD, 0).amplitudes,
         "apply_unitary": qsim.apply_unitary(a, unitary).amplitudes,
         "fidelity": fidelity(a, b),
     }
@@ -460,6 +461,12 @@ class TestSingleStateIsABlockRow:
                     prefix = StateVector(full_state.amplitudes[:n])
                     bits = _measurement_bits(prefix, targets, outcomes, _Replay(uniforms[:n]))
                     mismatches += [(k, targets, n, name) for name, got in bits.items() if not _same_bits(got, full[name][:n])]
+            for target in range(k):
+                full = apply_one_qubit(full_state, qsim.HADAMARD, target).amplitudes
+                for n in range(1, trials):
+                    prefix = StateVector(full_state.amplitudes[:n])
+                    if not _same_bits(apply_one_qubit(prefix, qsim.HADAMARD, target).amplitudes, full[:n]):
+                        mismatches.append((k, target, n, "apply_one_qubit"))
         assert not mismatches, f"{len(mismatches)} prefixes differ, first {mismatches[:5]}"
 
 
@@ -684,6 +691,45 @@ class TestKeyedHaar:
         u = qsim.haar_random_unitary(4, np.array([0x0123456789ABCDEF], dtype=np.uint64))
         assert u[0, 1, 2] == pytest.approx(-0.6048558789223978 - 0.0017927985367440016j, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_ginibre_bits_equal_the_integer_to_float_formula(self, d):
+        # the uniforms (b + 1/2) 2^-52 of the 52-bit integers b, as astype,
+        # +0.5 and *2^-52 make them, then Box-Muller: the same bits
+        keys = np.concatenate([rng(26).integers(0, 2**64, size=500, dtype=np.uint64), np.array([0, 2**64 - 1], dtype=np.uint64)])
+        bits = qsim.splitmix64(keys, 2 * d * d) >> np.uint64(12)
+        uniform = (bits.astype(np.float64) + 0.5) * 2.0**-52
+        uniform = uniform.reshape(len(keys), d, d, 2)
+        expected = np.sqrt(-np.log(uniform[..., 0])) * (np.cos(2 * np.pi * uniform[..., 1]) + 1j * np.sin(2 * np.pi * uniform[..., 1]))
+        assert np.array_equal(qsim._keyed_ginibre(keys, d), expected)
+
+    def test_gram_schmidt_orthonormal_at_condition_number_1e9(self):
+        # two nearly parallel columns; one pass of modified Gram-Schmidt loses
+        # orthogonality as eps times the condition number, the second restores it
+        r = rng(27)
+        z = r.standard_normal((64, 8, 8)) + 1j * r.standard_normal((64, 8, 8))
+        z[:, :, 5] = z[:, :, 2] + 1e-9 * (r.standard_normal((64, 8)) + 1j * r.standard_normal((64, 8)))
+        assert np.linalg.cond(z).min() > 1e8
+        q = np.empty_like(z)
+        qsim._gram_schmidt_q(z, out=q)
+        assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(8)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_gram_schmidt_gives_the_phase_fixed_qr(self, d):
+        # Q^H Z is upper triangular with a positive real diagonal, so Q is the
+        # Q of the QR whose R has that diagonal (Mezzadri 2007); odd row
+        # counts take _sum_rows' odd fold
+        keys = rng(28).integers(0, 2**64, size=20000, dtype=np.uint64)
+        u = qsim.haar_random_unitary(d, keys)
+        z = qsim._keyed_ginibre(keys, d)
+        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)).max() <= 1e-13
+        q, r = np.linalg.qr(z)
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.abs(u - q * (diagonal / np.abs(diagonal))[..., None, :]).max() <= 1e-12
+        r = np.swapaxes(u.conj(), -1, -2) @ z
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.abs(diagonal.imag).max() <= 1e-12 and (diagonal.real > 0).all()
+
 class TestTeleportation:
     def test_all_outcome_pairs_correct_to_message(self):
         # For every (Bell, x) outcome pair a fixed Pauli returns the
@@ -742,6 +788,17 @@ def _tensordot_project_out(state, targets, basis_vector):
         bra, state.amplitudes.reshape([2] * k), axes=(list(range(len(targets))), list(targets))
     ).reshape(-1)
     return residual, _norm_sq_matmul(residual)
+
+
+def _elementwise_one_qubit(amps, gate, target):
+    """A one-qubit gate on `target` by basis index: amplitude i, whose target
+    bit is b, becomes gate[b, 0] a[i with bit 0] + gate[b, 1] a[i with bit 1]:
+    what apply_one_qubit must reproduce bit for bit."""
+    k = amps.shape[-1].bit_length() - 1
+    index = np.arange(2**k)
+    mask = 1 << (k - 1 - target)
+    bit = (index & mask) // mask
+    return gate[bit, 0] * amps[..., index & ~mask] + gate[bit, 1] * amps[..., index | mask]
 
 
 def _matmul_mask_qotp(amps, pad, k, encrypt):
@@ -821,14 +878,18 @@ class TestPrimitivesMatchNumpy:
             assert np.array_equal(crypto._qotp(register, pad, encrypt).amplitudes, expected)
 
     def test_apply_one_qubit_equals_tensordot(self):
+        # the elementwise 2x2 product bit for bit; np.tensordot's BLAS product to 1e-15
         r = rng(32)
         gates = [qsim.HADAMARD, qsim.PHASE_S, PauliOp.Y.matrix, qsim.haar_random_unitary(2, r.integers(0, 2**64, size=1, dtype=np.uint64))[0]]
-        for k in range(2, 7):
-            state = haar_random_state(k, r)
-            tensor_form = state.amplitudes.reshape([2] * k)
-            for target in range(k):
-                for gate in gates:
-                    out = np.tensordot(gate, tensor_form, axes=([1], [target]))
-                    expected = StateVector(np.moveaxis(out, 0, target).reshape(-1))
-                    got = apply_one_qubit(state, gate, target)
-                    assert np.array_equal(got.amplitudes, expected.amplitudes), (k, target)
+        for k in range(1, 7):
+            for batch in ((), (5,)):
+                state = haar_random_state(k, r, batch)
+                tensor_form = state.amplitudes.reshape(batch + (2,) * k)
+                for target in range(k):
+                    for gate in gates:
+                        got = apply_one_qubit(state, gate, target).amplitudes
+                        expected = _elementwise_one_qubit(state.amplitudes, gate, target)
+                        assert np.array_equal(got, expected), (k, batch, target)
+                        out = np.tensordot(gate, tensor_form, axes=([1], [len(batch) + target]))
+                        dot = np.moveaxis(out, 0, len(batch) + target).reshape(batch + (-1,))
+                        assert np.abs(got - dot).max() <= 1e-15, (k, batch, target)
