@@ -98,6 +98,7 @@ class AttackReport:
 
 
 CSV_HEADER = ["strategy", "n", "m", "trials", "acceptance", "prediction", "ci_low", "ci_high"]
+CI_Z = 3.0  # the z of every Wilson interval (binomial_ci): 3 sigma, ~99.7%
 
 
 def _orthogonal_qubit(state: StateVector) -> StateVector:
@@ -174,17 +175,17 @@ def _attack_trials(config: RunConfig, strategy: ForgeryStrategy, rng: np.random.
     return t.accepted, t.gamma, t.extras["message_fidelity"]
 
 
-def binomial_ci(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score binomial interval at z sigma (default 3, ~99.7%).
+def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score binomial interval at CI_Z sigma.
 
     Unlike the normal approximation it keeps its width at 0 or n successes
     (Wilson 1927; Brown, Cai & DasGupta 2001, Stat. Sci. 16:101). There the
     bound at the data is exactly 0 or 1; it is set so, not left to rounding.
     """
     rate = successes / trials
-    shrink = z * z / trials
+    shrink = CI_Z * CI_Z / trials
     center = (rate + shrink / 2) / (1 + shrink)
-    half = z * math.sqrt(rate * (1 - rate) / trials + shrink / (4 * trials)) / (1 + shrink)
+    half = CI_Z * math.sqrt(rate * (1 - rate) / trials + shrink / (4 * trials)) / (1 + shrink)
     low = 0.0 if successes == 0 else center - half
     high = 1.0 if successes == trials else center + half
     return low, high

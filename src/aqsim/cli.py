@@ -315,7 +315,7 @@ def scenario_forgery(cfg: ExperimentConfig):
 def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
     a = qsim.haar_random_state(n, rng, (size,))
     b = qsim.haar_random_state(n, rng, (size,))
-    return (comparison.swap_test(a, b, rng).different,)
+    return (comparison.swap_test(a, b, rng),)
 
 
 def scenario_q_estimate(cfg: ExperimentConfig):

@@ -8,47 +8,40 @@ confirms that two unknown pure states are identical.
 
 Like qsim, every function acts trial by trial on a block (trial axis first),
 and block by block on a register's block axis. A test's outcome is
-`different`, one bool per trial and block.
+`different`, one bool per trial and block; `projected_pair` rebuilds from
+the inputs and those bools the joint register the tests leave.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .qsim import StateVector, _norm_sq, tensor
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    different: np.ndarray  # per trial and block: the antisymmetric outcome, which proves the inputs differ
-    square: np.ndarray = field(repr=False)  # joint (a, b) amplitudes before the test, rows a's basis, columns b's
-
-    @cached_property
-    def post_state(self) -> StateVector:
-        """The joint (a, b) register after the projection, built when first read."""
-        swapped = np.swapaxes(self.square, -1, -2)  # SWAP, as a view
-        branch = self.square - swapped  # twice the antisymmetric projection
-        sym = ~self.different[..., None, None]  # else the symmetric one
-        np.add(self.square, swapped, out=branch, where=sym)
-        joint = branch.reshape(branch.shape[:-2] + (branch.shape[-1] ** 2,))
-        joint /= np.sqrt(_norm_sq(joint))[..., None]
-        return StateVector.owning(joint)
-
-
-def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> ComparisonResult:
-    """One SWAP test on each trial's (and block's) pair, one uniform each;
-    post_state is the projected joint register."""
+def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> np.ndarray:
+    """One SWAP test on each trial's (and block's) pair, one uniform each:
+    `different` per trial and block."""
     if a.qubit_count != b.qubit_count:
         raise ValueError("cannot compare states on different qubit counts")
     joint = tensor(a, b).amplitudes
-    batch = joint.shape[:-1]
-    square = joint.reshape(batch + (a.dim, a.dim))  # rows index a's basis, columns b's
+    square = joint.reshape(joint.shape[:-1] + (a.dim, a.dim))  # rows index a's basis, columns b's
     branch = (square - np.swapaxes(square, -1, -2)).reshape(joint.shape)  # twice the antisymmetric projection
-    different = rng.random(batch)[()] < _norm_sq(branch) / 4.0
-    return ComparisonResult(different, square)
+    return rng.random(joint.shape[:-1])[()] < _norm_sq(branch) / 4.0
+
+
+def projected_pair(a: StateVector, b: StateVector, different: np.ndarray) -> StateVector:
+    """The joint (a, b) register after the SWAP tests whose outcomes were
+    `different`: each pair projected on the antisymmetric subspace where it
+    was set, on the symmetric one elsewhere, and renormalized."""
+    joint = tensor(a, b).amplitudes
+    square = joint.reshape(joint.shape[:-1] + (a.dim, a.dim))
+    swapped = np.swapaxes(square, -1, -2)  # SWAP, as a view
+    branch = square - swapped  # twice the antisymmetric projection
+    np.add(square, swapped, out=branch, where=~different[..., None, None])
+    joint = branch.reshape(joint.shape)
+    joint /= np.sqrt(_norm_sq(joint))[..., None]
+    return StateVector.owning(joint)
 
 
 def average_q(n: int) -> float:
@@ -70,4 +63,4 @@ def compare_product(a: StateVector, b: StateVector, rng: np.random.Generator) ->
         raise ValueError(f"per-qubit comparison needs one-qubit blocks, got {a.qubit_count} and {b.qubit_count}")
     if a.batch[-1] != b.batch[-1]:
         raise ValueError(f"cannot compare {a.batch[-1]} qubits with {b.batch[-1]}")
-    return swap_test(a, b, rng).different.any(-1)
+    return swap_test(a, b, rng).any(-1)

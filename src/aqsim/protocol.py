@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .crypto import KeyMaterial, SigningModel, SigningTransform
+from .crypto import KeyMaterial, SigningModel
 from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 
@@ -188,7 +188,7 @@ def pauli_frame() -> np.ndarray:
 # Transcript
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     """Full record of a block of protocol runs, one entry per trial in every
     field. Outcomes are int arrays of positions, qubit axis last."""
@@ -196,14 +196,14 @@ class Transcript:
     seed: object  # the int seed or the Generator the block drew from
     n: int
     variant: ProtocolVariant
-    m_a: np.ndarray | None = None  # BellOutcome positions
-    m_b: np.ndarray | None = None  # XOutcome positions
-    m_t: np.ndarray | None = None  # XOutcome positions
-    gamma: np.ndarray | None = None
-    y_b: dict | None = None  # Bob -> arbitrator bundle, sealed under K_b
-    y_tb: dict | None = None  # arbitrator -> Bob bundle, sealed under K_b
-    accepted: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
+    m_a: np.ndarray  # BellOutcome positions
+    m_b: np.ndarray  # XOutcome positions
+    m_t: np.ndarray | None  # XOutcome positions; None when M_t is not measured
+    gamma: np.ndarray
+    y_b: dict  # Bob -> arbitrator bundle, sealed under K_b
+    y_tb: dict  # arbitrator -> Bob bundle, sealed under K_b
+    accepted: np.ndarray
+    extras: dict
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +274,6 @@ def bob_receive_and_forward(
     return crypto.seal(fields, k_b, crypto.kb_layout(n)["y_b"]), m_b, particles
 
 
-def _signature_reference(
-    p_received: StateVector,
-    particles: StateVector,
-    m_a,
-    m_b,
-    transform: SigningTransform,
-    variant: ProtocolVariant,
-) -> StateVector:
-    """Build the arbitrator's comparison candidate R' per the variant."""
-    if variant.r_prime_source is RPrimeSource.FROM_MESSAGE_P:
-        source = p_received
-    else:
-        source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
-    return transform.apply(source)
-
-
 def arbitrator_verify(
     y_b: dict,
     particles,
@@ -312,16 +296,19 @@ def arbitrator_verify(
     p_received = opened["msg_state"]
     m_a, r = crypto.open_signature(opened, k_a, variant.key_model)
     transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
-    r_prime = _signature_reference(p_received, particles, m_a, m_b, transform, variant)
+    source = p_received  # R', the comparison candidate, is the transform of the variant's source
+    if variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
+        source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
+    r_prime = transform.apply(source)
 
     post_particles = particles
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        result = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
+        different = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
         if config.disturbs_ghz:
-            post_particles = _recover_particles(result.post_state, transform, m_a, m_b)
+            post_particles = _recover_particles(comparison.projected_pair(r, r_prime, different), transform, m_a, m_b)
     else:
-        result = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
-    different = result.different.any(-1)
+        different = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
+    different = different.any(-1)
 
     m_t = out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
@@ -394,7 +381,7 @@ def bob_final_verify(
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
         same = ~comparison.compare_product(p_prime, reference, rng)
     else:
-        same = ~comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).different.any(-1)
+        same = ~comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).any(-1)
     return passed & same, p_prime
 
 
@@ -422,33 +409,26 @@ def run_protocol(
         raise ValueError(f"message batch {message.batch} is not (size, n) = {(size, config.n)}")
     rng = np.random.default_rng(seed)
     k_a, k_b, ghz_triples = initialize(config.n, rng, variant, size)
-    transcript = Transcript(seed=seed, n=config.n, variant=variant)
     if message is None:
         message = haar_product_message(config.n, rng, (size,))
 
     sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, ghz_triples, variant, rng)
-    transcript.m_a = m_a
     if channel_tap is not None:
         p_out, sig = channel_tap(p_out, sig, rng)
-
     y_b, m_b, particles = bob_receive_and_forward(p_out, sig, shared_pairs, k_b, rng)
-    transcript.m_b = m_b
-
     gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, config, rng)
-    transcript.gamma = gamma
-    transcript.m_t = m_t
-    transcript.y_b = y_b
-    transcript.y_tb = y_tb
 
     if variant.message_knowledge is MessageKnowledge.KNOWN_TO_ALL:
         reference = message  # Bob mints fresh copies from the known description
     else:
         reference = p_out  # all Bob ever held is what arrived on the channel
-    transcript.accepted, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
+    accepted, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
 
     # a rejected trial's candidate means nothing: its fidelities read NaN
     per_qubit = np.where(gamma[..., None], qsim.fidelity(candidate, message), np.nan)
-    transcript.extras["candidate_fidelity"] = per_qubit.prod(-1)
-    transcript.extras["candidate_fidelity_per_qubit"] = per_qubit
-    transcript.extras["message_fidelity"] = qsim.register_fidelity(p_out, message)
-    return transcript
+    extras = {
+        "candidate_fidelity": per_qubit.prod(-1),
+        "candidate_fidelity_per_qubit": per_qubit,
+        "message_fidelity": qsim.register_fidelity(p_out, message),
+    }
+    return Transcript(seed, config.n, variant, m_a, m_b, m_t, gamma, y_b, y_tb, accepted, extras)

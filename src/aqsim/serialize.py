@@ -68,9 +68,9 @@ def transcript_to_dict(t: Transcript) -> dict:
         "m_b": _values(XOutcome, t.m_b),
         "m_t": _values(XOutcome, t.m_t),
         "gamma": _plain(t.gamma),
-        "y_b": None if t.y_b is None else bundle_to_dict(t.y_b),
-        "y_tb": None if t.y_tb is None else bundle_to_dict(t.y_tb),
-        "verdict": None if t.accepted is None else np.where(t.accepted, "accepted", "rejected").tolist(),
+        "y_b": bundle_to_dict(t.y_b),
+        "y_tb": bundle_to_dict(t.y_tb),
+        "verdict": np.where(t.accepted, "accepted", "rejected").tolist(),
         "extras": {key: _plain(value) for key, value in t.extras.items()},
     }
 

@@ -257,6 +257,34 @@ class TestScenarios:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Runs whose results are the same whatever --idealized-comparison says:
+# honest, replace-qubits and garble at n = 1, 2 under either R' source, and
+# recovery at n = 2
+IDEALIZED_GRID = [
+    ["--scenario", scenario, "--n", str(n), "--r-prime", r_prime, *strategy]
+    for scenario, strategy in (
+        ("honest", []),
+        ("forgery", ["--strategy", "replace-qubits"]),
+        ("forgery", ["--strategy", "garble-signature"]),
+    )
+    for n in (1, 2)
+    for r_prime in ("ghz", "message")
+] + [["--scenario", "recovery-failure", "--n", "2", "--r-prime", "ghz"]]
+
+
+@pytest.mark.parametrize("argv", IDEALIZED_GRID, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_idealized_comparison_moves_no_result(tmp_path, argv):
+    # The flag moves only M_t, after a disturbing comparison: no forgery
+    # result reads M_t, and in honest and recovery runs R' equals R, which the
+    # test's symmetric branch leaves as it was. Neither value draws more.
+    results = []
+    for idealized in ("true", "false"):
+        code, out = run_main(tmp_path, [*argv, "--trials", "300", "--seed", "8", "--idealized-comparison", idealized])
+        assert code == 0
+        results.append(json.dumps(json.loads(out.read_text())["results"], sort_keys=True))
+    assert results[0] == results[1]
+
+
 # Each case with the widest array its blocks hold, in amplitudes per trial
 # (attacks.state_width; for q-estimate, the n = 2 row's SWAP test)
 WORKER_CASES = {

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from aqsim import comparison, qsim
+from aqsim.attacks import block_trials, recovery_failure_experiment, state_width
 from aqsim.comparison import (
     average_q,
     compare_product,
+    projected_pair,
     swap_test,
 )
 from aqsim.crypto import SigningModel
@@ -17,7 +19,6 @@ from aqsim.protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
-    run_protocol,
 )
 from aqsim.qsim import ATOL, StateVector, haar_random_state, new_basis_state
 
@@ -43,13 +44,13 @@ class TestSwapTest:
         r = rng(4)
         s = haar_random_state(1, r)
         for _ in range(2000):
-            assert not swap_test(s, s, r).different
+            assert not swap_test(s, s, r)
 
     def test_post_state_normalized(self):
         r = rng(5)
         for _ in range(50):
             a, b = haar_random_state(1, r), haar_random_state(1, r)
-            post = swap_test(a, b, r).post_state
+            post = projected_pair(a, b, swap_test(a, b, r))
             assert np.vdot(post.amplitudes, post.amplitudes).real == pytest.approx(
                 1.0, abs=ATOL
             )
@@ -60,28 +61,28 @@ class TestSwapTest:
     def test_post_state_equals_eager_formula(self, k, batch):
         r = rng(7)
         a, b = haar_random_state(k, r, batch), haar_random_state(k, r, batch)
-        result = swap_test(a, b, r)
-        assert "post_state" not in vars(result)  # built on first read only
-        # the eager projection, which post_state must equal bit for bit
+        different = swap_test(a, b, r)
+        # the eager projection, which projected_pair must equal bit for bit
         joint = qsim.tensor(a, b).amplitudes
         square = joint.reshape(batch + (a.dim, a.dim))
         swapped = np.swapaxes(square, -1, -2)
         branch = (square - swapped).reshape(joint.shape)
-        np.add(square, swapped, out=branch.reshape(square.shape), where=~result.different[..., None, None])
+        np.add(square, swapped, out=branch.reshape(square.shape), where=~different[..., None, None])
         branch /= np.sqrt(qsim._norm_sq(branch))[..., None]
-        assert np.array_equal(result.post_state.amplitudes, branch)
-        assert result.post_state is result.post_state
+        post = projected_pair(a, b, different)
+        assert np.array_equal(post.amplitudes, branch)
+        assert np.array_equal(projected_pair(a, b, different).amplitudes, post.amplitudes)
 
     @pytest.mark.parametrize("idealized", [True, False])
     def test_post_state_built_only_for_disturbed_particles(self, monkeypatch, idealized):
-        results = []
-        test = comparison.swap_test
+        calls = []
+        project = comparison.projected_pair
 
-        def recording_swap_test(a, b, rng):
-            results.append(test(a, b, rng))
-            return results[-1]
+        def recording_projected_pair(a, b, different):
+            calls.append(different.shape)
+            return project(a, b, different)
 
-        monkeypatch.setattr(comparison, "swap_test", recording_swap_test)
+        monkeypatch.setattr(comparison, "projected_pair", recording_projected_pair)
         variant = ProtocolVariant(
             RPrimeSource.FROM_GHZ_PARTICLE,
             MtMode.MEASURE_X,
@@ -89,9 +90,11 @@ class TestSwapTest:
             SigningModel.PER_QUBIT_PRODUCT,
             ComparisonMode.PER_QUBIT,
         )
-        run_protocol(RunConfig(2, variant, idealized), 3, size=50)
-        built = ["post_state" in vars(result) for result in results]
-        assert built == [not idealized]  # the arbitrator's one test
+        config = RunConfig(2, variant, idealized)
+        trials = block_trials(state_width(config)) + 50  # two blocks, the second short
+        recovery_failure_experiment(config, trials, 3)
+        # one call per block, on its arbitrator's per-qubit test
+        assert calls == ([] if idealized else [(trials - 50, 2), (50, 2)])
 
     def test_empirical_frequency_grid(self):
         # overlaps 0, 1/4, 1/2, 3/4, 1 realized with planar single-qubit
@@ -103,7 +106,7 @@ class TestSwapTest:
             c = np.sqrt(overlap)
             b = StateVector(np.array([c, np.sqrt(1 - overlap)], dtype=complex))
             expected = (1 - overlap) / 2
-            hits = np.count_nonzero(swap_test(a, b, r).different)
+            hits = np.count_nonzero(swap_test(a, b, r))
             sigma = max(np.sqrt(expected * (1 - expected) / trials), 1e-9)
             assert abs(hits / trials - expected) <= 3 * sigma + 1e-9
 
@@ -117,8 +120,8 @@ class TestSwapTest:
         assert p == pytest.approx(oracle_detect_probability(ua, ub), abs=ATOL)
         trials = 20000
         block_a, block_ua = (StateVector(np.broadcast_to(s.amplitudes, (trials, 2))) for s in (a, ua))
-        f_plain = np.count_nonzero(swap_test(block_a, b, r).different)
-        f_rot = np.count_nonzero(swap_test(block_ua, ub, r).different)
+        f_plain = np.count_nonzero(swap_test(block_a, b, r))
+        f_rot = np.count_nonzero(swap_test(block_ua, ub, r))
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(f_plain - f_rot) / trials < 6 * sigma
 
@@ -132,7 +135,7 @@ class TestAverageQ:
         r = rng(8)
         trials = 20000
         a, b = haar_random_state(1, r, (trials,)), haar_random_state(1, r, (trials,))
-        hits = np.count_nonzero(swap_test(a, b, r).different)
+        hits = np.count_nonzero(swap_test(a, b, r))
         assert hits / trials == pytest.approx(0.25, abs=0.015)
 
     def test_invalid_n(self):

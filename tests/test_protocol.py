@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from aqsim import crypto, qsim, serialize
-from aqsim.attacks import ForgeryStrategy, StrategyKind, block_rng, forge
+from aqsim.attacks import ForgeryStrategy, StrategyKind, _garble_tap, block_rng, forge
 from aqsim.crypto import SigningModel
 from aqsim.protocol import (
     ComparisonMode,
@@ -377,6 +377,18 @@ class TestNonIdealizedComparison:
         cfg = RunConfig(1, v, idealized_comparison=False)
         t = run_protocol(cfg, 0, 20)
         assert np.all(t.gamma == 1) and t.m_t.shape == (20, 1)
+
+    @pytest.mark.parametrize("idealized, expected", [(True, 2 / 3), (False, 1 / 2)])
+    def test_disturbance_halves_garbled_candidate_fidelity(self, idealized, expected):
+        # A garbled signature qubit is orthogonal to R'. The symmetric branch of
+        # that pair leaves the particle maximally mixed, so a disturbing test
+        # takes the accepted trials' x-basis candidate from the undisturbed
+        # 2/3 (E[(1 + u^2)/2] for a Haar Bloch x-coordinate u) to 1/2.
+        cfg = RunConfig(1, variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE), idealized)
+        t = run_protocol(cfg, 2026, 100_000, channel_tap=_garble_tap)
+        fids = t.extras["candidate_fidelity"][t.accepted]
+        se = fids.std() / np.sqrt(fids.size)
+        assert abs(fids.mean() - expected) <= 4 * se
 
     def test_ghz_source_forward_unsupported(self):
         v = variant(
