@@ -61,7 +61,7 @@ class Scenario(Enum):
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
-    run: RunConfig  # n, variant and comparison idealization
+    run: RunConfig  # n and variant
     strategy: ForgeryStrategy  # kind and m; forgery alone reads it
     trials: int
     seed: int
@@ -95,7 +95,6 @@ _SCOPED_FLAGS = (
     ("knowledge", "--knowledge", "sets a protocol variant", _PROTOCOL_SCENARIOS),
     ("key_model", "--key-model", "sets a protocol variant", _PROTOCOL_SCENARIOS),
     ("comparison", "--comparison", "sets a protocol variant", _PROTOCOL_SCENARIOS),
-    ("idealized", "--idealized-comparison", "sets a protocol variant", _PROTOCOL_SCENARIOS),
 )
 
 
@@ -121,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knowledge", choices=_choices(MessageKnowledge))
     p.add_argument("--key-model", dest="key_model", choices=_choices(SigningModel))
     p.add_argument("--comparison", choices=_choices(ComparisonMode))
-    p.add_argument(
-        "--idealized-comparison",
-        dest="idealized",
-        choices=["true", "false"],
-        help="compare on copies, leaving states undisturbed (default true)",
-    )
     p.add_argument("--strategy", choices=_choices(StrategyKind))
     p.add_argument("--out", help="report path (default <scenario>.<format> in $AQSIM_OUT_DIR or cwd)")
     p.add_argument("--format", choices=["json", "csv"])
@@ -163,9 +156,8 @@ def _file_args(path: str) -> argparse.Namespace:
             continue
         if value is None:
             continue
-        text = json.dumps(value) if isinstance(value, bool) else str(value)
         try:
-            parser.parse_known_args([f"{flag}={text}"], values)
+            parser.parse_known_args([f"{flag}={value}"], values)
         except argparse.ArgumentError as e:
             errors.append(f"config file key {key!r}: {e.message}")
     if errors:
@@ -227,7 +219,6 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
         key_model=SigningModel(pick("key_model", "per-qubit")),
         comparison_mode=ComparisonMode(pick("comparison", "per-qubit")),
     )
-    idealized = pick("idealized", "true") == "true"
 
     out = pick("out", None)
     if out is None:
@@ -245,7 +236,7 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
     except ValueError as e:
         errors += e.args
     try:
-        run = RunConfig(n, variant, idealized)
+        run = RunConfig(n, variant)
     except ValueError as e:
         # n < 1 has its line above, and so has every way a scenario that runs
         # no protocol can break these rules
@@ -402,7 +393,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "variant": serialize.variant_to_dict(cfg.run.variant),
-        "idealized_comparison": cfg.run.idealized_comparison,
         "strategy": cfg.strategy.kind.value,
         "format": cfg.format,
     }

@@ -8,8 +8,8 @@ confirms that two unknown pure states are identical.
 
 Like qsim, every function acts trial by trial on a block (trial axis first),
 and block by block on a register's block axis. A test's outcome is
-`different`, one bool per trial and block; `projected_pair` rebuilds from
-the inputs and those bools the joint register the tests leave.
+`different`, one bool per trial and block. Each test acts on copies, so the
+compared registers are left as they were.
 """
 
 from __future__ import annotations
@@ -28,20 +28,6 @@ def swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> np.nd
     square = joint.reshape(joint.shape[:-1] + (a.dim, a.dim))  # rows index a's basis, columns b's
     branch = (square - np.swapaxes(square, -1, -2)).reshape(joint.shape)  # twice the antisymmetric projection
     return rng.random(joint.shape[:-1])[()] < _norm_sq(branch) / 4.0
-
-
-def projected_pair(a: StateVector, b: StateVector, different: np.ndarray) -> StateVector:
-    """The joint (a, b) register after the SWAP tests whose outcomes were
-    `different`: each pair projected on the antisymmetric subspace where it
-    was set, on the symmetric one elsewhere, and renormalized."""
-    joint = tensor(a, b).amplitudes
-    square = joint.reshape(joint.shape[:-1] + (a.dim, a.dim))
-    swapped = np.swapaxes(square, -1, -2)  # SWAP, as a view
-    branch = square - swapped  # twice the antisymmetric projection
-    np.add(square, swapped, out=branch, where=~different[..., None, None])
-    joint = branch.reshape(joint.shape)
-    joint /= np.sqrt(_norm_sq(joint))[..., None]
-    return StateVector.owning(joint)
 
 
 def average_q(n: int) -> float:

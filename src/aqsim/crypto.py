@@ -158,9 +158,6 @@ class SigningTransform:
             unitaries = kron_blocks(unitaries)
         return apply_unitary(register, unitaries)
 
-    def inverse(self) -> "SigningTransform":
-        return SigningTransform(np.swapaxes(self.unitaries.conj(), -1, -2))
-
 
 # Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
 # and generates non-commuting transforms.

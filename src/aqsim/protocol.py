@@ -85,10 +85,6 @@ MAX_N_WHOLE_REGISTER = 6
 class RunConfig:
     n: int
     variant: ProtocolVariant
-    # When True the comparison acts on copies and leaves the compared states
-    # undisturbed (the idealization under which the reference failure rates
-    # hold). When False the post-measurement states flow onward.
-    idealized_comparison: bool = True
 
     def __post_init__(self):
         """Reject a run the variant leaves undefined: one ValueError whose
@@ -106,20 +102,10 @@ class RunConfig:
             (n > limit, f"--n {n} exceeds {limit}, the largest n for {path}"),
             (n > 1 and per_qubit_cmp and general,
              f"--key-model general entangles the signature at --n {n}, so --comparison per-qubit cannot split it"),
-            (self.disturbs_ghz and not per_qubit_cmp,
-             "--idealized-comparison false with --comparison whole-register and --r-prime ghz leaves the GHZ particles entangled with the discarded register"),
-            (self.disturbs_ghz and v.m_t_mode is MtMode.FORWARD_PARTICLE,
-             "--idealized-comparison false with --r-prime ghz disturbs the GHZ particles, which --mt forward-particle cannot forward"),
         ]
         conflicts = [message for broken, message in rules if broken]
         if conflicts:
             raise ValueError(*conflicts)
-
-    @property
-    def disturbs_ghz(self) -> bool:
-        """Whether the comparison's post-measurement state flows back into the
-        GHZ particles (R' built from them, comparison not idealized)."""
-        return not self.idealized_comparison and self.variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE
 
 
 def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> StateVector:
@@ -279,15 +265,15 @@ def arbitrator_verify(
     particles,
     k_a: KeyMaterial,
     k_b: KeyMaterial,
-    config: RunConfig,
+    variant: ProtocolVariant,
     rng: np.random.Generator,
 ):
     """Arbitrator's forgery test: gamma, M_t, and the y_tb bundle.
 
     `particles` are the arbitrator's GHZ shares after Bob's x-measurements.
+    The comparison acts on copies, so they reach M_t undisturbed.
     Returns (gamma, m_t or None, y_tb).
     """
-    variant = config.variant
     n = qsim.qubit_count(y_b["sig_state"])
     layout = crypto.kb_layout(n)
     # every field of y_b; the signature fields are still sealed under K_a
@@ -301,19 +287,15 @@ def arbitrator_verify(
         source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
     r_prime = transform.apply(source)
 
-    post_particles = particles
     if variant.comparison_mode is ComparisonMode.PER_QUBIT:
         different = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
-        if config.disturbs_ghz:
-            post_particles = _recover_particles(comparison.projected_pair(r, r_prime, different), transform, m_a, m_b)
     else:
         different = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
     different = different.any(-1)
 
     m_t = out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
-        # the particle is the last qubit, also inside a post-comparison joint
-        m_t, _ = qsim.measure_x(post_particles, post_particles.qubit_count - 1, rng)
+        m_t, _ = qsim.measure_x(particles, 0, rng)
     else:
         out_particles = particles
 
@@ -330,23 +312,11 @@ def arbitrator_verify(
     return gamma, m_t, crypto.seal(fields, k_b, layout["y_tb"])
 
 
-def _recover_particles(disturbed_joints: StateVector, transform, m_a, m_b) -> StateVector:
-    """After a disturbing per-qubit comparison, undo the transform and the
-    Pauli correction on the particle half of each post-measurement pair.
-
-    The particle stays entangled with the discarded comparison register, so
-    each block of the result is the 2-qubit joint state with the particle
-    last. Each trial undoes its own transform.
-    """
-    undone = qsim.apply_unitary(disturbed_joints, qsim.kron(np.eye(2), transform.inverse().unitaries))
-    return qsim.apply_pauli(undone, pauli_frame()[m_a, m_b], 1)
-
-
 def bob_final_verify(
     y_tb: dict,
     k_b: KeyMaterial,
     reference: StateVector | None,
-    config: RunConfig,
+    variant: ProtocolVariant,
     rng: np.random.Generator,
 ):
     """Bob's final test.
@@ -359,7 +329,6 @@ def bob_final_verify(
     In ForwardParticle mode Bob corrects the forwarded particles and
     SWAP-tests them against the reference.
     """
-    variant = config.variant
     measured_mt = variant.m_t_mode is MtMode.MEASURE_X
     # only the fields Bob reads are opened
     names = ("ma_bits", "mb_bits", "gamma_bit", "mt_bits" if measured_mt else "particles")
@@ -416,13 +385,13 @@ def run_protocol(
     if channel_tap is not None:
         p_out, sig = channel_tap(p_out, sig, rng)
     y_b, m_b, particles = bob_receive_and_forward(p_out, sig, shared_pairs, k_b, rng)
-    gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, config, rng)
+    gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, variant, rng)
 
     if variant.message_knowledge is MessageKnowledge.KNOWN_TO_ALL:
         reference = message  # Bob mints fresh copies from the known description
     else:
         reference = p_out  # all Bob ever held is what arrived on the channel
-    accepted, candidate = bob_final_verify(y_tb, k_b, reference, config, rng)
+    accepted, candidate = bob_final_verify(y_tb, k_b, reference, variant, rng)
 
     # a rejected trial's candidate means nothing: its fidelities read NaN
     per_qubit = np.where(gamma[..., None], qsim.fidelity(candidate, message), np.nan)

@@ -297,7 +297,7 @@ def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
 
 def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
     """Apply a full-register unitary: one (d, d) matrix, or one per trial. Callers pass
-    unitaries checked where they were made: SigningTransform stacks, inverse(), krons.
+    unitaries checked where they were made: SigningTransform stacks and their krons.
 
     One-qubit blocks take the 2x2 product elementwise, which equals np.matmul's
     bit for bit without its call per matrix; wider blocks keep np.matmul.

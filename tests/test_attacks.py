@@ -480,7 +480,7 @@ class TestBlockLength:
             (RunConfig(3, WHOLE_REGISTER_VARIANT), ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)),
             (RunConfig(2, _variant(cmp=ComparisonMode.WHOLE_REGISTER)), ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)),
             (RunConfig(3, _variant(m_t_mode=MtMode.FORWARD_PARTICLE, message_knowledge=MessageKnowledge.KNOWN_TO_ALL)), None),
-            (RunConfig(2, _variant(r_prime_source=RPrimeSource.FROM_GHZ_PARTICLE), idealized_comparison=False), None),
+            (RunConfig(2, _variant(r_prime_source=RPrimeSource.FROM_GHZ_PARTICLE)), None),
             (RunConfig(3, _variant(SigningModel.GENERAL_UNITARY, ComparisonMode.WHOLE_REGISTER, m_t_mode=MtMode.FORWARD_PARTICLE)), None),
         ],
     )
@@ -523,29 +523,22 @@ class TestBlockLength:
 
 
 REPLACE_ONE = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 1)
-GHZ_DISTURBED = {"r_prime_source": RPrimeSource.FROM_GHZ_PARTICLE}
 
-# (n, variant, idealized comparison, strategy, the message that rejects it)
+# (n, variant, strategy, the message that rejects it)
 INVALID_RUNS = {
     "general-keys-per-qubit-comparison": (
-        2, _variant(SigningModel.GENERAL_UNITARY), True, REPLACE_ONE, "--key-model general entangles"),
+        2, _variant(SigningModel.GENERAL_UNITARY), REPLACE_ONE, "--key-model general entangles"),
     "whole-register-strategy-per-qubit-comparison": (
-        2, PER_QUBIT_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
+        2, PER_QUBIT_VARIANT, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
         "--strategy replace-whole-register sends an entangled message"),
     "garble-general-keys": (
-        2, WHOLE_REGISTER_VARIANT, True, ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE),
+        2, WHOLE_REGISTER_VARIANT, ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE),
         "--strategy garble-signature replaces the signature's first qubit"),
-    "disturbed-ghz-whole-register": (
-        1, _variant(cmp=ComparisonMode.WHOLE_REGISTER, **GHZ_DISTURBED), False, REPLACE_ONE,
-        "--idealized-comparison false with --comparison whole-register"),
-    "disturbed-ghz-forward-particle": (
-        1, _variant(m_t_mode=MtMode.FORWARD_PARTICLE, **GHZ_DISTURBED), False, REPLACE_ONE,
-        "--mt forward-particle cannot forward"),
     "whole-register-n7": (
-        7, WHOLE_REGISTER_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
+        7, WHOLE_REGISTER_VARIANT, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER),
         "--n 7 exceeds 6"),
-    "per-qubit-n65": (65, PER_QUBIT_VARIANT, True, REPLACE_ONE, "--n 65 exceeds 64"),
-    "m-beyond-n": (2, PER_QUBIT_VARIANT, True, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 3), "--m 3 must satisfy"),
+    "per-qubit-n65": (65, PER_QUBIT_VARIANT, REPLACE_ONE, "--n 65 exceeds 64"),
+    "m-beyond-n": (2, PER_QUBIT_VARIANT, ForgeryStrategy(StrategyKind.REPLACE_QUBITS, 3), "--m 3 must satisfy"),
 }
 
 
@@ -554,9 +547,9 @@ class TestInvalidRunsRejected:
     def test_library_call_raises_before_any_block(self, monkeypatch, forks, name):
         # a library caller gets the CLI's rules, in the calling process,
         # before a block runs or a worker is forked
-        n, variant, idealized, strategy, message = INVALID_RUNS[name]
+        n, variant, strategy, message = INVALID_RUNS[name]
         jobs = []
         monkeypatch.setattr(attacks, "_run_chunk", jobs.append)
         with pytest.raises(ValueError, match=message):
-            estimate_forgery_acceptance(RunConfig(n, variant, idealized), strategy, 3 * BLOCK_TRIALS, 1, workers=2)
+            estimate_forgery_acceptance(RunConfig(n, variant), strategy, 3 * BLOCK_TRIALS, 1, workers=2)
         assert jobs == [] and forks == []

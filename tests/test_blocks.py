@@ -107,8 +107,8 @@ CASES = {
         _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1)),
     ),
     "ghz-r-prime": (RunConfig(2, _variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE)), None),
-    "non-idealized": (
-        RunConfig(2, _variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE), idealized_comparison=False),
+    "ghz-r-prime-forged": (
+        RunConfig(2, _variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE)),
         _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1)),
     ),
 }

@@ -39,7 +39,6 @@ class TestValidateConfig:
         assert cfg.scenario is Scenario.HONEST
         assert cfg.run.n == 1 and cfg.trials == 10000 and cfg.seed == 0
         assert cfg.workers == 1 and cfg.format == "json"
-        assert cfg.run.idealized_comparison is True
         assert cfg.output_path.endswith("honest.json")
 
     def test_scenario_required(self):
@@ -68,14 +67,12 @@ class TestValidateConfig:
                 "--knowledge", "all",
                 "--key-model", "general",
                 "--comparison", "whole-register",
-                "--idealized-comparison", "false",
             ]
         )
         v = cfg.run.variant
         assert v.m_t_mode is MtMode.FORWARD_PARTICLE
         assert v.key_model is SigningModel.GENERAL_UNITARY
         assert v.comparison_mode is ComparisonMode.WHOLE_REGISTER
-        assert cfg.run.idealized_comparison is False
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.json"
@@ -106,7 +103,6 @@ class TestValidateConfig:
             ("comparison", "bogus"),
             ("n", "two"),
             ("format", "xml"),
-            ("idealized_comparison", "maybe"),
         ],
     )
     def test_config_file_values_checked_as_flags(self, tmp_path, capsys, key, value):
@@ -118,7 +114,9 @@ class TestValidateConfig:
         assert f"config file key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("trails", 5), ("trails", None), ("idealized", True)])
+    @pytest.mark.parametrize(
+        "key, value", [("trails", 5), ("trails", None), ("idealized", True), ("idealized_comparison", False)]
+    )
     def test_config_file_key_naming_no_flag_rejected(self, tmp_path, capsys, key, value):
         # a misspelled key would otherwise run with the default: exit 2 naming it, no report
         cfg_file = tmp_path / "exp.json"
@@ -142,10 +140,10 @@ class TestValidateConfig:
     def test_config_file_values_typed_as_flags(self, tmp_path):
         cfg_file = tmp_path / "exp.json"
         cfg_file.write_text(
-            json.dumps({"scenario": "forgery", "n": "3", "m": None, "idealized_comparison": False, "mt": "forward"})
+            json.dumps({"scenario": "forgery", "n": "3", "m": None, "mt": "forward"})
         )
         cfg = parse(["--config", str(cfg_file)])
-        assert cfg.run.n == 3 and cfg.strategy.m == 1 and cfg.run.idealized_comparison is False
+        assert cfg.run.n == 3 and cfg.strategy.m == 1
         assert cfg.run.variant.m_t_mode is MtMode.FORWARD_PARTICLE
         cfg_file.write_text(json.dumps(["scenario", "honest"]))
         with pytest.raises(ConfigError, match="JSON object"):
@@ -255,34 +253,6 @@ class TestScenarios:
         code_b, b = run_main(tmp_path, [*argv, "--workers", "2"], name="b.json")
         assert code_a == code_b == 0
         assert a.read_bytes() == b.read_bytes()
-
-
-# Runs whose results are the same whatever --idealized-comparison says:
-# honest, replace-qubits and garble at n = 1, 2 under either R' source, and
-# recovery at n = 2
-IDEALIZED_GRID = [
-    ["--scenario", scenario, "--n", str(n), "--r-prime", r_prime, *strategy]
-    for scenario, strategy in (
-        ("honest", []),
-        ("forgery", ["--strategy", "replace-qubits"]),
-        ("forgery", ["--strategy", "garble-signature"]),
-    )
-    for n in (1, 2)
-    for r_prime in ("ghz", "message")
-] + [["--scenario", "recovery-failure", "--n", "2", "--r-prime", "ghz"]]
-
-
-@pytest.mark.parametrize("argv", IDEALIZED_GRID, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
-def test_idealized_comparison_moves_no_result(tmp_path, argv):
-    # The flag moves only M_t, after a disturbing comparison: no forgery
-    # result reads M_t, and in honest and recovery runs R' equals R, which the
-    # test's symmetric branch leaves as it was. Neither value draws more.
-    results = []
-    for idealized in ("true", "false"):
-        code, out = run_main(tmp_path, [*argv, "--trials", "300", "--seed", "8", "--idealized-comparison", idealized])
-        assert code == 0
-        results.append(json.dumps(json.loads(out.read_text())["results"], sort_keys=True))
-    assert results[0] == results[1]
 
 
 # Each case with the widest array its blocks hold, in amplitudes per trial
@@ -567,6 +537,11 @@ class TestExitCodes:
     def test_invalid_config(self, capsys):
         assert main(["--scenario", "forgery", "--n", "1", "--m", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+        # a flag aqsim does not have is argparse's usage error, also exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", "honest", "--idealized-comparison", "false"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --idealized-comparison false" in capsys.readouterr().err
 
     def test_incompatible_variant(self, tmp_path, capsys):
         # each combination fails before trial 1, naming its conflicting flags
@@ -578,9 +553,6 @@ class TestExitCodes:
             (["--scenario", "forgery", "--strategy", "garble-signature",
               "--key-model", "general", "--comparison", "whole-register"],
              ["--strategy garble-signature", "--key-model general", "--n 2"]),
-            (["--scenario", "honest", "--idealized-comparison", "false",
-              "--comparison", "whole-register", "--r-prime", "ghz"],
-             ["--idealized-comparison false", "--comparison whole-register", "--r-prime ghz"]),
             (["--scenario", "recovery-failure", "--mt", "forward-particle"],
              ["--scenario recovery-failure", "--mt forward-particle"]),
             (["--scenario", "forgery", "--strategy", "replace-whole-register", "--key-model", "general",
@@ -597,8 +569,7 @@ class TestExitCodes:
              ["--strategy replace-qubits", "--scenario recovery-failure"]),
             (["--scenario", "q-estimate", "--key-model", "general", "--comparison", "per-qubit"],
              ["--key-model general", "--comparison per-qubit", "--scenario q-estimate"]),
-            (["--scenario", "q-estimate", "--r-prime", "ghz", "--idealized-comparison", "false"],
-             ["--r-prime ghz", "--idealized-comparison false", "--scenario q-estimate"]),
+            (["--scenario", "q-estimate", "--r-prime", "ghz"], ["--r-prime ghz", "--scenario q-estimate"]),
             (["--scenario", "correlation-table", "--mt", "forward"], ["--mt forward", "--scenario correlation-table"]),
             (["--scenario", "correlation-table", "--knowledge", "alice-only"],
              ["--knowledge alice-only", "--scenario correlation-table"]),
@@ -609,9 +580,9 @@ class TestExitCodes:
             (["--scenario", "q-estimate", "--mt", "measure-x", "--knowledge", "all"],
              ["--mt measure-x", "--knowledge all", "--scenario q-estimate"]),
             (["--scenario", "correlation-table", "--r-prime", "message", "--key-model", "per-qubit",
-              "--comparison", "whole-register", "--idealized-comparison", "true"],
+              "--comparison", "whole-register"],
              ["--r-prime message", "--key-model per-qubit", "--comparison whole-register",
-              "--idealized-comparison true", "--scenario correlation-table"]),
+              "--scenario correlation-table"]),
         ]
         for argv, flags in cases:
             for workers in ("1", "2"):
@@ -625,7 +596,7 @@ class TestExitCodes:
                 assert not out.exists()
         # the variant flags in a config file, outside the scenarios that run the protocol
         values = {"r_prime": "message", "mt": "measure-x", "knowledge": "all", "key_model": "per-qubit",
-                  "comparison": "whole-register", "idealized_comparison": True}
+                  "comparison": "whole-register"}
         cfg_file = tmp_path / "exp.json"
         out = tmp_path / "r.json"
         for scenario in ("q-estimate", "correlation-table"):

@@ -3,22 +3,11 @@
 import numpy as np
 import pytest
 
-from aqsim import comparison, qsim
-from aqsim.attacks import block_trials, recovery_failure_experiment, state_width
+from aqsim import qsim
 from aqsim.comparison import (
     average_q,
     compare_product,
-    projected_pair,
     swap_test,
-)
-from aqsim.crypto import SigningModel
-from aqsim.protocol import (
-    ComparisonMode,
-    MessageKnowledge,
-    MtMode,
-    ProtocolVariant,
-    RPrimeSource,
-    RunConfig,
 )
 from aqsim.qsim import ATOL, StateVector, haar_random_state, new_basis_state
 
@@ -45,56 +34,6 @@ class TestSwapTest:
         s = haar_random_state(1, r)
         for _ in range(2000):
             assert not swap_test(s, s, r)
-
-    def test_post_state_normalized(self):
-        r = rng(5)
-        for _ in range(50):
-            a, b = haar_random_state(1, r), haar_random_state(1, r)
-            post = projected_pair(a, b, swap_test(a, b, r))
-            assert np.vdot(post.amplitudes, post.amplitudes).real == pytest.approx(
-                1.0, abs=ATOL
-            )
-
-    @pytest.mark.parametrize(
-        "k, batch", [(1, ()), (1, (300, 6)), (3, (300, 1))], ids=["single", "one-qubit-blocks", "register"]
-    )
-    def test_post_state_equals_eager_formula(self, k, batch):
-        r = rng(7)
-        a, b = haar_random_state(k, r, batch), haar_random_state(k, r, batch)
-        different = swap_test(a, b, r)
-        # the eager projection, which projected_pair must equal bit for bit
-        joint = qsim.tensor(a, b).amplitudes
-        square = joint.reshape(batch + (a.dim, a.dim))
-        swapped = np.swapaxes(square, -1, -2)
-        branch = (square - swapped).reshape(joint.shape)
-        np.add(square, swapped, out=branch.reshape(square.shape), where=~different[..., None, None])
-        branch /= np.sqrt(qsim._norm_sq(branch))[..., None]
-        post = projected_pair(a, b, different)
-        assert np.array_equal(post.amplitudes, branch)
-        assert np.array_equal(projected_pair(a, b, different).amplitudes, post.amplitudes)
-
-    @pytest.mark.parametrize("idealized", [True, False])
-    def test_post_state_built_only_for_disturbed_particles(self, monkeypatch, idealized):
-        calls = []
-        project = comparison.projected_pair
-
-        def recording_projected_pair(a, b, different):
-            calls.append(different.shape)
-            return project(a, b, different)
-
-        monkeypatch.setattr(comparison, "projected_pair", recording_projected_pair)
-        variant = ProtocolVariant(
-            RPrimeSource.FROM_GHZ_PARTICLE,
-            MtMode.MEASURE_X,
-            MessageKnowledge.ALICE_ONLY,
-            SigningModel.PER_QUBIT_PRODUCT,
-            ComparisonMode.PER_QUBIT,
-        )
-        config = RunConfig(2, variant, idealized)
-        trials = block_trials(state_width(config)) + 50  # two blocks, the second short
-        recovery_failure_experiment(config, trials, 3)
-        # one call per block, on its arbitrator's per-qubit test
-        assert calls == ([] if idealized else [(trials - 50, 2), (50, 2)])
 
     def test_empirical_frequency_grid(self):
         # overlaps 0, 1/4, 1/2, 3/4, 1 realized with planar single-qubit

@@ -255,6 +255,16 @@ class TestEndToEnd:
         assert np.mean(fids) < 0.999
         assert np.mean(fids) == pytest.approx(2 / 3, abs=0.1)
 
+    def test_garbled_candidate_fidelity(self):
+        # A garbled signature qubit is orthogonal to R'; the test acts on
+        # copies, so the accepted trials' x-basis candidate keeps the
+        # undisturbed 2/3 (E[(1 + u^2)/2] for a Haar Bloch x-coordinate u).
+        cfg = RunConfig(1, variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE))
+        t = run_protocol(cfg, 2026, 100_000, channel_tap=_garble_tap)
+        fids = t.extras["candidate_fidelity"][t.accepted]
+        se = fids.std() / np.sqrt(fids.size)
+        assert abs(fids.mean() - 2 / 3) <= 4 * se
+
     def test_outcome_independence_chi_square(self):
         # (M_a, M_b) jointly uniform and independent of the message; each
         # message's runs are one block, (M_a, M_b) counted as 2 M_a + M_b
@@ -278,7 +288,7 @@ class TestEndToEnd:
         cfg = RunConfig(1, v)
         t = run_protocol(cfg, 3, 1)
         with pytest.raises(ValueError):
-            bob_final_verify(t.y_tb, initialize(1, 3, v, 1)[1], None, cfg, rng())
+            bob_final_verify(t.y_tb, initialize(1, 3, v, 1)[1], None, v, rng())
 
     def test_message_must_carry_the_trial_axis(self):
         # a message without the trial axis would share one Bell and one x
@@ -365,48 +375,6 @@ def test_wire_bit_fields_pinned(name):
                 h.update(f"{bundle}.{field}{bits.shape}".encode())
                 h.update(bits.tobytes())
     assert h.hexdigest() == expected
-
-
-class TestNonIdealizedComparison:
-    def test_from_message_runs(self):
-        cfg = RunConfig(1, variant(), idealized_comparison=False)
-        assert np.all(run_protocol(cfg, 0, 20).gamma == 1)
-
-    def test_ghz_source_measure_x_runs(self):
-        v = variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE)
-        cfg = RunConfig(1, v, idealized_comparison=False)
-        t = run_protocol(cfg, 0, 20)
-        assert np.all(t.gamma == 1) and t.m_t.shape == (20, 1)
-
-    @pytest.mark.parametrize("idealized, expected", [(True, 2 / 3), (False, 1 / 2)])
-    def test_disturbance_halves_garbled_candidate_fidelity(self, idealized, expected):
-        # A garbled signature qubit is orthogonal to R'. The symmetric branch of
-        # that pair leaves the particle maximally mixed, so a disturbing test
-        # takes the accepted trials' x-basis candidate from the undisturbed
-        # 2/3 (E[(1 + u^2)/2] for a Haar Bloch x-coordinate u) to 1/2.
-        cfg = RunConfig(1, variant(r_prime=RPrimeSource.FROM_GHZ_PARTICLE), idealized)
-        t = run_protocol(cfg, 2026, 100_000, channel_tap=_garble_tap)
-        fids = t.extras["candidate_fidelity"][t.accepted]
-        se = fids.std() / np.sqrt(fids.size)
-        assert abs(fids.mean() - expected) <= 4 * se
-
-    def test_ghz_source_forward_unsupported(self):
-        v = variant(
-            r_prime=RPrimeSource.FROM_GHZ_PARTICLE,
-            mt=MtMode.FORWARD_PARTICLE,
-            knowledge=MessageKnowledge.KNOWN_TO_ALL,
-        )
-        with pytest.raises(ValueError, match="--mt forward-particle cannot forward"):
-            RunConfig(1, v, idealized_comparison=False)
-
-    def test_ghz_source_whole_register_unsupported(self):
-        v = variant(
-            r_prime=RPrimeSource.FROM_GHZ_PARTICLE,
-            keys=SigningModel.GENERAL_UNITARY,
-            cmp=ComparisonMode.WHOLE_REGISTER,
-        )
-        with pytest.raises(ValueError, match="entangled with the discarded register"):
-            RunConfig(1, v, idealized_comparison=False)
 
 
 class TestBlockWidths:
