@@ -268,8 +268,9 @@ def block_trials(width: int) -> int:
 def state_width(config: RunConfig) -> int:
     """Amplitudes per trial in the widest array a block of `config` holds:
     16 n for the message and its GHZ triples under per-qubit keys and
-    comparison; with whole-register comparison or general keys also the
-    SWAP test's 2n-qubit joint state and the 2^n x 2^n unitary stack, 4^n."""
+    comparison; with whole-register comparison or general keys also a
+    2^n x 2^n unitary per trial, 4^n: the general-key stack, or per-qubit
+    unitaries kron'd onto a whole-register forged message."""
     v, n = config.variant, config.n
     if v.key_model is SigningModel.PER_QUBIT_PRODUCT and v.comparison_mode is ComparisonMode.PER_QUBIT:
         return 16 * n

@@ -312,8 +312,8 @@ def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
 def scenario_q_estimate(cfg: ExperimentConfig):
     rows_data = []
     for n in range(1, cfg.run.n + 1):
-        # the SWAP test's joint state is the widest array: 4^n amplitudes
-        (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, width=4**n, n=n)
+        # the two Haar states are the widest arrays: 2^n amplitudes
+        (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, width=2**n, n=n)
         hits = int(different.sum())
         lo, hi = binomial_ci(hits, cfg.trials)
         rows_data.append(

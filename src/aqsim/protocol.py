@@ -75,8 +75,8 @@ class ProtocolVariant:
 # Largest n per path. Per-qubit keys and comparison keep every register as n
 # blocks of at most 4 qubits (a message qubit and its GHZ triple), each step one
 # call over all of them, so memory is linear in n. Whole-register paths act on
-# 2^n amplitudes; at n = 6 the SWAP test's joint state has 12 qubits, the most
-# qsim.ATOL allows.
+# 2^n amplitudes and 2^n x 2^n unitaries, 4^n entries per trial; at n = 6
+# that is 4096, and a block within the 2^18-amplitude ceiling holds 64 trials.
 MAX_N_PER_QUBIT = 64
 MAX_N_WHOLE_REGISTER = 6
 

@@ -70,7 +70,7 @@ REPAIRED_VARIANT = ProtocolVariant(
 
 def _empirical_q(n: int, trials: int, seed: int) -> float:
     # q-estimate's blocks: one SWAP test of two fresh Haar states per trial
-    (different,) = map_trials(_q_trials, trials, seed, width=4**n, n=n)
+    (different,) = map_trials(_q_trials, trials, seed, width=2**n, n=n)
     return np.count_nonzero(different) / trials
 
 

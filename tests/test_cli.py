@@ -256,12 +256,12 @@ class TestScenarios:
 
 
 # Each case with the widest array its blocks hold, in amplitudes per trial
-# (attacks.state_width; for q-estimate, the n = 2 row's SWAP test)
+# (attacks.state_width; for q-estimate, the n = 2 row's Haar states)
 WORKER_CASES = {
     "forgery": (["--scenario", "forgery", "--n", "2", "--m", "1", "--seed", "21"], 32),
     "honest": (["--scenario", "honest", "--n", "2", "--mt", "forward-particle", "--knowledge", "all", "--seed", "22"], 32),
     "recovery-failure": (["--scenario", "recovery-failure", "--n", "1", "--seed", "23"], 16),
-    "q-estimate": (["--scenario", "q-estimate", "--n", "2", "--seed", "24"], 16),
+    "q-estimate": (["--scenario", "q-estimate", "--n", "2", "--seed", "24"], 4),
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the SWAP-test comparison, with an independent matrix oracle."""
+"""Tests for the SWAP-test comparison, against the explicit joint state as oracle."""
 
 import numpy as np
 import pytest
@@ -16,24 +16,49 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def oracle_detect_probability(a: StateVector, b: StateVector) -> float:
-    """Brute-force oracle: explicit antisymmetric projector matrix."""
-    d = a.dim
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    proj = (np.eye(d * d) - swap) / 2.0
-    joint = np.kron(a.amplitudes, b.amplitudes)
-    return float(np.vdot(joint, proj @ joint).real)
+def oracle_detect_probability(a: StateVector, b: StateVector):
+    """Reference: the antisymmetric projection of the explicit joint a (x) b,
+    held as a d x d matrix per trial (rows a's basis, columns b's), and its
+    squared norm."""
+    joint = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
+    branch = (joint - np.swapaxes(joint, -1, -2)) / 2.0
+    return (np.abs(branch) ** 2).sum(axis=(-2, -1))
+
+
+class _ZeroUniform:
+    """An rng stand-in whose every uniform is 0: any p > 0 reads `different`."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+# (batch of a, batch of b, qubits per block): blocks of one-qubit registers,
+# of a 3- and a 6-qubit whole register, a single state, and one register
+# compared against every trial of a block
+COMPARED_SHAPES = {
+    "2048x1x2": ((2048, 1), (2048, 1), 1),
+    "341x6x2": ((341, 6), (341, 6), 1),
+    "512x1x8": ((512, 1), (512, 1), 3),
+    "64x1x64": ((64, 1), (64, 1), 6),
+    "single": ((), (), 3),
+    "register_vs_block": ((6,), (341, 6), 1),
+}
 
 
 class TestSwapTest:
-    def test_identical_never_conclusive(self):
+    @pytest.mark.parametrize("batch_a, batch_b, k", COMPARED_SHAPES.values(), ids=COMPARED_SHAPES.keys())
+    def test_identical_never_conclusive(self, batch_a, batch_b, k):
         r = rng(4)
-        s = haar_random_state(1, r)
-        for _ in range(2000):
-            assert not swap_test(s, s, r)
+        a = haar_random_state(k, r, batch_a)
+        # bit-equal copies in a separate array: every uniform is 0, so any
+        # rounding of p above 0 would show
+        copy = StateVector.owning(np.broadcast_to(a.amplitudes, batch_b + (a.dim,)).copy())
+        assert not np.any(swap_test(a, copy, _ZeroUniform()))
+        # a different pair draws, from the same seed, what the explicit joint's
+        # probability draws over the broadcast batch
+        b = haar_random_state(k, r, batch_b)
+        expected = rng(5).random(np.broadcast_shapes(batch_a, batch_b)) < oracle_detect_probability(a, b)
+        assert np.array_equal(swap_test(a, b, rng(5)), expected)
 
     def test_empirical_frequency_grid(self):
         # overlaps 0, 1/4, 1/2, 3/4, 1 realized with planar single-qubit

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqsim import crypto, qsim
+from aqsim.comparison import swap_test
 from aqsim.qsim import (
     ATOL,
     BellOutcome,
@@ -397,6 +398,7 @@ def _operation_bits(a, b, pauli, unitary, uniform, measured):
         "apply_one_qubit": apply_one_qubit(a, qsim.HADAMARD, 0).amplitudes,
         "apply_unitary": qsim.apply_unitary(a, unitary).amplitudes,
         "fidelity": fidelity(a, b),
+        "swap_test": swap_test(a, b, uniform),
     }
     if measured is not None:
         out.update(_measurement_bits(a, *measured, uniform))
