@@ -13,11 +13,13 @@ block holds min(max(BLOCK_TRIALS, 2^15 // width), 2^18 // width) trials,
 width being the amplitudes per trial of the widest array it builds
 (`state_width`): narrow runs take long blocks, which share each numpy call's
 fixed cost among more trials, while no array of a block longer than
-BLOCK_TRIALS exceeds 2^15 amplitudes (512 KiB), nor of any block 2^18. With more than one worker the calling process runs one
-share of the blocks and forked children run the others; results do not
-depend on which process ran a block. A child's exception is raised in the
-caller, a child that ends without a result is a RuntimeError, and a failure
-in the caller kills every child before it propagates.
+BLOCK_TRIALS exceeds 2^15 amplitudes (512 KiB), nor of any block 2^18.
+
+With more than one worker the calling process runs the heaviest share of the
+blocks and forked children run the others; results do not depend on which
+process ran a block. A child's exception is raised in the caller, a child that
+ends without a result is a RuntimeError, and a failure in the caller kills
+every child before it propagates.
 """
 
 from __future__ import annotations

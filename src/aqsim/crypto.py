@@ -1,4 +1,4 @@
-"""Classical key material, the keyed transforms built from it, and sealed bundles.
+"""Shared classical keys, the signing transform K_a keys, and sealed bundles.
 
 A bundle is a plain dict of named fields: classical bits, a register, or None.
 `seal` pads each field with the key slice of the same name (XOR for bits, the
@@ -18,8 +18,9 @@ in a fixed, documented order:
 
 Disjointness is what makes the pads one-time; nothing here models key reuse.
 
-Key bits carry the trial axis first (see qsim): a block of T trials holds
-T keys as a (T, length) array, and every pad and transform acts trial by trial
+A key is a 0/1 uint8 array with the trial axis first (see qsim): a block of
+T trials holds T keys as a (T, length) array, and `key[..., layout[name]]` is
+the slice of one name. Every pad and transform acts trial by trial
 on a register (see qsim "Registers"): one StateVector with a block axis.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -54,37 +55,6 @@ class SigningModel(Enum):
     GENERAL_UNITARY = "general"
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
-    """Shared classical bitstrings, one per trial (`bits` has shape batch +
-    (length,)); sub-keys are disjoint slices of the last axis."""
-
-    bits: np.ndarray
-    # signing transforms derived from these bits, by (n, model); freed with the key
-    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim < 1 or not np.all(bits <= 1):
-            raise ValueError("key bits must be a 0/1 array")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.shape[-1]
-
-    def slice(self, start: int, length: int) -> np.ndarray:
-        if start + length > len(self):
-            raise ValueError(
-                f"key too short: need bits [{start}, {start + length}), have {len(self)}"
-            )
-        return self.bits[..., start : start + length]
-
-    @staticmethod
-    def random(n_bits: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> "KeyMaterial":
-        return KeyMaterial(rng.integers(0, 2, size=batch + (n_bits,), dtype=np.uint8))
-
-
 GENERAL_UNITARY_SEED_BITS = 64
 
 
@@ -92,29 +62,28 @@ def signing_bits(n: int, model: SigningModel) -> int:
     return 2 * n if model is SigningModel.PER_QUBIT_PRODUCT else GENERAL_UNITARY_SEED_BITS
 
 
-def _contiguous(fields, start=0) -> dict[str, tuple[int, int]]:
-    """(start, length) slices, one per (name, length), laid end to end from `start`."""
+def _contiguous(fields, start=0) -> dict[str, slice]:
+    """Slices, one per (name, length), laid end to end from `start`."""
     layout = {}
     for name, length in fields:
-        layout[name] = (start, length)
+        layout[name] = slice(start, start + length)
         start += length
     return layout
 
 
-def ka_layout(n: int, model: SigningModel) -> dict[str, tuple[int, int]]:
-    """(start, length) slices of K_a, in consumption order."""
+def ka_layout(n: int, model: SigningModel) -> dict[str, slice]:
+    """Slices of K_a, in consumption order."""
     return _contiguous([("signing", signing_bits(n, model)), ("sig_state", 2 * n), ("sig_bell_bits", 2 * n)])
 
 
 def ka_bits_required(n: int, model: SigningModel) -> int:
-    start, length = ka_layout(n, model)["sig_bell_bits"]
-    return start + length
+    return ka_layout(n, model)["sig_bell_bits"].stop
 
 
 @functools.cache
-def kb_layout(n: int) -> Mapping[str, Mapping[str, tuple[int, int]]]:
-    """(start, length) slices of K_b for each bundle's fields, in consumption
-    order; read-only, built once per n.
+def kb_layout(n: int) -> Mapping[str, Mapping[str, slice]]:
+    """Slices of K_b for each bundle's fields, in consumption order;
+    read-only, built once per n.
 
     The y_b bundle's pads come first, then the y_tb bundle's. The signature
     travels in both bundles and gets an independent wrapping pad each time.
@@ -130,14 +99,13 @@ def kb_layout(n: int) -> Mapping[str, Mapping[str, tuple[int, int]]]:
             ("sig_state", 2 * n),
             ("particles", 2 * n),
         ],
-        start=sum(y_b["msg_state"]),
+        start=y_b["msg_state"].stop,
     )
     return MappingProxyType({"y_b": MappingProxyType(y_b), "y_tb": MappingProxyType(y_tb)})
 
 
 def kb_bits_required(n: int) -> int:
-    start, length = kb_layout(n)["y_tb"]["particles"]
-    return start + length
+    return kb_layout(n)["y_tb"]["particles"].stop
 
 
 @dataclass(frozen=True)
@@ -166,21 +134,18 @@ _check_unitary(_PER_QUBIT_SET, 1e-9)  # once: a per-qubit stack is a gather from
 _PER_QUBIT_SET.setflags(write=False)  # shared by every per-qubit transform
 
 
-def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> SigningTransform:
-    """Deterministically derive the signing unitary from the key's signing slice.
+def derive_signing_transform(key: np.ndarray, n: int, model: SigningModel) -> SigningTransform:
+    """Deterministically derive the signing unitary from K_a's signing slice.
 
-    Each trial's transform comes from its own key. Alice and the arbitrator
-    each derive it from the same K_a within one block, so the derivation is
-    memoized on that K_a: the second call skips the Haar draws and QR, and the
-    unitaries are freed with the block's key. A general key's unitaries are
-    checked once, here; a per-qubit stack is a gather from _PER_QUBIT_SET,
-    checked at import. Both are read-only, so no caller can alter what the
-    next one is handed.
+    Each trial's transform comes from its own key. The initial phase derives
+    it once per block and hands the one transform to Alice and to the
+    arbitrator. A general key's unitaries are checked once, here; a per-qubit
+    stack is a gather from _PER_QUBIT_SET, checked at import. Both are
+    read-only, so neither party can alter what the other applies.
     """
-    transform = key._transforms.get((n, model))
-    if transform is not None:
-        return transform
-    bits = key.slice(*ka_layout(n, model)["signing"])
+    bits = key[..., ka_layout(n, model)["signing"]]
+    if bits.shape[-1] < signing_bits(n, model):
+        raise ValueError(f"key too short: {bits.shape[-1]} of {signing_bits(n, model)} signing bits")
     if model is SigningModel.PER_QUBIT_PRODUCT:
         unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
     else:
@@ -190,8 +155,7 @@ def derive_signing_transform(key: KeyMaterial, n: int, model: SigningModel) -> S
         unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
         _check_unitary(unitaries, 1e-9)
     unitaries.setflags(write=False)
-    transform = key._transforms[n, model] = SigningTransform(unitaries)
-    return transform
+    return SigningTransform(unitaries)
 
 
 @functools.cache
@@ -298,24 +262,24 @@ def _pad(value, pad: np.ndarray, quantum):
     return classical_encrypt(value, pad)
 
 
-def seal(fields: Mapping[str, object], key: KeyMaterial, layout: Mapping[str, tuple[int, int]]) -> dict:
+def seal(fields: Mapping[str, object], key: np.ndarray, layout: Mapping[str, slice]) -> dict:
     """The bundle of `fields`, each padded by the key slice of the same name."""
-    return {name: _pad(value, key.slice(*layout[name]), qotp_encrypt) for name, value in fields.items()}
+    return {name: _pad(value, key[..., layout[name]], qotp_encrypt) for name, value in fields.items()}
 
 
-def unseal(bundle: Mapping[str, object], key: KeyMaterial, layout: Mapping[str, tuple[int, int]], names) -> dict:
+def unseal(bundle: Mapping[str, object], key: np.ndarray, layout: Mapping[str, slice], names) -> dict:
     """The named fields of a sealed bundle, opened; no other field is touched."""
-    return {name: _pad(bundle[name], key.slice(*layout[name]), qotp_decrypt) for name in names}
+    return {name: _pad(bundle[name], key[..., layout[name]], qotp_decrypt) for name in names}
 
 
-def make_signature(m_a: np.ndarray, r: StateVector, key: KeyMaterial, model: SigningModel) -> dict:
+def make_signature(m_a: np.ndarray, r: StateVector, key: np.ndarray, model: SigningModel) -> dict:
     """Seal M_a (Bell outcome positions, qubit axis last) and the signature
     register `r` under K_a."""
     fields = {"sig_bell_bits": bell_outcomes_to_bits(m_a), "sig_state": r}
     return seal(fields, key, ka_layout(qubit_count(r), model))
 
 
-def open_signature(sig: Mapping[str, object], key: KeyMaterial, model: SigningModel) -> tuple[np.ndarray, StateVector]:
+def open_signature(sig: Mapping[str, object], key: np.ndarray, model: SigningModel) -> tuple[np.ndarray, StateVector]:
     """M_a and R from a bundle holding the K_a-sealed signature fields."""
     opened = unseal(sig, key, ka_layout(qubit_count(sig["sig_state"]), model), ("sig_bell_bits", "sig_state"))
     return bits_to_bell_outcomes(opened["sig_bell_bits"]), opened["sig_state"]

@@ -3,8 +3,8 @@
 Parties: Alice (signer), Bob (recipient), and the trusted arbitrator. One run
 covers the three phases:
 
-  initial      - shared keys K_a, K_b; one fresh GHZ triple per message qubit,
-                 qubit order (Alice, Bob, arbitrator).
+  initial      - keys K_a, K_b, the signing transform K_a keys, one GHZ triple
+                 per message qubit, qubit order (Alice, Bob, arbitrator).
   signing      - Alice Bell-measures (message copy, her GHZ share) -> M_a,
                  builds the keyed signature state, seals both under K_a.
   verification - Bob x-measures his share -> M_b and seals it, the signature
@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .crypto import KeyMaterial, SigningModel
+from .crypto import SigningModel, SigningTransform
 from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 
@@ -197,25 +197,28 @@ class Transcript:
 
 
 def initialize(n: int, seed, variant: ProtocolVariant, size: int):
-    """Initial phase: fresh keys for each of `size` trials and one GHZ triple
-    per message qubit.
+    """Initial phase: fresh keys for each of `size` trials, the signing
+    transform K_a keys, and one GHZ triple per message qubit.
 
-    `seed` is an int or a Generator, as numpy's default_rng takes it. The GHZ
-    triples are a register of n three-qubit blocks that every trial of the
-    block shares.
+    `seed` is an int or a Generator, as numpy's default_rng takes it. K_a and
+    K_b are (size, length) 0/1 arrays; the transform, derived once per block,
+    is the one Alice and the arbitrator apply. The GHZ triples are a register
+    of n three-qubit blocks that every trial of the block shares.
     """
     if n < 1:
         raise ValueError("message needs at least one qubit")
     rng = np.random.default_rng(seed)
-    k_a = KeyMaterial.random(crypto.ka_bits_required(n, variant.key_model), rng, (size,))
-    k_b = KeyMaterial.random(crypto.kb_bits_required(n), rng, (size,))
+    k_a = rng.integers(0, 2, size=(size, crypto.ka_bits_required(n, variant.key_model)), dtype=np.uint8)
+    k_b = rng.integers(0, 2, size=(size, crypto.kb_bits_required(n)), dtype=np.uint8)
+    transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
     ghz = qsim.ghz_state().amplitudes
-    return k_a, k_b, StateVector.owning(np.broadcast_to(ghz, (n,) + ghz.shape))
+    return k_a, k_b, transform, StateVector.owning(np.broadcast_to(ghz, (n,) + ghz.shape))
 
 
 def alice_sign(
     message: StateVector,
-    k_a: KeyMaterial,
+    k_a: np.ndarray,
+    transform: SigningTransform,
     ghz_triples: StateVector,
     variant: ProtocolVariant,
     rng: np.random.Generator,
@@ -224,7 +227,7 @@ def alice_sign(
 
     Per qubit: Bell-measure (fresh message copy, Alice's GHZ share), leaving
     Bob and the arbitrator their correlated pair; one bell_measure call covers
-    every qubit. The signature state is the keyed transform of another fresh
+    every qubit. The signature state is `transform` applied to another fresh
     copy. Returns (signature bundle sealed under K_a, message to transmit,
     M_a, shared Bob/arbitrator pairs).
     """
@@ -235,7 +238,6 @@ def alice_sign(
         raise ValueError("message size does not match GHZ share count")
     # shared pairs: qubits (Bob, arbitrator) of each triple
     m_a, shared_pairs = qsim.bell_measure(qsim.tensor(message, ghz_triples), 0, 1, rng)
-    transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
     r = transform.apply(message)
     sig = crypto.make_signature(m_a, r, k_a, variant.key_model)
     return sig, message, m_a, shared_pairs
@@ -245,7 +247,7 @@ def bob_receive_and_forward(
     p_received: StateVector,
     sig: dict,
     shared_pairs: StateVector,
-    k_b: KeyMaterial,
+    k_b: np.ndarray,
     rng: np.random.Generator,
 ):
     """Bob's half of verification: measure his shares in x, bundle under K_b.
@@ -263,14 +265,16 @@ def bob_receive_and_forward(
 def arbitrator_verify(
     y_b: dict,
     particles,
-    k_a: KeyMaterial,
-    k_b: KeyMaterial,
+    k_a: np.ndarray,
+    k_b: np.ndarray,
+    transform: SigningTransform,
     variant: ProtocolVariant,
     rng: np.random.Generator,
 ):
     """Arbitrator's forgery test: gamma, M_t, and the y_tb bundle.
 
-    `particles` are the arbitrator's GHZ shares after Bob's x-measurements.
+    `particles` are the arbitrator's GHZ shares after Bob's x-measurements;
+    `transform` is the one K_a keys, as Alice applied it.
     The comparison acts on copies, so they reach M_t undisturbed.
     Returns (gamma, m_t or None, y_tb).
     """
@@ -281,7 +285,6 @@ def arbitrator_verify(
     m_b = opened["mb_bits"]
     p_received = opened["msg_state"]
     m_a, r = crypto.open_signature(opened, k_a, variant.key_model)
-    transform = crypto.derive_signing_transform(k_a, n, variant.key_model)
     source = p_received  # R', the comparison candidate, is the transform of the variant's source
     if variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
         source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
@@ -314,7 +317,7 @@ def arbitrator_verify(
 
 def bob_final_verify(
     y_tb: dict,
-    k_b: KeyMaterial,
+    k_b: np.ndarray,
     reference: StateVector | None,
     variant: ProtocolVariant,
     rng: np.random.Generator,
@@ -377,15 +380,15 @@ def run_protocol(
     if message is not None and message.batch != (size, config.n):
         raise ValueError(f"message batch {message.batch} is not (size, n) = {(size, config.n)}")
     rng = np.random.default_rng(seed)
-    k_a, k_b, ghz_triples = initialize(config.n, rng, variant, size)
+    k_a, k_b, transform, ghz_triples = initialize(config.n, rng, variant, size)
     if message is None:
         message = haar_product_message(config.n, rng, (size,))
 
-    sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, ghz_triples, variant, rng)
+    sig, p_out, m_a, shared_pairs = alice_sign(message, k_a, transform, ghz_triples, variant, rng)
     if channel_tap is not None:
         p_out, sig = channel_tap(p_out, sig, rng)
     y_b, m_b, particles = bob_receive_and_forward(p_out, sig, shared_pairs, k_b, rng)
-    gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, variant, rng)
+    gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, transform, variant, rng)
 
     if variant.message_knowledge is MessageKnowledge.KNOWN_TO_ALL:
         reference = message  # Bob mints fresh copies from the known description

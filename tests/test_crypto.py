@@ -1,8 +1,6 @@
 """Tests for key material, signing transforms, and the one-time pads."""
 
-import gc
 import operator
-import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 from aqsim import crypto, qsim
 from aqsim.crypto import (
-    KeyMaterial,
     SigningModel,
     classical_decrypt,
     classical_encrypt,
@@ -34,11 +31,11 @@ def register(*blocks):
 
 
 def make_key(bits):
-    return KeyMaterial(np.array(bits, dtype=np.uint8))
+    return np.array(bits, dtype=np.uint8)
 
 
 def random_ka(n, model, seed=0):
-    return KeyMaterial.random(crypto.ka_bits_required(n, model), rng(seed))
+    return rng(seed).integers(0, 2, size=crypto.ka_bits_required(n, model), dtype=np.uint8)
 
 
 
@@ -53,51 +50,43 @@ def per_qubit_paulis(register, pad, encrypt):
             register = qsim.apply_pauli(register, operator.index(pauli) * bits[..., j, half], j)
     return register
 
-class TestKeyMaterial:
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            make_key([0, 1, 2])
-
-    def test_slice_too_short(self):
-        with pytest.raises(ValueError):
-            make_key([0, 1]).slice(1, 2)
-
+class TestKeyLayout:
     def test_layouts_disjoint(self):
         layouts = [crypto.ka_layout(3, model) for model in SigningModel]
         layouts.append({f"{b}.{f}": span for b, fields in crypto.kb_layout(3).items() for f, span in fields.items()})
         for layout in layouts:
-            spans = sorted(layout.values())
-            for (s1, l1), (s2, _) in zip(spans, spans[1:]):
-                assert s1 + l1 == s2  # contiguous, disjoint
+            spans = sorted(layout.values(), key=lambda span: span.start)
+            for s1, s2 in zip(spans, spans[1:]):
+                assert s1.stop == s2.start  # contiguous, disjoint
 
     def test_wire_layout_pinned(self):
         # every slice, by name and bit position: moving one changes every ciphertext
         assert list(crypto.ka_layout(2, SigningModel.PER_QUBIT_PRODUCT).items()) == [
-            ("signing", (0, 4)),
-            ("sig_state", (4, 4)),
-            ("sig_bell_bits", (8, 4)),
+            ("signing", slice(0, 4)),
+            ("sig_state", slice(4, 8)),
+            ("sig_bell_bits", slice(8, 12)),
         ]
         assert list(crypto.ka_layout(2, SigningModel.GENERAL_UNITARY).items()) == [
-            ("signing", (0, 64)),
-            ("sig_state", (64, 4)),
-            ("sig_bell_bits", (68, 4)),
+            ("signing", slice(0, 64)),
+            ("sig_state", slice(64, 68)),
+            ("sig_bell_bits", slice(68, 72)),
         ]
         kb = crypto.kb_layout(2)
         assert list(kb) == ["y_b", "y_tb"]
         assert list(kb["y_b"].items()) == [
-            ("mb_bits", (0, 2)),
-            ("sig_bell_bits", (2, 4)),
-            ("sig_state", (6, 4)),
-            ("msg_state", (10, 4)),
+            ("mb_bits", slice(0, 2)),
+            ("sig_bell_bits", slice(2, 6)),
+            ("sig_state", slice(6, 10)),
+            ("msg_state", slice(10, 14)),
         ]
         assert list(kb["y_tb"].items()) == [
-            ("ma_bits", (14, 4)),
-            ("mb_bits", (18, 2)),
-            ("mt_bits", (20, 2)),
-            ("gamma_bit", (22, 1)),
-            ("sig_bell_bits", (23, 4)),
-            ("sig_state", (27, 4)),
-            ("particles", (31, 4)),
+            ("ma_bits", slice(14, 18)),
+            ("mb_bits", slice(18, 20)),
+            ("mt_bits", slice(20, 22)),
+            ("gamma_bit", slice(22, 23)),
+            ("sig_bell_bits", slice(23, 27)),
+            ("sig_state", slice(27, 31)),
+            ("particles", slice(31, 35)),
         ]
         assert crypto.kb_bits_required(2) == 35
         assert crypto.ka_bits_required(2, SigningModel.GENERAL_UNITARY) == 72
@@ -117,40 +106,17 @@ class TestSigningTransform:
         assert np.allclose(t.unitaries[0], np.eye(2))
 
     def test_deterministic(self):
-        # a fresh K_a of the same bits has no memo, so the second derivation is computed afresh
+        # a second derivation from a copy of the same bits is computed afresh
         for model in SigningModel:
             key = random_ka(2, model, seed=5)
             t1 = derive_signing_transform(key, 2, model)
-            t2 = derive_signing_transform(KeyMaterial(key.bits), 2, model)
+            t2 = derive_signing_transform(key.copy(), 2, model)
             assert t2 is not t1
             for u1, u2 in zip(t1.unitaries, t2.unitaries, strict=True):
                 assert np.array_equal(u1, u2)
 
-    def test_memo_matches_fresh_derivation(self):
-        # a repeat hands back the memoized object; a fresh derivation reproduces it
-        for model in SigningModel:
-            key = random_ka(3, model, seed=11)
-            memoized = derive_signing_transform(key, 3, model)
-            assert derive_signing_transform(key, 3, model) is memoized
-            fresh = derive_signing_transform(KeyMaterial(key.bits), 3, model)
-            assert fresh is not memoized
-            for u1, u2 in zip(memoized.unitaries, fresh.unitaries, strict=True):
-                assert np.array_equal(u1, u2)
-
-    def test_memo_freed_with_its_key(self):
-        # the memo lives on K_a: a repeat on the same key hands back the same
-        # transform, and nothing else keeps it alive once the key is gone
-        for model in SigningModel:
-            key = random_ka(2, model, seed=13)
-            transform = derive_signing_transform(key, 2, model)
-            assert derive_signing_transform(key, 2, model) is transform
-            ref = weakref.ref(transform)
-            del transform, key
-            gc.collect()
-            assert ref() is None, model
-
     def test_derived_unitaries_read_only(self):
-        # they are shared through the memo, so a write must not reach the next caller
+        # Alice and the arbitrator share one transform, so neither can write to it
         for model in SigningModel:
             for u in derive_signing_transform(random_ka(2, model, seed=12), 2, model).unitaries:
                 with pytest.raises(ValueError):
@@ -175,12 +141,12 @@ class TestSigningTransform:
         bits[1, 0] = 1
         keys = [int("".join(map(str, row[:64])), 2) for row in bits]
         assert keys[:2] == [1, 2**63]
-        t = derive_signing_transform(KeyMaterial(bits), n, SigningModel.GENERAL_UNITARY)
+        t = derive_signing_transform(bits, n, SigningModel.GENERAL_UNITARY)
         assert t.unitaries.shape == (3, 1, 4, 4)
         expected = qsim.haar_random_unitary(4, np.array(keys, dtype=np.uint64))
         assert np.array_equal(t.unitaries[:, 0], expected)
 
-    def test_all_derived_transforms_unitary(self):
+    def test_every_derived_transform_unitary(self):
         for seed in range(10):
             for model in SigningModel:
                 key = random_ka(3, model, seed=seed)
@@ -192,7 +158,7 @@ class TestSigningTransform:
             derive_signing_transform(make_key([0, 1]), 3, SigningModel.PER_QUBIT_PRODUCT)
 
     def test_derivation_rejects_non_unitary(self, monkeypatch):
-        # the one check of a signing stack is at its derivation; nothing is memoized
+        # the one check of a signing stack is at its derivation
         def doubled_identity(dim, keys):
             return 2 * np.broadcast_to(np.eye(dim, dtype=complex), (len(keys), dim, dim))
 
@@ -200,7 +166,6 @@ class TestSigningTransform:
         key = random_ka(2, SigningModel.GENERAL_UNITARY, seed=7)
         with pytest.raises(ValueError, match="not unitary"):
             derive_signing_transform(key, 2, SigningModel.GENERAL_UNITARY)
-        assert not key._transforms
 
     def test_sign_and_invert(self):
         key = random_ka(2, SigningModel.PER_QUBIT_PRODUCT, seed=7)
@@ -339,10 +304,10 @@ class TestSignaturePackage:
         trials = 10000
         model = SigningModel.PER_QUBIT_PRODUCT
         key = random_ka(1, model, seed=18)
-        key = KeyMaterial(np.broadcast_to(key.bits, (trials, len(key))))
+        key = np.broadcast_to(key, (trials, key.shape[-1]))
         m_a = r.integers(0, 4, size=(trials, 1))
         sig = make_signature(m_a, haar_random_state(1, r, (trials, 1)), key, model)
-        wrong = KeyMaterial.random(len(key), r, (trials,))
+        wrong = r.integers(0, 2, size=key.shape, dtype=np.uint8)
         m_a_back, _ = open_signature(sig, wrong, model)
         hits = np.count_nonzero((m_a_back == m_a).all(-1))
         sigma = np.sqrt(0.25 * 0.75 / trials)
@@ -353,9 +318,9 @@ class TestSignaturePackage:
         r = rng(19)
         trials = 20000
         model = SigningModel.PER_QUBIT_PRODUCT
-        key = KeyMaterial.random(crypto.ka_bits_required(1, model), r, (trials,))
+        key = r.integers(0, 2, size=(trials, crypto.ka_bits_required(1, model)), dtype=np.uint8)
         state = haar_random_state(1, r, (trials, 1))
         sig = make_signature(np.zeros((trials, 1), dtype=np.intp), state, key, model)  # psi+
-        wrong = KeyMaterial.random(len(key), r, (trials,))
+        wrong = r.integers(0, 2, size=key.shape, dtype=np.uint8)
         _, state_back = open_signature(sig, wrong, model)
         assert qsim.register_fidelity(state_back, state).mean() == pytest.approx(0.5, abs=0.015)

@@ -86,14 +86,15 @@ class TestPauliFrame:
 class TestInitialize:
     def test_counts_and_sizes(self):
         v = variant()
-        k_a, k_b, triples = initialize(1, 5, v, 4)
+        k_a, k_b, transform, triples = initialize(1, 5, v, 4)
         assert triples.batch == (1,)  # one GHZ triple per message qubit
-        assert k_a.bits.shape == (4, crypto.ka_bits_required(1, v.key_model))
-        assert k_b.bits.shape == (4, crypto.kb_bits_required(1))
+        assert k_a.shape == (4, crypto.ka_bits_required(1, v.key_model))
+        assert k_b.shape == (4, crypto.kb_bits_required(1))
+        assert transform.unitaries.shape == (4, 1, 2, 2)  # each trial's, from its own K_a
 
     def test_ghz_joint_outcomes(self):
         r = rng(1)
-        _, _, triples = initialize(2, 6, variant(), 1)
+        *_, triples = initialize(2, 6, variant(), 1)
         for ghz in triples.amplitudes:
             for _ in range(50):
                 state = qsim.StateVector(ghz)
@@ -106,19 +107,21 @@ class TestInitialize:
     def test_deterministic(self):
         a = initialize(2, 7, variant(), 3)
         b = initialize(2, 7, variant(), 3)
-        assert np.array_equal(a[0].bits, b[0].bits)
-        assert np.array_equal(a[1].bits, b[1].bits)
-        assert np.array_equal(a[2].amplitudes, b[2].amplitudes)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[2].unitaries, b[2].unitaries)
+        assert np.array_equal(a[3].amplitudes, b[3].amplitudes)
 
 
 class TestAliceSign:
     def test_identity_transform_signs_in_place(self):
         v = variant()
         n = 2
-        zero_ka = crypto.KeyMaterial(np.zeros(crypto.ka_bits_required(n, v.key_model), dtype=np.uint8))
+        zero_ka = np.zeros(crypto.ka_bits_required(n, v.key_model), dtype=np.uint8)
+        identity = crypto.derive_signing_transform(zero_ka, n, v.key_model)
         msg = haar_product_message(n, rng(2))
-        triples = initialize(n, 0, v, 1)[2]
-        sig, _, m_a, _ = alice_sign(msg, zero_ka, triples, v, rng(3))
+        triples = initialize(n, 0, v, 1)[3]
+        sig, _, m_a, _ = alice_sign(msg, zero_ka, identity, triples, v, rng(3))
         opened_ma, r = crypto.open_signature(sig, zero_ka, v.key_model)
         assert np.array_equal(opened_ma, m_a)
         assert qsim.register_fidelity(r, msg) >= 1 - ATOL
@@ -130,8 +133,8 @@ class TestAliceSign:
         r = rng(4)
         for _ in range(30):
             msg = haar_product_message(1, r)
-            k_a, _, triples = initialize(1, int(r.integers(0, 2**31)), v, 1)
-            _, _, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
+            k_a, _, transform, triples = initialize(1, int(r.integers(0, 2**31)), v, 1)
+            _, _, m_a, pairs = alice_sign(msg, k_a, transform, triples, v, r)
             joint = qsim.tensor(qsim.StateVector(msg.amplitudes[0]), qsim.ghz_state())
             _, expected = qsim.project(joint, (0, 1), tuple(BellOutcome)[m_a[0]])
             assert qsim.register_fidelity(pairs, expected) >= 1 - ATOL
@@ -142,18 +145,18 @@ class TestAliceSign:
         r = rng(5)
         msg = haar_product_message(1, r)
         trials = 8000
-        k_a, _, triples = initialize(1, 6, v, trials)
+        k_a, _, transform, triples = initialize(1, 6, v, trials)
         block = qsim.StateVector(np.broadcast_to(msg.amplitudes, (trials, 1, 2)))
-        _, _, m_a, _ = alice_sign(block, k_a, triples, v, r)
+        _, _, m_a, _ = alice_sign(block, k_a, transform, triples, v, r)
         counts = np.bincount(m_a[:, 0], minlength=len(BellOutcome))
         sigma = np.sqrt(0.25 * 0.75 / trials)
         assert np.all(abs(counts / trials - 0.25) < 4 * sigma)
 
     def test_share_count_mismatch(self):
         v = variant()
-        k_a, _, triples = initialize(2, 8, v, 1)
+        k_a, _, transform, triples = initialize(2, 8, v, 1)
         with pytest.raises(ValueError):
-            alice_sign(haar_product_message(3, rng(7)), k_a, triples, v, rng(8))
+            alice_sign(haar_product_message(3, rng(7)), k_a, transform, triples, v, rng(8))
 
 
 class TestBobForward:
@@ -161,9 +164,9 @@ class TestBobForward:
         v = variant()
         r = rng(9)
         n = 2
-        k_a, k_b, triples = initialize(n, 10, v, 1)
+        k_a, k_b, transform, triples = initialize(n, 10, v, 1)
         msg = haar_product_message(n, r, (1,))
-        sig, p_out, m_a, pairs = alice_sign(msg, k_a, triples, v, r)
+        sig, p_out, m_a, pairs = alice_sign(msg, k_a, transform, triples, v, r)
         y_b, m_b, particles = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
         assert list(y_b) == list(crypto.kb_layout(n)["y_b"])
         opened = crypto.unseal(y_b, k_b, crypto.kb_layout(n)["y_b"], y_b.keys())
@@ -178,10 +181,10 @@ class TestBobForward:
         v = variant()
         r = rng(11)
         trials = 8000
-        k_a, k_b, triples = initialize(1, 12, v, trials)
+        k_a, k_b, transform, triples = initialize(1, 12, v, trials)
         msg = haar_product_message(1, r)
         block = qsim.StateVector(np.broadcast_to(msg.amplitudes, (trials, 1, 2)))
-        sig, p_out, _, pairs = alice_sign(block, k_a, triples, v, r)
+        sig, p_out, _, pairs = alice_sign(block, k_a, transform, triples, v, r)
         _, m_b, _ = bob_receive_and_forward(p_out, sig, pairs, k_b, r)
         plus = np.count_nonzero(m_b == operator.index(XOutcome.PLUS_X))
         sigma = 0.5 / np.sqrt(trials)
@@ -215,7 +218,7 @@ class TestEndToEnd:
             assert np.all(t.gamma == 1) and t.accepted.all()
 
     def test_general_key_draws_one_unitary_per_run(self, monkeypatch):
-        # Alice and the arbitrator both derive the signing transform from K_a;
+        # Alice and the arbitrator both apply the signing transform K_a keys;
         # the Haar unitary behind it is drawn and QR-factored once
         draws = []
         draw = crypto.haar_random_unitary
@@ -228,6 +231,21 @@ class TestEndToEnd:
         general = variant(keys=SigningModel.GENERAL_UNITARY, cmp=ComparisonMode.WHOLE_REGISTER)
         run_protocol(RunConfig(3, general), 21, 1)
         assert draws == [8]
+
+    @pytest.mark.parametrize("model", list(SigningModel))
+    def test_block_derives_one_signing_transform(self, model, monkeypatch):
+        # the initial phase derives it; Alice and the arbitrator are handed it
+        calls = []
+        derive = crypto.derive_signing_transform
+
+        def counted(key, n, key_model):
+            calls.append(key_model)
+            return derive(key, n, key_model)
+
+        monkeypatch.setattr(crypto, "derive_signing_transform", counted)
+        v = variant(keys=model, cmp=ComparisonMode.WHOLE_REGISTER)
+        run_protocol(RunConfig(2, v), 22, 16)
+        assert calls == [model]
 
     def test_deterministic_transcripts(self):
         cfg = RunConfig(2, REPAIRED)
