@@ -36,10 +36,10 @@ the state's view with the targets fixed to row r, over the basis vector's
 nonzero entries c_r, two for Bell and x (_project_out). It copies none of
 the state and calls no BLAS, and measure keeps only the drawn branch. A gate
 on one qubit (apply_one_qubit) is the same 2x2 product as apply_unitary's,
-elementwise, and Haar unitaries up to 8 x 8 are orthonormalized by
-Gram-Schmidt over the trial axis. What still reaches BLAS or LAPACK does so
-once per row or matrix: np.vecdot, np.matmul for d > 2 and, for d >= 16,
-the Haar QR.
+elementwise, and Haar unitaries up to 8 x 8 are products of Householder
+reflections built over the trial axis. What still reaches BLAS or LAPACK
+does so once per row or matrix: np.vecdot, np.matmul for d > 2 and, for
+d >= 16, the Haar QR.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -236,13 +236,13 @@ def _check_target(state: StateVector, target: int) -> None:
 # Always empty; kept for its two readers, benchmarks/tracer.py and cache_probe.py.
 _UNITARY_CACHE: set[bytes] = set()
 
-# A stack of matrices is derived, orthonormalized and checked in chunks of at
-# most this many bytes: 256 trials at a time for 3-qubit matrices, 4 for the
-# 64 x 64 unitaries of n = 6, whose 256-trial stack is 16 MiB. Deriving a
-# keyed Haar chunk takes at most about 4 chunks of scratch (its hash,
-# uniforms and Ginibre matrix, then that matrix with Gram-Schmidt's working
-# copy or with the QR), so a long block's derivation needs no more scratch
-# than a 256-trial one.
+# A stack of matrices is derived and checked in chunks of at most this many
+# bytes: 256 trials at a time for 3-qubit matrices, 4 for the 64 x 64
+# unitaries of n = 6, whose 256-trial stack is 16 MiB. Deriving a keyed Haar
+# chunk takes at most about 5 chunks of scratch (its hash, uniforms and
+# normals, d(d+1)/2 per key for d <= 8 and d^2 above, then the Householder
+# product's working copy or the QR), so a long block's derivation needs no
+# more scratch than a 256-trial one.
 _CHUNK_BYTES = 2**18
 
 
@@ -504,117 +504,115 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)
 _ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
 
 
-def _keyed_ginibre(keys: np.ndarray, dim: int) -> np.ndarray:
-    """One (dim, dim) complex Ginibre matrix per key, E|z_ij|^2 = 1: entry e
-    (row-major) takes outputs 2e and 2e+1 of the key's SplitMix64 stream as
+def _keyed_normals(keys: np.ndarray, count: int) -> np.ndarray:
+    """`count` complex normals per key, E|z|^2 = 1, as a (T, count) array:
+    normal e takes outputs 2e and 2e+1 of the key's SplitMix64 stream as
     uniforms u, v in (0, 1), and Box-Muller makes it sqrt(-ln u) e^(2 pi i v)."""
-    bits = splitmix64(keys, 2 * dim * dim)
+    bits = splitmix64(keys, 2 * count)
     bits >>= np.uint64(12)  # 52 bits b, so that (b + 1/2) 2^-52 is exact and inside (0, 1)
     # b as the mantissa of 1 + b 2^-52; subtracting 1 - 2^-53 leaves (b + 1/2) 2^-52 exactly
     bits |= _ONE_BITS
     uniform = bits.view(np.float64)
     uniform -= _ONE_MINUS_HALF_ULP
-    uniform = uniform.reshape(len(keys), dim, dim, 2)
+    uniform = uniform.reshape(len(keys), count, 2)
     radius = np.log(uniform[..., 0])
     radius *= -1.0
     np.sqrt(radius, out=radius)
     angle = uniform[..., 1]
     angle *= 2 * np.pi
-    z = np.empty((len(keys), dim, dim), dtype=complex)
+    z = np.empty((len(keys), count), dtype=complex)
     np.cos(angle, out=z.real)
     np.sin(angle, out=z.imag)
     z *= radius
     return z
 
 
-def _phase_fixed_q(z: np.ndarray, out: np.ndarray) -> None:
-    """Haar unitaries from a stack of Ginibre matrices: the QR's Q with each
-    column's phase fixed by R's diagonal (Mezzadri 2007), written to `out`."""
-    q, r = np.linalg.qr(z)
+def _ginibre_q(keys: np.ndarray, out: np.ndarray) -> None:
+    """Haar unitaries as the Q of the QR of keyed Ginibre matrices (entry e,
+    row-major, the key's normal e), each column's phase fixed by R's
+    diagonal (Mezzadri 2007), written to `out`: one LAPACK QR per matrix."""
+    q, r = np.linalg.qr(_keyed_normals(keys, out[0].size).reshape(out.shape))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
 
 
-def _sum_rows(p: np.ndarray) -> np.ndarray:
-    """p summed over its first axis by folding halves onto themselves in place:
-    an order fixed by len(p) alone, so a trial's sum has the same bits
-    whatever the other axes hold."""
-    n = len(p)
-    while n > 1:
-        half = n // 2
-        p[:half] += p[half : 2 * half]
-        if n % 2:
-            p[0] += p[2 * half]
-        n = half
-    return p[0]
+def _householder_q(keys: np.ndarray, out: np.ndarray) -> None:
+    """Haar unitaries as Stewart's products of Householder reflections (SIAM
+    J. Numer. Anal. 17:403, 1980) of d(d+1)/2 keyed normals each, to `out`.
+
+    The normals fill a lower triangle row by row; column k holds x_k, d - k
+    normals. From the 1 x 1 phase x_{d-1}/|x_{d-1}|, M <- H_k (l_k (+) M) for
+    k = d-2, ..., 0: H_k reflects x_k onto -e^(i arg x_k0) |x_k| e_1, and
+    l_k = -x_k0/|x_k0| makes R's diagonal positive (Mezzadri 2007), so M is
+    the phase-fixed Q of a Ginibre matrix whose reduced columns are the x_k,
+    and Haar. x_k0 is never 0, as Box-Muller's radius is positive. Column 0
+    of H_k (l_k (+) M) is x_k/|x_k|; with a = x_k[1:]/|x_k| and w = a^H M,
+    row 0 is l_k w and the rest M - a (s_k w), s_k = |x_k|/(|x_k| + |x_k0|).
+    Every operation is elementwise over the trial axis, last, and each sum
+    runs in a fixed order, so a trial's bits do not depend on the stack.
+    """
+    d = out.shape[-1]
+    # numpy drops a trial axis of length 1, and its complex products then
+    # take another kernel, which rounds differently: a lone key is derived
+    # beside a copy of itself
+    keys = np.resize(keys, max(2, len(keys)))
+    x = np.ascontiguousarray(_keyed_normals(keys, d * (d + 1) // 2).T)
+    rows = [slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2) for i in range(d)]
+    heads = [i * (i + 3) // 2 for i in range(d)]
+    # every column's |x_k| (summed down its rows, in order), l_k and s_k at once
+    square = x.real**2 + x.imag**2
+    norm = np.zeros((d, len(keys)))
+    for i, row in enumerate(rows):
+        norm[: i + 1] += square[row]
+    np.sqrt(norm, out=norm)
+    head = np.sqrt(square[heads])
+    phase = x[heads] * (-1.0 / head)
+    shrink = norm / (norm + head)
+    # entry (i, j) of the product at m[i, j]: the lower triangle starts as the
+    # columns x_k/|x_k|, and step k writes row k and updates the block below it
+    m = np.empty((d, d, len(keys)), dtype=complex)
+    inverse_norm = np.divide(1.0, norm, out=norm)
+    for i, row in enumerate(rows):
+        np.multiply(x[row], inverse_norm[: i + 1], out=m[i, : i + 1])
+    w, scratch = np.empty((2, d - 1, len(keys)), dtype=complex)
+    for k in range(d - 2, -1, -1):
+        a, block = m[k + 1 :, k], m[k + 1 :, k + 1 :]
+        a_conj, wk, sk = a.conj(), w[: len(a)], scratch[: len(a)]
+        np.multiply(a_conj[0], block[0], out=wk)
+        for i in range(1, len(a)):
+            wk += np.multiply(a_conj[i], block[i], out=sk)
+        np.multiply(phase[k], wk, out=m[k, k + 1 :])
+        wk *= shrink[k]
+        for i in range(len(a)):
+            block[i] -= np.multiply(a[i], wk, out=sk)
+    np.copyto(out, m[..., : len(out)].transpose(2, 0, 1))
 
 
-def _gram_schmidt_q(z: np.ndarray, out: np.ndarray) -> None:
-    """The Q of _phase_fixed_q, from two passes of modified Gram-Schmidt over
-    each Ginibre matrix's columns, written to `out`. The passes leave the
-    columns orthogonal, and dividing each by its norm makes R's diagonal real
-    and positive, so no phase fix is needed (Mezzadri 2007). The second pass
-    keeps the loss of orthogonality O(eps) at any condition number (Giraud,
-    Langou, Rozloznik & van den Eshof, Numer. Math. 101:87, 2005). Every
-    operation is elementwise over the trial axis, last in the (column, row,
-    trial) layout, so a trial's bits do not depend on the stack's length."""
-    d, trials = z.shape[-1], len(z)
-    v = np.ascontiguousarray(z.transpose(2, 1, 0))
-    scratch = np.empty(v.size, dtype=complex)
-    norm_sq = np.empty((d, trials))
-    inverse = np.zeros(trials, dtype=complex)  # a complex row scales faster than a real one
-    with np.errstate():  # restores the buffer size on exit
-        # numpy copies broadcast operands through buffers of its buffer size
-        # (8192 elements) when the loop along the trial axis is shorter; one
-        # row of trials per buffer leaves nothing to copy
-        np.setbufsize(16 * -(-trials // 16))
-        for final in (False, True):
-            for j in range(d):
-                column, rest = v[j], v[j + 1 :]
-                # conj(v_j) v_l for l >= j, rows first so that _sum_rows folds contiguous halves
-                dots = scratch[: (len(rest) + 1) * d * trials].reshape(d, len(rest) + 1, trials)
-                np.multiply(column.conj()[:, None], v[j:].transpose(1, 0, 2), out=dots)
-                dots = _sum_rows(dots)  # <v_j|v_j>, then <v_j|v_l> for l > j
-                if final:
-                    norm_sq[j] = dots[0].real
-                if len(rest):
-                    np.divide(1.0, dots[0].real, out=inverse.real)
-                    dots[1:] *= inverse
-                    # _sum_rows left the dots at the front of scratch; the rest is free
-                    projection = scratch[dots.size : dots.size + rest.size].reshape(rest.shape)
-                    rest -= np.multiply(column, dots[1:, None], out=projection)
-        inverse_norm = np.zeros((d, trials), dtype=complex)
-        np.divide(1.0, np.sqrt(norm_sq), out=inverse_norm.real)
-        v *= inverse_norm[:, None]
-    np.copyto(out, v.transpose(2, 1, 0))
-
-
-# Largest dimension orthonormalized by _gram_schmidt_q; larger ones take one
-# LAPACK QR per matrix (_phase_fixed_q). Medians per 256 KiB chunk, one BLAS
-# thread (BENCH_haar.json "derivation"), QR against Gram-Schmidt: d = 8 (256
-# keys) 1.03 against 0.62 ms, d = 16 (64 keys) 0.78 against 1.38 ms, d = 64
-# (4 keys) 1.1 against 15.7 ms. Both do O(d^3) work per matrix: the QR's
-# fixed cost per matrix dominates up to d = 8, Gram-Schmidt's passes over
-# memory above.
-_GRAM_SCHMIDT_MAX_DIM = 8
+# Largest dimension built by _householder_q; larger ones take _ginibre_q.
+# Medians per 256 KiB chunk, one BLAS thread (BENCH_householder.json
+# "derivation"), Householder against QR: d = 16 (64 keys) 1.7 against 2.2 ms,
+# d = 32 (16 keys) 3.4 against 2.1, d = 64 (4 keys) 10.4 against 2.7. Its
+# O(d^2) numpy calls act on ever fewer keys as d grows; d = 16 keeps the QR,
+# so that n = 4 unitaries do not move.
+_HOUSEHOLDER_MAX_DIM = 8
 
 
 def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries: the Q of Ginibre matrices whose R has a
-    positive real diagonal (Mezzadri 2007), by Gram-Schmidt for dim <= 8 and
-    by QR with phase fix above.
+    """Haar-distributed unitaries: for dim <= 8 Stewart's products of
+    Householder reflections of d(d+1)/2 normals each (_householder_q), above
+    the phase-fixed QR of d^2-normal Ginibre matrices (_ginibre_q). The two
+    samplers give different unitaries from one key; both are Haar.
 
     A (T,) uint64 array of keys derives a (T, dim, dim) stack: row t is a
     function of keys[t] alone (the SplitMix64 stream it seeds, see
-    _keyed_ginibre). The stack is derived and factored chunk by chunk
-    (_CHUNK_BYTES).
+    _keyed_normals). The stack is derived chunk by chunk (_CHUNK_BYTES).
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    orthonormalize = _gram_schmidt_q if dim <= _GRAM_SCHMIDT_MAX_DIM else _phase_fixed_q
+    derive = _householder_q if dim <= _HOUSEHOLDER_MAX_DIM else _ginibre_q
     u = np.empty((len(keys), dim, dim), dtype=complex)
     done = 0
     for chunk in _chunks(u):
-        orthonormalize(_keyed_ginibre(keys[done : done + len(chunk)], dim), out=chunk)
+        derive(keys[done : done + len(chunk)], out=chunk)
         done += len(chunk)
     return u
 

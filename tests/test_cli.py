@@ -10,9 +10,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from aqsim import attacks, cli, protocol
+from aqsim import attacks, cli, crypto, protocol, qsim
 from aqsim.attacks import block_trials
 from aqsim.cli import (
     MAX_N_WHOLE_REGISTER,
@@ -594,6 +595,45 @@ def test_report_digest_pinned(tmp_path, name):
     code, out = run_main(tmp_path, [*argv, "--seed", "8"])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _ginibre_qr_unitaries(dim, keys):
+    """haar_random_unitary's d >= 16 sampler, the phase-fixed QR of keyed
+    Ginibre matrices, at any dimension."""
+    u = np.empty((len(keys), dim, dim), dtype=complex)
+    qsim._ginibre_q(np.asarray(keys, dtype=np.uint64), out=u)
+    return u
+
+
+# General-key lines (n, flags) whose unitaries are 2 x 2 to 8 x 8, where the
+# default sampler is the Householder product
+SAMPLER_LINES = {
+    "whole-n1": (1, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
+    "whole-n2": (2, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
+    "whole-n3": (3, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
+    "honest-n3": (3, ["--scenario", "honest", *_GENERAL_WHOLE]),
+    "garble-n1": (1, ["--scenario", "forgery", "--strategy", "garble-signature", *_GENERAL_WHOLE]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_LINES))
+def test_report_independent_of_the_haar_sampler(tmp_path, monkeypatch, name):
+    # every SWAP test compares two states under the same U, so a report sees
+    # U only through rounding, and the two Haar samplers write the same bytes
+    n, flags = SAMPLER_LINES[name]
+    argv = [*flags, "--n", str(n), "--trials", "600", "--seed", "8"]
+    assert run_main(tmp_path, argv, "householder.json")[0] == 0
+    keys = []
+
+    def ginibre_qr(dim, block_keys):
+        keys.append(block_keys)
+        return _ginibre_qr_unitaries(dim, block_keys)
+
+    monkeypatch.setattr(crypto, "haar_random_unitary", ginibre_qr)
+    assert run_main(tmp_path, argv, "qr.json")[0] == 0
+    assert (tmp_path / "householder.json").read_bytes() == (tmp_path / "qr.json").read_bytes()
+    # and the samplers differ: the same keys give other unitaries
+    assert not np.allclose(qsim.haar_random_unitary(2**n, keys[0]), _ginibre_qr_unitaries(2**n, keys[0]))
 
 
 class TestExitCodes:

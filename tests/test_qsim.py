@@ -647,7 +647,8 @@ class TestKeyedHaar:
     def test_haar_moments(self, d, keys):
         # over 8000 keys, at 4 sigma: at every position E U_ij = 0 (the phase
         # fix) and E|U_ij|^2 = 1/d; the mean of |U_ij|^4 over a matrix, one iid
-        # sample per key, has E = 2/(d(d+1))
+        # sample per key, has E = 2/(d(d+1)); and E|tr U|^2 = 1, E|tr U|^4 = 2
+        # (Diaconis & Shahshahani 1994: E|tr U|^2j = j! for j <= d)
         count = 8000
         if keys == "random":
             keys = rng(23).integers(0, 2**64, size=count, dtype=np.uint64)
@@ -661,6 +662,10 @@ class TestKeyedHaar:
         assert (np.abs(second.mean(axis=0) - 1 / d) < 4 * second.std(axis=0) / np.sqrt(count)).all()
         fourth = (second**2).mean(axis=(1, 2))
         assert abs(fourth.mean() - 2 / (d * (d + 1))) < 4 * fourth.std() / np.sqrt(count)
+        trace_sq = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2
+        for power, moment in ((1, 1.0), (2, 2.0)):
+            sample = trace_sq**power
+            assert abs(sample.mean() - moment) < 4 * sample.std() / np.sqrt(count)
 
     def test_stack_rows_equal_keys_derived_alone(self):
         # at d = 64 the 40 keys span ten chunks of the stack (_CHUNK_BYTES)
@@ -689,48 +694,59 @@ class TestKeyedHaar:
         assert np.allclose(np.swapaxes(u.conj(), -1, -2) @ u, np.eye(8), atol=1e-12)
 
     def test_pinned_entry(self):
-        # a change of the stream, the Box-Muller map or the entry layout moves it
+        # a change of the stream, the Box-Muller map, the normals' layout or
+        # the Householder product moves it
         u = qsim.haar_random_unitary(4, np.array([0x0123456789ABCDEF], dtype=np.uint64))
-        assert u[0, 1, 2] == pytest.approx(-0.6048558789223978 - 0.0017927985367440016j, abs=1e-12)
+        assert u[0, 1, 2] == pytest.approx(-0.08224710453106875 - 0.3912810788213322j, abs=1e-12)
+
+    def test_qr_path_pinned_entry(self):
+        # d >= 16 takes the phase-fixed QR of the keyed Ginibre matrix: this
+        # entry, recorded while d <= 8 still took Gram-Schmidt, holds bit for bit
+        u = qsim.haar_random_unitary(16, np.array([0x0123456789ABCDEF], dtype=np.uint64))
+        assert u[0, 3, 11] == complex(0.02579821075705122, -0.12377624096263852)
 
     @pytest.mark.parametrize("d", [2, 8])
     def test_ginibre_bits_equal_the_integer_to_float_formula(self, d):
         # the uniforms (b + 1/2) 2^-52 of the 52-bit integers b, as astype,
-        # +0.5 and *2^-52 make them, then Box-Muller: the same bits
+        # +0.5 and *2^-52 make them, then Box-Muller: the same bits, for a
+        # Ginibre matrix's d^2 normals and a Householder product's d(d+1)/2
         keys = np.concatenate([rng(26).integers(0, 2**64, size=500, dtype=np.uint64), np.array([0, 2**64 - 1], dtype=np.uint64)])
-        bits = qsim.splitmix64(keys, 2 * d * d) >> np.uint64(12)
-        uniform = (bits.astype(np.float64) + 0.5) * 2.0**-52
-        uniform = uniform.reshape(len(keys), d, d, 2)
-        expected = np.sqrt(-np.log(uniform[..., 0])) * (np.cos(2 * np.pi * uniform[..., 1]) + 1j * np.sin(2 * np.pi * uniform[..., 1]))
-        assert np.array_equal(qsim._keyed_ginibre(keys, d), expected)
-
-    def test_gram_schmidt_orthonormal_at_condition_number_1e9(self):
-        # two nearly parallel columns; one pass of modified Gram-Schmidt loses
-        # orthogonality as eps times the condition number, the second restores it
-        r = rng(27)
-        z = r.standard_normal((64, 8, 8)) + 1j * r.standard_normal((64, 8, 8))
-        z[:, :, 5] = z[:, :, 2] + 1e-9 * (r.standard_normal((64, 8)) + 1j * r.standard_normal((64, 8)))
-        assert np.linalg.cond(z).min() > 1e8
-        q = np.empty_like(z)
-        qsim._gram_schmidt_q(z, out=q)
-        assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(8)).max() <= 1e-12
+        for count in (d * d, d * (d + 1) // 2):
+            bits = qsim.splitmix64(keys, 2 * count) >> np.uint64(12)
+            uniform = (bits.astype(np.float64) + 0.5) * 2.0**-52
+            uniform = uniform.reshape(len(keys), count, 2)
+            expected = np.sqrt(-np.log(uniform[..., 0])) * (np.cos(2 * np.pi * uniform[..., 1]) + 1j * np.sin(2 * np.pi * uniform[..., 1]))
+            assert np.array_equal(qsim._keyed_normals(keys, count), expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
-    def test_gram_schmidt_gives_the_phase_fixed_qr(self, d):
-        # Q^H Z is upper triangular with a positive real diagonal, so Q is the
-        # Q of the QR whose R has that diagonal (Mezzadri 2007); odd row
-        # counts take _sum_rows' odd fold
+    def test_householder_unitary(self, d):
         keys = rng(28).integers(0, 2**64, size=20000, dtype=np.uint64)
         u = qsim.haar_random_unitary(d, keys)
-        z = qsim._keyed_ginibre(keys, d)
         assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)).max() <= 1e-13
-        q, r = np.linalg.qr(z)
-        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-        assert np.abs(u - q * (diagonal / np.abs(diagonal))[..., None, :]).max() <= 1e-12
-        r = np.swapaxes(u.conj(), -1, -2) @ z
-        assert np.abs(np.tril(r, -1)).max() <= 1e-12
-        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-        assert np.abs(diagonal.imag).max() <= 1e-12 and (diagonal.real > 0).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_householder_equals_the_dense_product(self, d):
+        # U = H_0 (l_0 (+) H_1 (l_1 (+) ... (+) x_{d-1}/|x_{d-1}|)), each H_k
+        # the dense reflection I - 2 v v^H / v^H v, v = x_k + e^(i arg x_k0) |x_k| e_1,
+        # and x_k column k of the key's normals filling a lower triangle row by row
+        keys = rng(29).integers(0, 2**64, size=50, dtype=np.uint64)
+        normals = qsim._keyed_normals(keys, d * (d + 1) // 2)
+        u = qsim.haar_random_unitary(d, keys)
+        for t in range(len(keys)):
+            x = np.zeros((d, d), dtype=complex)
+            x[np.tril_indices(d)] = normals[t]
+            m = x[-1:, -1:] / abs(x[-1, -1])
+            for k in range(d - 2, -1, -1):
+                column = x[k:, k]
+                phase = column[0] / abs(column[0])
+                v = column.copy()
+                v[0] += phase * np.linalg.norm(column)
+                h = np.eye(d - k) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
+                assert np.allclose(h @ column, -phase * np.linalg.norm(column) * np.eye(d - k)[0], atol=1e-13)
+                block = np.zeros((d - k, d - k), dtype=complex)
+                block[0, 0], block[1:, 1:] = -phase, m
+                m = h @ block
+            assert np.abs(u[t] - m).max() <= 1e-13
 
 class TestTeleportation:
     def test_all_outcome_pairs_correct_to_message(self):
