@@ -531,7 +531,9 @@ _FORWARD = ["--mt", "forward-particle"]
 
 # sha256 of the whole report file each line writes at --seed 8, recorded
 # before K_a's signing transform moved into the initial phase: any change to
-# a draw, a pad, a unitary or the report's layout moves one of them.
+# a draw, a pad, a unitary or the report's layout moves one of them. The
+# CSV lines other than forgery's were recorded before the CSV was derived
+# from the results.
 REPORT_DIGESTS = {
     "forge-n1-m1": (
         ["--scenario", "forgery", "--n", "1", "--m", "1", "--trials", "3000"],
@@ -585,6 +587,22 @@ REPORT_DIGESTS = {
     "forge-n1-m1-csv": (
         ["--scenario", "forgery", "--n", "1", "--m", "1", "--format", "csv", "--trials", "600"],
         "02af62aa3961e1fe298b67aadd6b96faa306d390f2f2a4266c2bd2b558dc08df",
+    ),
+    "honest-n2-csv": (
+        ["--scenario", "honest", "--n", "2", "--format", "csv", "--trials", "600"],
+        "2f8bc1090e40328e1e19f18ab9a8746e665be265d397795bbc2cdf2c3de73fa9",
+    ),
+    "q-estimate-n4-csv": (
+        ["--scenario", "q-estimate", "--n", "4", "--format", "csv", "--trials", "600"],
+        "2d2ef9f095c2e877e6fafea857c0725d0181823beec589cacd39c807b970aa23",
+    ),
+    "correlation-table-csv": (
+        ["--scenario", "correlation-table", "--format", "csv"],
+        "0ecd19174ef062a2559946f7b11ddc91ef0e03a23eeb60c0e2bc1dc4ec8693ef",
+    ),
+    "recovery-n1-csv": (
+        ["--scenario", "recovery-failure", "--n", "1", "--format", "csv", "--trials", "600"],
+        "8808672fb72e598b6b3e4c37c11f92feb09645e839950fa6a2a06df63aa49bdc",
     ),
 }
 
