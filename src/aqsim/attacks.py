@@ -2,7 +2,8 @@
 
 The headline estimator runs the full protocol with an attacker substituting
 the message (or garbling the signature) on the Alice -> Bob channel and
-reports the empirical acceptance rate against the analytic prediction:
+returns the forgery report's results, a dict: the empirical acceptance rate
+and its interval beside the analytic prediction, which is
 (3/4)^m for m replaced qubits under per-qubit keys and per-qubit comparison,
 1 - q(n) = 1/2 (1 + 2^-n) for a whole-register replacement under
 general-unitary keys.
@@ -29,7 +30,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,36 +71,6 @@ class ForgeryStrategy:
             raise ValueError(f"--strategy garble-signature replaces the signature's first qubit, which --key-model general entangles at --n {n}")
 
 
-@dataclass(frozen=True)
-class AttackReport:
-    strategy: StrategyKind
-    n: int
-    m: int | None
-    trials: int
-    acceptance_rate: float
-    ci_low: float
-    ci_high: float
-    gamma_rate: float
-    mean_fidelity: float
-    analytic_prediction: float | None
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "strategy": self.strategy.value}
-
-    def csv_row(self) -> list:
-        return [
-            self.strategy.value,
-            self.n,
-            "" if self.m is None else self.m,
-            self.trials,
-            f"{self.acceptance_rate:.6f}",
-            "" if self.analytic_prediction is None else f"{self.analytic_prediction:.6f}",
-            f"{self.ci_low:.6f}",
-            f"{self.ci_high:.6f}",
-        ]
-
-
-CSV_HEADER = ["strategy", "n", "m", "trials", "acceptance", "prediction", "ci_low", "ci_high"]
 CI_Z = 3.0  # the z of every Wilson interval (binomial_ci): 3 sigma, ~99.7%
 
 
@@ -193,34 +164,42 @@ def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def rate_with_ci(hits: np.ndarray) -> tuple[float, list[float]]:
+    """The share of trials in which `hits` (one flag per trial) is set, and
+    its binomial_ci as [low, high]."""
+    successes, trials = int(hits.sum()), len(hits)
+    return successes / trials, list(binomial_ci(successes, trials))
+
+
 def estimate_forgery_acceptance(
     config: RunConfig,
     strategy: ForgeryStrategy,
     trials: int,
     seed: int,
     workers: int = 1,
-) -> AttackReport:
-    """Acceptance rate of forged runs through the full protocol."""
+) -> dict:
+    """Acceptance rate of forged runs through the full protocol, with its
+    interval, the arbitrator's pass rate, the forged message's mean fidelity
+    to the signed one, and analytic_acceptance's prediction."""
     if trials < 1:
         raise ValueError("need at least one trial")
     strategy.validate(config.n, config.variant)
     accepted, gammas, fids = map_trials(
         _attack_trials, trials, seed, workers, width=state_width(config), config=config, strategy=strategy
     )
-    accepted, gammas = int(accepted.sum()), int(gammas.sum())
-    ci_low, ci_high = binomial_ci(accepted, trials)
-    return AttackReport(
-        strategy=strategy.kind,
-        n=config.n,
-        m=strategy.m,
-        trials=trials,
-        acceptance_rate=accepted / trials,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        gamma_rate=gammas / trials,
-        mean_fidelity=float(np.mean(fids)),
-        analytic_prediction=analytic_acceptance(config, strategy),
-    )
+    rate, (ci_low, ci_high) = rate_with_ci(accepted)
+    return {
+        "strategy": strategy.kind.value,
+        "n": config.n,
+        "m": strategy.m,
+        "trials": trials,
+        "acceptance_rate": rate,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+        "gamma_rate": int(gammas.sum()) / trials,
+        "mean_fidelity": float(np.mean(fids)),
+        "analytic_prediction": analytic_acceptance(config, strategy),
+    }
 
 
 def _recovery_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):

@@ -1,9 +1,10 @@
 """Reproducible scenario runner.
 
 Every scenario is driven by an ExperimentConfig (flags, optionally on top of a
-JSON config file; flags win). Reports are machine-first JSON or CSV; a short
-human summary goes to stdout. Identical configs, including the seed, produce
-byte-identical report files regardless of --workers.
+JSON config file; flags win). A report is the scenario's results, written as
+JSON or as the CSV derived from them; a short human summary goes to stdout.
+Identical configs, including the seed, produce byte-identical report files
+regardless of --workers.
 
 Exit codes: 0 success, 2 invalid config, 3 I/O failure.
 """
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import attacks, comparison, qsim, serialize
-from .attacks import ForgeryStrategy, StrategyKind, binomial_ci, map_trials
+from .attacks import ForgeryStrategy, StrategyKind, map_trials, rate_with_ci
 from .crypto import SigningModel
 from .protocol import (
     MAX_N_WHOLE_REGISTER,
@@ -258,7 +259,8 @@ def validate_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios. Each returns (results dict, csv header, csv rows, summary lines).
+# Scenarios. Each returns (results, summary lines); results is the report's
+# JSON `results`, and its CSV is derived from it (_csv_report).
 
 
 def _honest_trials(config: RunConfig, rng: np.random.Generator, size: int, **_):
@@ -270,37 +272,27 @@ def scenario_honest(cfg: ExperimentConfig):
     gammas, accepted = map_trials(
         _honest_trials, cfg.trials, cfg.seed, cfg.workers, width=attacks.state_width(cfg.run), config=cfg.run
     )
-    gamma_count, accepted = int(gammas.sum()), int(accepted.sum())
-    g_lo, g_hi = binomial_ci(gamma_count, cfg.trials)
-    a_lo, a_hi = binomial_ci(accepted, cfg.trials)
-    res = {
-        "trials": cfg.trials,
-        "gamma_rate": gamma_count / cfg.trials,
-        "gamma_ci": [g_lo, g_hi],
-        "acceptance_rate": accepted / cfg.trials,
-        "acceptance_ci": [a_lo, a_hi],
-    }
-    header = ["trials", "gamma_rate", "gamma_ci_low", "gamma_ci_high", "acceptance_rate", "acceptance_ci_low", "acceptance_ci_high"]
-    rows = [[cfg.trials, f"{res['gamma_rate']:.6f}", f"{g_lo:.6f}", f"{g_hi:.6f}", f"{res['acceptance_rate']:.6f}", f"{a_lo:.6f}", f"{a_hi:.6f}"]]
+    res = {"trials": cfg.trials}
+    res["gamma_rate"], res["gamma_ci"] = rate_with_ci(gammas)
+    res["acceptance_rate"], res["acceptance_ci"] = rate_with_ci(accepted)
     summary = [
         f"honest: gamma rate {res['gamma_rate']:.4f}, acceptance {res['acceptance_rate']:.4f} "
         f"({cfg.trials} trials)"
     ]
-    return res, header, rows, summary
+    return res, summary
 
 
 def scenario_forgery(cfg: ExperimentConfig):
-    report = attacks.estimate_forgery_acceptance(cfg.run, cfg.strategy, cfg.trials, cfg.seed, cfg.workers)
-    res = report.to_dict()
-    pred = report.analytic_prediction
+    res = attacks.estimate_forgery_acceptance(cfg.run, cfg.strategy, cfg.trials, cfg.seed, cfg.workers)
+    pred = res["analytic_prediction"]
     summary = [
-        f"forgery ({report.strategy.value}, n={report.n}, m={report.m}): "
-        f"acceptance {report.acceptance_rate:.4f} "
-        f"[{report.ci_low:.4f}, {report.ci_high:.4f}], "
+        f"forgery ({res['strategy']}, n={res['n']}, m={res['m']}): "
+        f"acceptance {res['acceptance_rate']:.4f} "
+        f"[{res['ci_low']:.4f}, {res['ci_high']:.4f}], "
         f"prediction {'n/a' if pred is None else f'{pred:.4f}'} "
-        f"({report.trials} trials)"
+        f"({res['trials']} trials)"
     ]
-    return res, attacks.CSV_HEADER, [report.csv_row()], summary
+    return res, summary
 
 
 def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
@@ -310,32 +302,25 @@ def _q_trials(n: int, rng: np.random.Generator, size: int, **_):
 
 
 def scenario_q_estimate(cfg: ExperimentConfig):
-    rows_data = []
+    rows = []
     for n in range(1, cfg.run.n + 1):
         # the two Haar states are the widest arrays: 2^n amplitudes
         (different,) = map_trials(_q_trials, cfg.trials, cfg.seed, cfg.workers, width=2**n, n=n)
-        hits = int(different.sum())
-        lo, hi = binomial_ci(hits, cfg.trials)
-        rows_data.append(
+        empirical_q, ci = rate_with_ci(different)
+        rows.append(
             {
                 "n": n,
                 "analytic_q": comparison.average_q(n),
-                "empirical_q": hits / cfg.trials,
-                "ci": [lo, hi],
+                "empirical_q": empirical_q,
+                "ci": ci,
                 "trials": cfg.trials,
             }
         )
-    res = {"rows": rows_data}
-    header = ["n", "analytic_q", "empirical_q", "ci_low", "ci_high", "trials"]
-    rows = [
-        [r["n"], f"{r['analytic_q']:.6f}", f"{r['empirical_q']:.6f}", f"{r['ci'][0]:.6f}", f"{r['ci'][1]:.6f}", r["trials"]]
-        for r in rows_data
-    ]
     summary = [
         f"q(n={r['n']}): analytic {r['analytic_q']:.4f}, empirical {r['empirical_q']:.4f}"
-        for r in rows_data
+        for r in rows
     ]
-    return res, header, rows, summary
+    return {"rows": rows}, summary
 
 
 def scenario_correlation_table(cfg: ExperimentConfig):
@@ -343,11 +328,11 @@ def scenario_correlation_table(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     # drawn one by one, so each probe is the one earlier reports drew
     probes = StateVector.owning(np.stack([qsim.haar_random_state(1, rng).amplitudes for _ in range(100)]))
-    rows_data = []
+    rows = []
     for m_a, m_b in sorted(itertools.product(BellOutcome, XOutcome), key=lambda pair: (pair[0].value, pair[1].value)):
         pauli = tuple(PauliOp)[frame[m_a, m_b]]
         worst = min(1.0, corrected_share_fidelity(probes, m_a, m_b, pauli).min())
-        rows_data.append(
+        rows.append(
             {
                 "bell": m_a.value,
                 "x": m_b.value,
@@ -357,23 +342,15 @@ def scenario_correlation_table(cfg: ExperimentConfig):
                 "probes": len(probes.amplitudes),
             }
         )
-    res = {"rows": rows_data}
-    header = ["bell", "x", "pauli", "verified", "min_fidelity", "probes"]
-    rows = [
-        [r["bell"], r["x"], r["pauli"], r["verified"], f"{r['min_fidelity']:.12f}", r["probes"]]
-        for r in rows_data
-    ]
-    summary = [f"({r['bell']}, {r['x']}) -> {r['pauli']}  verified={r['verified']}" for r in rows_data]
-    return res, header, rows, summary
+    summary = [f"({r['bell']}, {r['x']}) -> {r['pauli']}  verified={r['verified']}" for r in rows]
+    return {"rows": rows}, summary
 
 
 def scenario_recovery_failure(cfg: ExperimentConfig):
     mean_fid = attacks.recovery_failure_experiment(cfg.run, cfg.trials, cfg.seed, cfg.workers)
     res = {"trials": cfg.trials, "mean_candidate_fidelity": mean_fid}
-    header = ["trials", "mean_candidate_fidelity"]
-    rows = [[cfg.trials, f"{mean_fid:.6f}"]]
     summary = [f"recovery failure: mean candidate fidelity {mean_fid:.4f} ({cfg.trials} trials)"]
-    return res, header, rows, summary
+    return res, summary
 
 
 _SCENARIOS = {
@@ -383,6 +360,41 @@ _SCENARIOS = {
     Scenario.CORRELATION_TABLE: scenario_correlation_table,
     Scenario.RECOVERY_FAILURE: scenario_recovery_failure,
 }
+
+
+# The CSV rule's two exceptions (_csv_report): forgery's columns, header ->
+# results key, which rename acceptance_rate and analytic_prediction and leave
+# out gamma_rate and mean_fidelity; and correlation-table's 12-decimal min_fidelity.
+_CSV_COLUMNS = {
+    Scenario.FORGERY: dict(
+        strategy="strategy", n="n", m="m", trials="trials", acceptance="acceptance_rate",
+        prediction="analytic_prediction", ci_low="ci_low", ci_high="ci_high",
+    ),
+}
+_CSV_DECIMALS = {"min_fidelity": 12}
+
+
+def _csv_report(results: dict, columns: dict | None) -> str:
+    """A report's CSV: a line for each row of the results' table `rows`, or
+    one for the results. Its columns are a row's keys, or the headers of
+    `columns`; a [low, high] pair under key k is the columns k_low and k_high.
+    A float has 6 decimals unless _CSV_DECIMALS says otherwise, and None is
+    an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, row in enumerate(results.get("rows", [results])):
+        if columns:
+            row = {name: row[key] for name, key in columns.items()}
+        cells = {}
+        for key, value in row.items():
+            if isinstance(value, list):
+                cells[f"{key}_low"], cells[f"{key}_high"] = value
+            else:
+                cells[key] = value
+        if i == 0:
+            writer.writerow(cells)
+        writer.writerow(f"{v:.{_CSV_DECIMALS.get(k, 6)}f}" if isinstance(v, float) else v for k, v in cells.items())
+    return buf.getvalue()
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -436,15 +448,11 @@ def run_scenario(cfg: ExperimentConfig) -> int:
     keep_freed_memory()
     pauli_frame()  # built once here, so forked workers inherit it
     freeze_set_up_heap()
-    results, header, rows, summary = _SCENARIOS[cfg.scenario](cfg)
+    results, summary = _SCENARIOS[cfg.scenario](cfg)
     if cfg.format == "json":
         payload = serialize.dumps({"config": _config_echo(cfg), "results": results})
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        payload = buf.getvalue()
+        payload = _csv_report(results, _CSV_COLUMNS.get(cfg.scenario))
     try:
         if os.path.dirname(cfg.output_path):
             os.makedirs(os.path.dirname(cfg.output_path), exist_ok=True)

@@ -262,6 +262,14 @@ def bob_receive_and_forward(
     return crypto.seal(fields, k_b, crypto.kb_layout(n)["y_b"]), m_b, particles
 
 
+def _differ(a: StateVector, b: StateVector, variant: ProtocolVariant, rng: np.random.Generator) -> np.ndarray:
+    """Per trial, whether the variant's comparison proved a and b different:
+    one SWAP test per qubit pair, or one on the joined registers."""
+    if variant.comparison_mode is ComparisonMode.WHOLE_REGISTER:
+        a, b = qsim.join(a), qsim.join(b)
+    return comparison.swap_test(a, b, rng).any(-1)
+
+
 def arbitrator_verify(
     y_b: dict,
     particles,
@@ -290,11 +298,7 @@ def arbitrator_verify(
         source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
     r_prime = transform.apply(source)
 
-    if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        different = comparison.swap_test(r, r_prime, rng)  # one test per qubit pair
-    else:
-        different = comparison.swap_test(qsim.join(r), qsim.join(r_prime), rng)
-    different = different.any(-1)
+    different = _differ(r, r_prime, variant, rng)
 
     m_t = out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:
@@ -350,11 +354,7 @@ def bob_final_verify(
     p_prime = qsim.apply_pauli(opened["particles"], frame[m_a, m_b], 0)
     if reference is None:
         raise ValueError("final comparison needs a reference message")
-    if variant.comparison_mode is ComparisonMode.PER_QUBIT:
-        same = ~comparison.compare_product(p_prime, reference, rng)
-    else:
-        same = ~comparison.swap_test(qsim.join(p_prime), qsim.join(reference), rng).any(-1)
-    return passed & same, p_prime
+    return passed & ~_differ(p_prime, reference, variant, rng), p_prime
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,12 @@ def test_criterion_3_single_qubit_forgery():
     cfg = RunConfig(1, MEASURE_X_VARIANT)
     strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1)
     rep = estimate_forgery_acceptance(cfg, strat, trials=100_000, seed=301)
-    ok = abs(rep.acceptance_rate - 0.75) < 0.01 and rep.gamma_rate == rep.acceptance_rate
+    ok = abs(rep["acceptance_rate"] - 0.75) < 0.01 and rep["gamma_rate"] == rep["acceptance_rate"]
     report(
         3,
         "worst-case forgery m=1",
         ok,
-        f"acceptance={rep.acceptance_rate:.4f}, expected 0.75",
+        f"acceptance={rep['acceptance_rate']:.4f}, expected 0.75",
     )
 
 
@@ -107,12 +107,12 @@ def test_criterion_4_whole_register_forgery():
     cfg = RunConfig(3, WHOLE_REGISTER_VARIANT)
     strat = ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER)
     rep = estimate_forgery_acceptance(cfg, strat, trials=100_000, seed=401)
-    ok = abs(rep.acceptance_rate - 0.5625) < 0.01
+    ok = abs(rep["acceptance_rate"] - 0.5625) < 0.01
     report(
         4,
         "whole-register forgery n=3",
         ok,
-        f"acceptance={rep.acceptance_rate:.4f}, expected 0.5625",
+        f"acceptance={rep['acceptance_rate']:.4f}, expected 0.5625",
     )
 
 
@@ -211,7 +211,7 @@ def test_criterion_9_fidelity_drop():
     details = []
     for m in (1, 2, 3, 4):
         strat = ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m)
-        mean = estimate_forgery_acceptance(cfg, strat, 100_000, 900 + m).mean_fidelity
+        mean = estimate_forgery_acceptance(cfg, strat, 100_000, 900 + m)["mean_fidelity"]
         ok = ok and abs(mean - 0.5**m) < 0.01
         details.append(f"m={m}: {mean:.4f} vs {0.5 ** m:.4f}")
     report(9, "fidelity drop", ok, "; ".join(details))
