@@ -12,7 +12,7 @@ in a fixed, documented order:
   signing bits: 2 per qubit for the per-qubit model, 64 for the
   general-unitary model (read big-endian as the key of a Haar unitary,
   qsim.haar_random_unitary: Householder reflections of d(d+1)/2 keyed
-  normals for d = 2^n <= 8, the QR of d^2 keyed normals above).
+  normals for d = 2^n <= 16, the QR of d^2 keyed normals above).
 
   Bob-arbitrator key (K_b), `kb_layout`: the y_b bundle's fields, then the
   y_tb bundle's, quantum pads sized at 2 bits per qubit.

@@ -227,9 +227,11 @@ def alice_sign(
 
     Per qubit: Bell-measure (fresh message copy, Alice's GHZ share), leaving
     Bob and the arbitrator their correlated pair; one bell_measure call covers
-    every qubit. The signature state is `transform` applied to another fresh
-    copy. Returns (signature bundle sealed under K_a, message to transmit,
-    M_a, shared Bob/arbitrator pairs).
+    every qubit. No message (x) GHZ joint is built: the measurement takes its
+    basis rows from the two factors, two rows at a time (see qsim "Measurement").
+    The signature state is `transform` applied to another fresh copy. Returns
+    (signature bundle sealed under K_a, message to transmit, M_a, shared
+    Bob/arbitrator pairs).
     """
     if message.qubit_count != 1:
         raise ValueError(f"signing needs a product message, got {message.qubit_count}-qubit blocks")
@@ -237,7 +239,7 @@ def alice_sign(
     if n != ghz_triples.batch[-1]:
         raise ValueError("message size does not match GHZ share count")
     # shared pairs: qubits (Bob, arbitrator) of each triple
-    m_a, shared_pairs = qsim.bell_measure(qsim.tensor(message, ghz_triples), 0, 1, rng)
+    m_a, shared_pairs = qsim.bell_measure((message, ghz_triples), 0, 1, rng)
     r = transform.apply(message)
     sig = crypto.make_signature(m_a, r, k_a, variant.key_model)
     return sig, message, m_a, shared_pairs
@@ -388,6 +390,7 @@ def run_protocol(
     if channel_tap is not None:
         p_out, sig = channel_tap(p_out, sig, rng)
     y_b, m_b, particles = bob_receive_and_forward(p_out, sig, shared_pairs, k_b, rng)
+    del sig, shared_pairs  # sealed into y_b and measured: freed before the arbitrator's phase
     gamma, m_t, y_tb = arbitrator_verify(y_b, particles, k_a, k_b, transform, variant, rng)
 
     if variant.message_knowledge is MessageKnowledge.KNOWN_TO_ALL:

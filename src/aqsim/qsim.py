@@ -32,14 +32,19 @@ of the amplitude pair where it flips the qubit and a row of phases
 (_flip_and_phase), with no index array.
 
 Measurement. A branch's residual is a sum over basis rows: conj(c_r) times
-the state's view with the targets fixed to row r, over the basis vector's
-nonzero entries c_r, two for Bell and x (_project_out). It copies none of
-the state and calls no BLAS, and measure keeps only the drawn branch. A gate
+the amplitudes with the targets fixed to row r, over the basis vector's
+nonzero entries c_r, two for Bell and x (_project_out). The rows of a state
+are views of it, so nothing is copied and no BLAS is called. A Bell pair of
+factors (a, b), such as a message qubit and its GHZ triple, stands for
+tensor(a, b) and is never joined: each row is a product of one amplitude of
+a with half of b, tensor's own products, built for the two outcomes that
+read it and freed before the next two (_factor_rows). One draw loop serves
+both sources, and measure keeps only the drawn branch. A gate
 on one qubit (apply_one_qubit) is the same 2x2 product as apply_unitary's,
-elementwise, and Haar unitaries up to 8 x 8 are products of Householder
+elementwise, and Haar unitaries up to 16 x 16 are products of Householder
 reflections built over the trial axis. What still reaches BLAS or LAPACK
 does so once per row or matrix: np.vecdot, np.matmul for d > 2 and, for
-d >= 16, the Haar QR.
+d >= 32, the Haar QR.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -240,7 +245,7 @@ _UNITARY_CACHE: set[bytes] = set()
 # bytes: 256 trials at a time for 3-qubit matrices, 4 for the 64 x 64
 # unitaries of n = 6, whose 256-trial stack is 16 MiB. Deriving a keyed Haar
 # chunk takes at most about 5 chunks of scratch (its hash, uniforms and
-# normals, d(d+1)/2 per key for d <= 8 and d^2 above, then the Householder
+# normals, d(d+1)/2 per key for d <= 16 and d^2 above, then the Householder
 # product's working copy or the QR), so a long block's derivation needs no
 # more scratch than a 256-trial one.
 _CHUNK_BYTES = 2**18
@@ -387,31 +392,71 @@ def _basis_rows(state: StateVector, targets: tuple[int, ...]) -> list[np.ndarray
     return [fixed[(*bits, ...)] for bits in np.ndindex((2,) * len(targets))]
 
 
-def _project_out(state: StateVector, basis_vector: np.ndarray, rows: list[np.ndarray]):
+def _project_out(batch: tuple[int, ...], basis_vector: np.ndarray, rows):
     """Contract the measured qubits against basis_vector's conjugate, in every
-    trial: the sum of conj(c_r) rows[r] over its nonzero entries c_r in order,
-    `rows` being their _basis_rows; returns (residual amplitudes, probability)."""
+    trial of `batch`: the sum of conj(c_r) rows[r] over its nonzero entries
+    c_r in order, rows[r] being the amplitudes with the targets fixed to basis
+    row r; returns (residual amplitudes, probability)."""
     first, *rest = np.flatnonzero(basis_vector)
     coefficients = basis_vector.conj()
     residual = coefficients[first] * rows[first]
     for r in rest:
         residual += coefficients[r] * rows[r]
-    residual = residual.reshape(state.batch + (-1,))
+    residual = residual.reshape(batch + (-1,))
     return residual, _norm_sq(residual)[()]
 
 
-def _post_measurement(state: StateVector, targets, residual: np.ndarray, p):
+def _factor_rows(a: StateVector, b: StateVector):
+    """The basis rows of tensor(a, b) on qubits (0, 1), a one qubit, built
+    from the factors: row 2i + j is a's amplitude i times b's half with its
+    first qubit j, the products tensor takes. Returns the row source: a
+    basis vector -> the rows it reads. The rows last built are kept while the
+    next vector reads the same ones and freed before any others are built, so
+    a Bell measurement holds two rows at a time (psi+- read rows 0 and 3,
+    phi+- rows 1 and 2)."""
+    if a.qubit_count != 1:
+        raise ValueError(f"the first factor of a Bell pair is one qubit, got {a.qubit_count}")
+    halves = b.amplitudes.reshape(b.batch + (2, -1))
+    built = {}
+
+    def rows(basis_vector):
+        nonzero = np.flatnonzero(basis_vector).tolist()
+        if list(built) != nonzero:
+            built.clear()
+            for r in nonzero:
+                i, j = divmod(r, 2)
+                built[r] = a.amplitudes[..., i, None] * halves[..., j, :]
+        return built
+
+    return rows
+
+
+def _row_source(state, targets: tuple[int, ...]):
+    """(batch, row source) of a measurement: a state's rows are its
+    _basis_rows views, whatever the outcome; a factor pair (a, b) stands for
+    tensor(a, b), measured on (0, 1) from _factor_rows."""
+    if isinstance(state, StateVector):
+        views = _basis_rows(state, targets)
+        return state.batch, lambda basis_vector: views
+    a, b = state
+    if targets != (0, 1):
+        raise ValueError(f"a factor pair is measured on qubits (0, 1), not {targets}")
+    return np.broadcast_shapes(a.batch, b.batch), _factor_rows(a, b)
+
+
+def _post_measurement(residual: np.ndarray, p):
     """The residual of a branch of probability p, renormalized in place (it is
     fresh and held by no caller); None if no qubit remains."""
-    if len(targets) == state.qubit_count:
+    if residual.shape[-1] == 1:
         return None
     residual /= np.sqrt(p)[..., None]
     return StateVector.owning(residual)
 
 
-def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.random.Generator):
+def measure(state, targets: tuple[int, ...], outcomes, rng: np.random.Generator):
     """Born-rule draw of one of `outcomes` on `targets` in every trial; the
-    targets leave the register.
+    targets leave the register. `state` is a StateVector, or a factor pair
+    (a, b) measured on (0, 1) whose joint is never built (_row_source).
 
     `outcomes` is an ordered basis of the targets' space, each item carrying
     its basis `.vector`. One uniform u per trial is drawn, as one array, and
@@ -424,13 +469,13 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
     the trials it takes. Returns (the drawn outcomes' positions in
     `outcomes`; renormalized residual, or None if no qubit remains).
     """
-    rows = _basis_rows(state, targets)
-    u = rng.random(state.batch)
+    batch, rows = _row_source(state, targets)
+    u = rng.random(batch)
     for position, outcome in enumerate(outcomes):
-        branch, p_branch = _project_out(state, outcome.vector, rows)
+        branch, p_branch = _project_out(batch, outcome.vector, rows(outcome.vector))
         if position == 0:
             residual, p, acc = branch, p_branch, p_branch
-            drawn = np.zeros(state.batch, dtype=np.intp)
+            drawn = np.zeros(batch, dtype=np.intp)
         else:
             prev, acc = acc, acc + p_branch
             # a trial no earlier bin holds takes this bin if it has width: for
@@ -439,11 +484,11 @@ def measure(state: StateVector, targets: tuple[int, ...], outcomes, rng: np.rand
             take = (prev <= u) & (prev < acc)
             np.copyto(residual, branch, where=take[..., None])
             p = np.where(take, p_branch, p)
-            drawn[take] = position
+            np.putmask(drawn, take, position)
         del branch  # freed before the next outcome's projection
         if (u < acc).all():
             break
-    return drawn[()], _post_measurement(state, targets, residual, p)
+    return drawn[()], _post_measurement(residual, p)
 
 
 def project(state: StateVector, targets: tuple[int, ...], outcome):
@@ -453,8 +498,8 @@ def project(state: StateVector, targets: tuple[int, ...], outcome):
     also when the branch's probability is below ATOL (in any trial). Oracles
     enumerate branches with it.
     """
-    residual, p = _project_out(state, outcome.vector, _basis_rows(state, targets))
-    return p, None if np.any(p < ATOL) else _post_measurement(state, targets, residual, p)
+    residual, p = _project_out(state.batch, outcome.vector, _basis_rows(state, targets))
+    return p, None if np.any(p < ATOL) else _post_measurement(residual, p)
 
 
 def measure_x(state: StateVector, target: int, rng: np.random.Generator):
@@ -462,8 +507,9 @@ def measure_x(state: StateVector, target: int, rng: np.random.Generator):
     return measure(state, (target,), _X_ORDER, rng)
 
 
-def bell_measure(state: StateVector, q1: int, q2: int, rng: np.random.Generator):
-    """Bell measurement of the ordered pair (q1, q2): measure() over psi+, psi-, phi+, phi-."""
+def bell_measure(state, q1: int, q2: int, rng: np.random.Generator):
+    """Bell measurement of the ordered pair (q1, q2): measure() over psi+, psi-,
+    phi+, phi-, of a StateVector or of a factor pair (a, b) on (0, 1)."""
     return measure(state, (q1, q2), _BELL_ORDER, rng)
 
 
@@ -592,13 +638,13 @@ def _householder_q(keys: np.ndarray, out: np.ndarray) -> None:
 # Medians per 256 KiB chunk, one BLAS thread (BENCH_householder.json
 # "derivation"), Householder against QR: d = 16 (64 keys) 1.7 against 2.2 ms,
 # d = 32 (16 keys) 3.4 against 2.1, d = 64 (4 keys) 10.4 against 2.7. Its
-# O(d^2) numpy calls act on ever fewer keys as d grows; d = 16 keeps the QR,
-# so that n = 4 unitaries do not move.
-_HOUSEHOLDER_MAX_DIM = 8
+# O(d^2) numpy calls act on ever fewer keys as d grows, so the QR is faster
+# from d = 32 on.
+_HOUSEHOLDER_MAX_DIM = 16
 
 
 def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries: for dim <= 8 Stewart's products of
+    """Haar-distributed unitaries: for dim <= 16 Stewart's products of
     Householder reflections of d(d+1)/2 normals each (_householder_q), above
     the phase-fixed QR of d^2-normal Ginibre matrices (_ginibre_q). The two
     samplers give different unitaries from one key; both are Haar.

@@ -207,21 +207,25 @@ def test_block_calls_independent_of_register_size(monkeypatch):
         for n in (2, 16)
     }
     assert counts[2]["apply_pauli"] > 0 and counts[2]["bell_measure"] == 1
+    assert counts[2]["tensor"] == 0  # Alice's Bell rows come from the factors, not a joint
     assert counts[16] == counts[2]
 
 
 def test_block_footprint_per_qubit_row():
     # a measurement keeps only the drawn branch and copies none of the state,
-    # and a one-qubit pad builds no index array, so a 2048-trial forge n=1 m=1
-    # block peaks below 730 traced bytes per trial and qubit (1116 when every
-    # Bell outcome's residual was kept, 756 with a targets-first copy)
-    config, trials = RunConfig(1, _variant()), 2048
-    forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=1))
-    run_protocol(config, block_rng(37, 0), channel_tap=forging, size=trials)  # warm-up
-    tracemalloc.start()
-    try:
-        run_protocol(config, block_rng(37, 1), channel_tap=forging, size=trials)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (trials * config.n) <= 730
+    # Alice's Bell rows are built from the message and GHZ factors two at a
+    # time, and a one-qubit pad builds no index array, so a 2048-trial forge
+    # n=1 m=1 block and a 341-trial forge n=6 m=2 block peak below 600 traced
+    # bytes per trial and qubit (684 while the 16-amplitude message (x) GHZ
+    # joint was built, 1116 when every Bell outcome's residual was kept)
+    for n, m, trials in ((1, 1, 2048), (6, 2, 341)):
+        config = RunConfig(n, _variant())
+        forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m))
+        run_protocol(config, block_rng(37, 0), channel_tap=forging, size=trials)  # warm-up
+        tracemalloc.start()
+        try:
+            run_protocol(config, block_rng(37, 1), channel_tap=forging, size=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (trials * n) <= 600, (n, m, trials)

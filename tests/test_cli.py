@@ -629,6 +629,7 @@ SAMPLER_LINES = {
     "whole-n1": (1, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
     "whole-n2": (2, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
     "whole-n3": (3, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
+    "whole-n4": (4, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
     "honest-n3": (3, ["--scenario", "honest", *_GENERAL_WHOLE]),
     "garble-n1": (1, ["--scenario", "forgery", "--strategy", "garble-signature", *_GENERAL_WHOLE]),
 }

@@ -398,8 +398,11 @@ def test_wire_bit_fields_pinned(name):
 class TestBlockWidths:
     @pytest.mark.parametrize("v", [variant(), REPAIRED], ids=["measure-x", "forward-all"])
     def test_per_qubit_run_stays_narrow(self, v, monkeypatch):
-        # Every step of a per-qubit run acts on one message qubit at a time, so
-        # the widest state is a GHZ triple plus one message qubit, whatever n.
+        # Every step of a per-qubit run acts on one message qubit at a time, and
+        # Alice's Bell measurement reads its rows from the message and GHZ
+        # factors without joining them, so the widest state is a GHZ triple,
+        # whatever n. The Pauli frame's probes, which are joined, are built first.
+        pauli_frame()
         widths = []
         post_init, owning = qsim.StateVector.__post_init__, qsim.StateVector.owning
 
@@ -421,7 +424,7 @@ class TestBlockWidths:
 
         assert np.all(run_protocol(RunConfig(10, v), 0, 3).gamma == 1)
         run_protocol(RunConfig(10, v), 0, 3, channel_tap=tap)
-        assert max(widths) == 4
+        assert max(widths) == 3
 
 
 class TestMessage:
