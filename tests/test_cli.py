@@ -556,6 +556,12 @@ REPORT_DIGESTS = {
         ["--scenario", "forgery", "--n", "2", "--strategy", "garble-signature", "--r-prime", "ghz", "--trials", "600"],
         "b4d2b781b0d3fe29dd6538869354274772ff4772f7595f2ded791ab7cc088623",
     ),
+    # the one path that builds a one-qubit ciphertext: the tap garbles the
+    # K_a-sealed signature, and the arbitrator opens what it made
+    "garble-n1": (
+        ["--scenario", "forgery", "--n", "1", "--strategy", "garble-signature", "--trials", "600"],
+        "f3f7e5f3a449dfeec0cb94353bfcfa560e280c3b71ee087a7a5fed489d18da94",
+    ),
     "garble-n1-general-whole": (
         ["--scenario", "forgery", "--n", "1", "--strategy", "garble-signature", *_GENERAL_WHOLE, "--trials", "600"],
         "5c95cc541a9c2b5030b142a0f4111a4dd6f0343ff92b699106235fbb6336fa2d",
