@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, qsim
-from .crypto import SigningModel
+from .crypto import SigningModel, ciphertext
 from .protocol import (
     ComparisonMode,
     MessageKnowledge,
@@ -101,7 +101,7 @@ def _garble_tap(message, sig, rng):
     The pads are Pauli, so in-ciphertext orthogonality survives decryption and
     the arbitrator's comparison sees an exactly orthogonal first qubit.
     """
-    state = sig["sig_state"]
+    state = ciphertext(sig["sig_state"])
     garbled = state.amplitudes.copy()
     garbled[..., 0, :] = _orthogonal_qubit(state).amplitudes[..., 0, :]
     return message, {**sig, "sig_state": StateVector.owning(garbled)}
@@ -247,11 +247,12 @@ def block_trials(width: int) -> int:
 
 
 def state_width(config: RunConfig) -> int:
-    """Amplitudes per trial in the widest array a block of `config` holds:
-    16 n for the message and its GHZ triples under per-qubit keys and
-    comparison; with whole-register comparison or general keys also a
-    2^n x 2^n unitary per trial, 4^n: the general-key stack, or per-qubit
-    unitaries kron'd onto a whole-register forged message."""
+    """Amplitudes per trial that size a block of `config`: 16 n under
+    per-qubit keys and comparison, a message (x) GHZ joint per qubit, which
+    no block builds now but block lengths, and so reports, rest on; with
+    whole-register comparison or general keys also a 2^n x 2^n unitary per
+    trial, 4^n: the general-key stack, or per-qubit unitaries kron'd onto a
+    whole-register forged message."""
     v, n = config.variant, config.n
     if v.key_model is SigningModel.PER_QUBIT_PRODUCT and v.comparison_mode is ComparisonMode.PER_QUBIT:
         return 16 * n

@@ -17,7 +17,6 @@ import ctypes
 import functools
 import gc
 import io
-import itertools
 import json
 import os
 import sys
@@ -38,10 +37,11 @@ from .protocol import (
     RPrimeSource,
     RunConfig,
     corrected_share_fidelity,
+    outcome_shares,
     pauli_frame,
     run_protocol,
 )
-from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
+from .qsim import PauliOp, StateVector
 
 OUTPUT_DIR_ENV = "AQSIM_OUT_DIR"
 DEFAULT_SEED = 0
@@ -328,10 +328,11 @@ def scenario_correlation_table(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     # drawn one by one, so each probe is the one earlier reports drew
     probes = StateVector.owning(np.stack([qsim.haar_random_state(1, rng).amplitudes for _ in range(100)]))
+    shares = outcome_shares(probes)
     rows = []
-    for m_a, m_b in sorted(itertools.product(BellOutcome, XOutcome), key=lambda pair: (pair[0].value, pair[1].value)):
+    for m_a, m_b in sorted(shares, key=lambda pair: (pair[0].value, pair[1].value)):
         pauli = tuple(PauliOp)[frame[m_a, m_b]]
-        worst = min(1.0, corrected_share_fidelity(probes, m_a, m_b, pauli).min())
+        worst = min(1.0, corrected_share_fidelity(probes, shares[m_a, m_b], pauli).min())
         rows.append(
             {
                 "bell": m_a.value,

@@ -3,7 +3,12 @@
 A bundle is a plain dict of named fields: classical bits, a register, or None.
 `seal` pads each field with the key slice of the same name (XOR for bits, the
 quantum one-time pad for a register; None stays None), and `unseal` opens the
-fields asked for. One name per field: a layout slice, a bundle field and a
+fields asked for. A register's pad is Paulis, kept as key bits the way a Pauli
+frame keeps them (Knill, Nature 434:39, 2005): a `Sealed` value holds the
+register and its pad bits. Opened with the key slice that sealed it, it gives
+back that register, as D_p(E_p(psi)) = psi exactly; its ciphertext is built
+(`ciphertext`) only where a tap or a transcript reads it, or another pad
+opens it. One name per field: a layout slice, a bundle field and a
 serialized key are the same string. Key bits are consumed as disjoint slices
 in a fixed, documented order:
 
@@ -42,7 +47,6 @@ from .qsim import (
     BellOutcome,
     StateVector,
     _check_unitary,
-    _flip_and_phase,
     apply_unitary,
     haar_random_unitary,
     join,
@@ -172,24 +176,14 @@ def _pad_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-# On a one-qubit block, the sign of output bit i in row 2a + b: (-1)^((i^a) & b)
-# for X^a Z^b, (-1)^(i & b) for Z^b X^a. Shaped as qsim._flip_and_phase's
-# phase, (..., 2, 1).
-_ENCRYPT_SIGNS = np.array([[1, 1], [1, -1], [1, 1], [-1, 1]], dtype=complex)[..., None]
-_DECRYPT_SIGNS = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=complex)[..., None]
-_ENCRYPT_SIGNS.setflags(write=False)
-_DECRYPT_SIGNS.setflags(write=False)
-
-
 def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVector:
     """The pad's Paulis on every block of every trial.
 
     A qubit's X^a Z^b, (a, b) = pad[2i], pad[2i+1], maps amplitude i to
     (-1)^((i^a) & b) psi[i^a]; its inverse, Z^b X^a, to (-1)^(i & b) psi[i^a].
-    One-qubit blocks take that as it stands: a swap of the amplitude pair
-    where a is set, then a sign row. Wider blocks pack each block's X and Z
-    bits into masks x and z and take one gather and a sign,
-    (-1)^popcount((i^x) & z) psi[i^x] and (-1)^popcount(i & z) psi[i^x].
+    Each block's X and Z bits are packed into masks x and z, and the pad is
+    one gather and a sign, (-1)^popcount((i^x) & z) psi[i^x] and
+    (-1)^popcount(i & z) psi[i^x].
     Each trial has its own pad, or one pad without a trial axis serves the
     whole block.
     """
@@ -197,12 +191,6 @@ def _qotp(register: StateVector, pad_bits: np.ndarray, encrypt: bool) -> StateVe
     k = register.qubit_count
     if pad.shape[-1] != 2 * qubit_count(register):
         raise ValueError(f"{pad.shape[-1]} pad bits for {qubit_count(register)} qubits at 2 each")
-    if k == 1:
-        a, b = pad[..., 0::2], pad[..., 1::2]
-        block = register.amplitudes[..., None]
-        signs = (_ENCRYPT_SIGNS if encrypt else _DECRYPT_SIGNS)[2 * a + b]
-        out = _flip_and_phase(block, a.view(bool)[..., None, None], signs)
-        return StateVector.owning(out[..., 0])
     index, signs, weights = _pad_tables(k)
     # trials, blocks, qubits in block, (x, z); each bit column packed into a mask
     bits = pad.reshape(pad.shape[:-1] + (-1, k, 2))
@@ -255,22 +243,49 @@ def bits_to_bell_outcomes(bits: np.ndarray) -> np.ndarray:
     return 2 * bits[..., 0::2] + bits[..., 1::2]
 
 
-def _pad(value, pad: np.ndarray, quantum):
-    if value is None:
-        return None
+@dataclass(frozen=True)
+class Sealed:
+    """A register under a quantum one-time pad, held as the plain register
+    (itself sealed, for a field sealed twice) and its pad bits, a view of the
+    key slice: no amplitude is padded until `ciphertext` reads it."""
+
+    content: StateVector | Sealed
+    pad: np.ndarray
+
+
+def ciphertext(sealed: Sealed) -> StateVector:
+    """The padded amplitudes a party or a tap reads, the innermost pad first."""
+    content = sealed.content
+    return qotp_encrypt(ciphertext(content) if isinstance(content, Sealed) else content, sealed.pad)
+
+
+def _seal(value, pad: np.ndarray):
+    if isinstance(value, (StateVector, Sealed)):
+        return Sealed(value, pad)
+    return None if value is None else classical_encrypt(value, pad)
+
+
+def _open(value, pad: np.ndarray):
+    if isinstance(value, Sealed):
+        if np.array_equal(value.pad, pad):  # the sealing pad in every trial: D_p(E_p(psi)) = psi
+            return value.content
+        value = ciphertext(value)
     if isinstance(value, StateVector):
-        return quantum(value, pad)
-    return classical_encrypt(value, pad)
+        return qotp_decrypt(value, pad)
+    return None if value is None else classical_decrypt(value, pad)
 
 
 def seal(fields: Mapping[str, object], key: np.ndarray, layout: Mapping[str, slice]) -> dict:
-    """The bundle of `fields`, each padded by the key slice of the same name."""
-    return {name: _pad(value, key[..., layout[name]], qotp_encrypt) for name, value in fields.items()}
+    """The bundle of `fields`, each padded by the key slice of the same name;
+    a register is kept as a Sealed value."""
+    return {name: _seal(value, key[..., layout[name]]) for name, value in fields.items()}
 
 
 def unseal(bundle: Mapping[str, object], key: np.ndarray, layout: Mapping[str, slice], names) -> dict:
-    """The named fields of a sealed bundle, opened; no other field is touched."""
-    return {name: _pad(bundle[name], key[..., layout[name]], qotp_decrypt) for name in names}
+    """The named fields of a bundle, opened; no other field is touched. A
+    register opened with the key slice that sealed it is the sealed register
+    itself; any other is decrypted from its ciphertext."""
+    return {name: _open(bundle[name], key[..., layout[name]]) for name in names}
 
 
 def make_signature(m_a: np.ndarray, r: StateVector, key: np.ndarray, model: SigningModel) -> dict:
@@ -282,5 +297,6 @@ def make_signature(m_a: np.ndarray, r: StateVector, key: np.ndarray, model: Sign
 
 def open_signature(sig: Mapping[str, object], key: np.ndarray, model: SigningModel) -> tuple[np.ndarray, StateVector]:
     """M_a and R from a bundle holding the K_a-sealed signature fields."""
-    opened = unseal(sig, key, ka_layout(qubit_count(sig["sig_state"]), model), ("sig_bell_bits", "sig_state"))
+    n = sig["sig_bell_bits"].shape[-1] // 2
+    opened = unseal(sig, key, ka_layout(n, model), ("sig_bell_bits", "sig_state"))
     return bits_to_bell_outcomes(opened["sig_bell_bits"]), opened["sig_state"]

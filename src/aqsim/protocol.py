@@ -118,16 +118,24 @@ def haar_product_message(n: int, rng: np.random.Generator, batch: tuple[int, ...
 # Pauli frame
 
 
-def corrected_share_fidelity(probes: StateVector, m_a: BellOutcome, m_b: XOutcome, pauli: PauliOp) -> np.ndarray:
-    """Message qubits through the GHZ correlation, on fixed outcomes.
+def outcome_shares(probes: StateVector) -> dict:
+    """Message qubits through the GHZ correlation, on every fixed outcome
+    pair: one probes (x) GHZ joint, projected on each Bell outcome m_a of
+    (probe, Alice's share), then on each x outcome m_b of Bob's share.
+    Returns {(m_a, m_b): the probes' arbitrator shares}, a share None if
+    either branch has probability below qsim.ATOL in any probe."""
+    joint = qsim.tensor(probes, qsim.ghz_state())
+    shares = {}
+    for m_a in BellOutcome:
+        pair = qsim.project(joint, (0, 1), m_a)[1]
+        for m_b in XOutcome:
+            shares[m_a, m_b] = None if pair is None else qsim.project(pair, (0,), m_b)[1]
+    return shares
 
-    Each probe (x) GHZ is projected on Bell outcome m_a of (probe, Alice's
-    share), then on x outcome m_b of Bob's share; returns the fidelity of each
-    probe's arbitrator share, corrected by `pauli`, with the probe (0.0 for
-    every probe if either branch has probability below qsim.ATOL in any).
-    """
-    _, pair = qsim.project(qsim.tensor(probes, qsim.ghz_state()), (0, 1), m_a)
-    share = None if pair is None else qsim.project(pair, (0,), m_b)[1]
+
+def corrected_share_fidelity(probes: StateVector, share: StateVector | None, pauli: PauliOp) -> np.ndarray:
+    """The fidelity of each probe's share (an outcome_shares value), corrected
+    by `pauli`, with the probe; 0.0 for every probe if the share is None."""
     if share is None:
         return np.zeros(probes.batch)
     return qsim.fidelity(qsim.apply_pauli(share, pauli, 0), probes)
@@ -143,20 +151,19 @@ def build_pauli_frame() -> np.ndarray:
     a read-only (len(BellOutcome), len(XOutcome)) array of PauliOp positions.
 
     Built by brute force: each entry is the first Pauli that corrects every
-    random probe message, all probes solved as one block, so a convention
-    mismatch anywhere upstream fails loudly rather than silently corrupting
-    corrections.
+    random probe message, all probes solved as one block and each outcome
+    pair's shares projected once, so a convention mismatch anywhere upstream
+    fails loudly rather than silently corrupting corrections.
     """
     probes = qsim.haar_random_state(1, np.random.default_rng(_PROBE_SEED), (_PROBE_COUNT,))
     frame = np.empty((len(BellOutcome), len(XOutcome)), dtype=np.intp)
-    for m_a in BellOutcome:
-        for m_b in XOutcome:
-            for pauli in PauliOp:
-                if (corrected_share_fidelity(probes, m_a, m_b, pauli) >= 1.0 - qsim.ATOL).all():
-                    frame[m_a, m_b] = operator.index(pauli)
-                    break
-            else:
-                raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
+    for (m_a, m_b), share in outcome_shares(probes).items():
+        for pauli in PauliOp:
+            if (corrected_share_fidelity(probes, share, pauli) >= 1.0 - qsim.ATOL).all():
+                frame[m_a, m_b] = operator.index(pauli)
+                break
+        else:
+            raise RuntimeError(f"no single Pauli corrects outcome pair ({m_a}, {m_b})")
     if frame[BellOutcome.PSI_MINUS, XOutcome.PLUS_X] != operator.index(PauliOp.Z):
         raise RuntimeError("Pauli frame convention broken: (psi-, +x) must map to Z")
     frame.setflags(write=False)
@@ -288,8 +295,7 @@ def arbitrator_verify(
     The comparison acts on copies, so they reach M_t undisturbed.
     Returns (gamma, m_t or None, y_tb).
     """
-    n = qsim.qubit_count(y_b["sig_state"])
-    layout = crypto.kb_layout(n)
+    layout = crypto.kb_layout(y_b["mb_bits"].shape[-1])  # one x outcome per message qubit
     # every field of y_b; the signature fields are still sealed under K_a
     opened = crypto.unseal(y_b, k_b, layout["y_b"], y_b.keys())
     m_b = opened["mb_bits"]
@@ -341,7 +347,7 @@ def bob_final_verify(
     measured_mt = variant.m_t_mode is MtMode.MEASURE_X
     # only the fields Bob reads are opened
     names = ("ma_bits", "mb_bits", "gamma_bit", "mt_bits" if measured_mt else "particles")
-    opened = crypto.unseal(y_tb, k_b, crypto.kb_layout(qsim.qubit_count(y_tb["sig_state"]))["y_tb"], names)
+    opened = crypto.unseal(y_tb, k_b, crypto.kb_layout(y_tb["mb_bits"].shape[-1])["y_tb"], names)
     frame = pauli_frame()
     m_a = crypto.bits_to_bell_outcomes(opened["ma_bits"])
     m_b = opened["mb_bits"]

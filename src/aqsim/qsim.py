@@ -27,9 +27,10 @@ Pauli frame once per process, each entry on one block of probes.
 One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
 the per-row norms and inner products (_norm_sq, inner_product) are elementwise or
 np.vecdot forms, bit for bit equal to np.matmul's and without its call per
-matrix. A Pauli, and crypto's one-time pad on one-qubit blocks, is a swap
-of the amplitude pair where it flips the qubit and a row of phases
-(_flip_and_phase), with no index array.
+matrix. A Pauli (apply_pauli) is a swap of the amplitude pair where it
+flips the qubit and a row of phases, with no index array. crypto's one-time
+pads are Paulis too, but kept as key bits: they reach amplitudes only where
+a ciphertext is read, as one gather per register.
 
 Measurement. A branch's residual is a sum over basis rows: conj(c_r) times
 the amplitudes with the targets fixed to row r, over the basis vector's
@@ -282,22 +283,14 @@ def apply_one_qubit(state: StateVector, gate: np.ndarray, target: int) -> StateV
     return StateVector.owning(out.reshape(state.batch + (-1,)))
 
 
-def _flip_and_phase(block: np.ndarray, flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """A Pauli-like map on the qubit axis of `block` (..., 2, rest): flip the
-    qubit where `flip` holds, then multiply the amplitude of output bit b by
-    phase[..., b, :]; a fresh array."""
-    out = np.where(flip, block[..., ::-1, :], block)
-    out *= phase
-    return out
-
-
 def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
     """Apply a Pauli to one qubit (matrix-free): one PauliOp for every trial,
     or an int array of PauliOp positions, one per trial."""
     _check_target(state, target)
     k = state.qubit_count
     block = state.amplitudes.reshape(state.batch + (2**target, 2, 2 ** (k - target - 1)))
-    out = _flip_and_phase(block, _PAULI_FLIP[pauli], _PAULI_PHASE[pauli])
+    out = np.where(_PAULI_FLIP[pauli], block[..., ::-1, :], block)
+    out *= _PAULI_PHASE[pauli]
     return StateVector.owning(out.reshape(out.shape[:-3] + (-1,)))
 
 

@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .crypto import Sealed, ciphertext
 from .protocol import Transcript
 from .qsim import BellOutcome, StateVector, XOutcome
 
@@ -40,7 +41,7 @@ def _values(outcomes, positions):
 
 def bundle_to_dict(bundle: dict) -> dict:
     return {
-        name: state_to_list(value) if isinstance(value, StateVector) else _plain(value)
+        name: state_to_list(ciphertext(value)) if isinstance(value, Sealed) else _plain(value)
         for name, value in bundle.items()
     }
 

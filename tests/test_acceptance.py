@@ -32,6 +32,7 @@ from aqsim.protocol import (
     RunConfig,
     build_pauli_frame,
     corrected_share_fidelity,
+    outcome_shares,
     run_protocol,
 )
 from aqsim.qsim import ATOL, BellOutcome, PauliOp, StateVector, XOutcome
@@ -153,9 +154,8 @@ def test_criterion_6_correlation_oracle():
     rng = np.random.default_rng(600)
     probes = StateVector(np.stack([qsim.haar_random_state(1, rng).amplitudes for _ in range(100)]))
     worst = min(
-        corrected_share_fidelity(probes, m_a, m_b, tuple(PauliOp)[frame[m_a, m_b]]).min()
-        for m_a in BellOutcome
-        for m_b in XOutcome
+        corrected_share_fidelity(probes, share, tuple(PauliOp)[frame[m_a, m_b]]).min()
+        for (m_a, m_b), share in outcome_shares(probes).items()
     )
     anchor = bool(frame[BellOutcome.PSI_MINUS, XOutcome.PLUS_X] == operator.index(PauliOp.Z))
     ok = worst >= 1.0 - 1e-10 and anchor

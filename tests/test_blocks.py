@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqsim import qsim
+from aqsim import crypto, qsim
 from aqsim.attacks import BLOCK_TRIALS, ForgeryStrategy, StrategyKind, _garble_tap, block_rng, forge
-from aqsim.crypto import SigningModel
+from aqsim.crypto import Sealed, SigningModel, ciphertext
 from aqsim.protocol import (
     ComparisonMode,
     MessageKnowledge,
@@ -128,7 +128,7 @@ def _rows(transcript):
         for name, value in getattr(transcript, bundle).items():
             if value is None:
                 continue
-            fields[f"{bundle}.{name}"] = value.amplitudes if isinstance(value, qsim.StateVector) else value
+            fields[f"{bundle}.{name}"] = ciphertext(value).amplitudes if isinstance(value, Sealed) else value
     for name in ("message_fidelity", "candidate_fidelity", "candidate_fidelity_per_qubit"):
         fields[name] = transcript.extras[name]
     return fields
@@ -153,9 +153,10 @@ def test_row_equals_single_trial_block(name):
                 assert np.array_equal(value, expected), (name, field, t)
 
 
-def _qsim_calls(monkeypatch, run) -> collections.Counter:
-    """Calls of every function qsim defines, and StateVector constructions,
-    made by run(); counted under every aqsim module name bound to them."""
+def _calls(monkeypatch, run, modules=(qsim,)) -> collections.Counter:
+    """Calls of every function the modules define, and StateVector
+    constructions, made by run(); counted under every aqsim module name bound
+    to them."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -168,8 +169,9 @@ def _qsim_calls(monkeypatch, run) -> collections.Counter:
 
     wrappers = {
         id(fn): (fn, counting(name, fn))
-        for name, fn in vars(qsim).items()
-        if inspect.isfunction(fn) and fn.__module__ == qsim.__name__
+        for module in modules
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
     }
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "aqsim" or mod_name.startswith("aqsim."):
@@ -200,7 +202,7 @@ def test_block_calls_independent_of_register_size(monkeypatch):
     forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=2))
     pauli_frame()  # built once per process, before any block
     counts = {
-        n: _qsim_calls(
+        n: _calls(
             monkeypatch,
             lambda: run_protocol(RunConfig(n, _variant()), block_rng(31, 0), channel_tap=forging, size=BLOCK_TRIALS),
         )
@@ -211,13 +213,26 @@ def test_block_calls_independent_of_register_size(monkeypatch):
     assert counts[16] == counts[2]
 
 
+@pytest.mark.parametrize("name, pads", [("replace-qubits", 0), ("whole-register-general-key", 0), ("garble", 1)])
+def test_pads_reach_amplitudes_only_where_a_ciphertext_is_read(monkeypatch, name, pads):
+    # every party opens a register with the key slice that sealed it, so no
+    # pad touches amplitudes; the garble tap reads the K_a ciphertext (one
+    # encrypt), and the arbitrator decrypts the one the tap wrote (one decrypt)
+    config, tap = CASES[name]
+    counts = _calls(
+        monkeypatch, lambda: run_protocol(config, block_rng(41, 0), channel_tap=tap, size=BLOCK_TRIALS), (crypto,)
+    )
+    assert (counts["qotp_encrypt"], counts["qotp_decrypt"], counts["_qotp"]) == (pads, pads, 2 * pads)
+
+
 def test_block_footprint_per_qubit_row():
     # a measurement keeps only the drawn branch and copies none of the state,
     # Alice's Bell rows are built from the message and GHZ factors two at a
-    # time, and a one-qubit pad builds no index array, so a 2048-trial forge
-    # n=1 m=1 block and a 341-trial forge n=6 m=2 block peak below 600 traced
-    # bytes per trial and qubit (684 while the 16-amplitude message (x) GHZ
-    # joint was built, 1116 when every Bell outcome's residual was kept)
+    # time, and a register sealed and opened under one key slice is never
+    # padded, so a 2048-trial forge n=1 m=1 block and a 341-trial forge n=6
+    # m=2 block peak below 540 traced bytes per trial and qubit (546 while
+    # every seal padded the amplitudes, 684 while the 16-amplitude message
+    # (x) GHZ joint was built, 1116 when every Bell outcome's residual was kept)
     for n, m, trials in ((1, 1, 2048), (6, 2, 341)):
         config = RunConfig(n, _variant())
         forging = _forging(ForgeryStrategy(StrategyKind.REPLACE_QUBITS, m=m))
@@ -228,4 +243,4 @@ def test_block_footprint_per_qubit_row():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (trials * n) <= 600, (n, m, trials)
+        assert peak / (trials * n) <= 540, (n, m, trials)

@@ -268,6 +268,62 @@ class TestQotp:
         assert qsim.register_fidelity(back, s).mean() == pytest.approx(0.5, abs=0.01)
 
 
+def _bits(state):
+    """A register's amplitudes as int64 words: equal iff equal bit for bit."""
+    return state.amplitudes.view(np.int64)
+
+
+class TestSealed:
+    N = 3
+    LAYOUT = crypto.kb_layout(N)["y_b"]
+
+    def _sealed(self, seed, k):
+        r = rng(seed)
+        register = haar_random_state(k, r, (16, self.N // k) if k == 1 else (16, 1))
+        key = r.integers(0, 2, size=(16, crypto.kb_bits_required(self.N)), dtype=np.uint8)
+        return r, register, key, crypto.seal({"msg_state": register}, key, self.LAYOUT)
+
+    def test_own_key_opens_to_the_sealed_register(self):
+        # a copy of the key, so its bits are what matches, not the array
+        _, register, key, bundle = self._sealed(30, 1)
+        assert isinstance(bundle["msg_state"], crypto.Sealed)
+        assert crypto.unseal(bundle, key.copy(), self.LAYOUT, ["msg_state"])["msg_state"] is register
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_pads_open_as_the_eager_pads(self, k):
+        # a wrong key, and the key wrong in one bit of one trial, open the
+        # built ciphertext, bit for bit as padding the amplitudes at once does
+        r, register, key, bundle = self._sealed(31, k)
+        pad = key[..., self.LAYOUT["msg_state"]]
+        partly = key.copy()
+        partly[5, self.LAYOUT["msg_state"].start + 3] ^= 1
+        for other in (r.integers(0, 2, size=key.shape, dtype=np.uint8), partly):
+            opened = crypto.unseal(bundle, other, self.LAYOUT, ["msg_state"])["msg_state"]
+            eager = qotp_decrypt(qotp_encrypt(register, pad), other[..., self.LAYOUT["msg_state"]])
+            assert np.array_equal(_bits(opened), _bits(eager))
+
+    def test_nested_ciphertext_is_the_eager_pads(self):
+        # the signature sealed under K_a, then under K_b, as in y_b
+        r = rng(32)
+        model = SigningModel.PER_QUBIT_PRODUCT
+        k_a = r.integers(0, 2, size=(16, crypto.ka_bits_required(self.N, model)), dtype=np.uint8)
+        k_b = r.integers(0, 2, size=(16, crypto.kb_bits_required(self.N)), dtype=np.uint8)
+        state = haar_random_state(1, r, (16, self.N))
+        sig = make_signature(np.zeros((16, self.N), dtype=np.intp), state, k_a, model)
+        y_b = crypto.seal(sig, k_b, self.LAYOUT)
+        pad_a = k_a[..., crypto.ka_layout(self.N, model)["sig_state"]]
+        pad_b = k_b[..., self.LAYOUT["sig_state"]]
+        eager = qotp_encrypt(qotp_encrypt(state, pad_a), pad_b)
+        assert np.array_equal(_bits(crypto.ciphertext(y_b["sig_state"])), _bits(eager))
+        # K_b's own slice, then K_a's, give back the signed register itself
+        opened = crypto.unseal(y_b, k_b, self.LAYOUT, sig.keys())
+        assert open_signature(opened, k_a, model)[1] is state
+        # a wrong K_b slice decrypts both pads' ciphertext
+        wrong = r.integers(0, 2, size=k_b.shape, dtype=np.uint8)
+        opened = crypto.unseal(y_b, wrong, self.LAYOUT, ["sig_state"])["sig_state"]
+        assert np.array_equal(_bits(opened), _bits(qotp_decrypt(eager, wrong[..., self.LAYOUT["sig_state"]])))
+
+
 class TestClassicalPad:
     def test_examples(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)

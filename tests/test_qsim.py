@@ -32,7 +32,7 @@ from aqsim.qsim import (
     project,
     tensor,
 )
-from aqsim.protocol import corrected_share_fidelity, pauli_frame
+from aqsim.protocol import corrected_share_fidelity, outcome_shares, pauli_frame
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -441,15 +441,16 @@ class TestSingleStateIsABlockRow:
                 mismatches += [(name, k, t) for name, bits in singles.items() if not _same_bits(bits, blocks[name][t])]
         # 100 probes as one block against each frame entry, as the correlation table checks them
         probes = haar_random_state(1, r, (100,))
-        for m_a in BellOutcome:
-            for m_b in XOutcome:
-                pauli = tuple(PauliOp)[pauli_frame()[m_a, m_b]]
-                block = corrected_share_fidelity(probes, m_a, m_b, pauli)
-                mismatches += [
-                    ("corrected_share_fidelity", m_a, m_b, t)
-                    for t in range(100)
-                    if not _same_bits(corrected_share_fidelity(_row(probes, t), m_a, m_b, pauli), block[t])
-                ]
+        shares = outcome_shares(probes)
+        row_shares = [outcome_shares(_row(probes, t)) for t in range(100)]
+        for (m_a, m_b), share in shares.items():
+            pauli = tuple(PauliOp)[pauli_frame()[m_a, m_b]]
+            block = corrected_share_fidelity(probes, share, pauli)
+            mismatches += [
+                ("corrected_share_fidelity", m_a, m_b, t)
+                for t in range(100)
+                if not _same_bits(corrected_share_fidelity(_row(probes, t), row_shares[t][m_a, m_b], pauli), block[t])
+            ]
         assert not mismatches, f"{len(mismatches)} rows differ, first {mismatches[:5]}"
 
     def test_a_trials_bits_do_not_depend_on_its_blocks_length(self):
@@ -787,10 +788,11 @@ class TestTeleportation:
         # arbitrator's qubit to the message state, message-independently.
         r = rng(19)
         probes = [haar_random_state(1, r) for _ in range(25)]
+        shares = [outcome_shares(p) for p in probes]
         for m_a in BellOutcome:
             for m_b in XOutcome:
                 assert any(
-                    all(corrected_share_fidelity(p, m_a, m_b, pauli) >= 1 - ATOL for p in probes)
+                    all(corrected_share_fidelity(p, s[m_a, m_b], pauli) >= 1 - ATOL for p, s in zip(probes, shares))
                     for pauli in PauliOp
                 ), (m_a, m_b)
 
