@@ -252,7 +252,8 @@ def state_width(config: RunConfig) -> int:
     no block builds now but block lengths, and so reports, rest on; with
     whole-register comparison or general keys also a 2^n x 2^n unitary per
     trial, 4^n: the general-key stack, or per-qubit unitaries kron'd onto a
-    whole-register forged message."""
+    whole-register forged message, built only where U x is read (the garble
+    tap, a transcript), and kept as the width for the same reason."""
     v, n = config.variant, config.n
     if v.key_model is SigningModel.PER_QUBIT_PRODUCT and v.comparison_mode is ComparisonMode.PER_QUBIT:
         return 16 * n

@@ -8,16 +8,18 @@ frame keeps them (Knill, Nature 434:39, 2005): a `Sealed` value holds the
 register and its pad bits. Opened with the key slice that sealed it, it gives
 back that register, as D_p(E_p(psi)) = psi exactly; its ciphertext is built
 (`ciphertext`) only where a tap or a transcript reads it, or another pad
-opens it. One name per field: a layout slice, a bundle field and a
-serialized key are the same string. Key bits are consumed as disjoint slices
+opens it. The signing transform is kept as its key bits too, and a signed
+register as a `Signed` value: U is built only where its amplitudes are
+read. One name per field: a layout slice, a bundle field and a serialized
+key are the same string. Key bits are consumed as disjoint slices
 in a fixed, documented order:
 
   Alice-arbitrator key (K_a), `ka_layout`:
     [signing | sig_state (2n) | sig_bell_bits (2n)]
   signing bits: 2 per qubit for the per-qubit model, 64 for the
   general-unitary model (read big-endian as the key of a Haar unitary,
-  qsim.haar_random_unitary: Householder reflections of d(d+1)/2 keyed
-  normals for d = 2^n <= 16, the QR of d^2 keyed normals above).
+  qsim.haar_random_unitary: the phase-fixed QR of d^2 keyed normals,
+  d = 2^n).
 
   Bob-arbitrator key (K_b), `kb_layout`: the y_b bundle's fields, then the
   y_tb bundle's, quantum pads sized at 2 bits per qubit.
@@ -113,13 +115,39 @@ def kb_bits_required(n: int) -> int:
     return kb_layout(n)["y_tb"]["particles"].stop
 
 
-@dataclass(frozen=True)
-class SigningTransform:
-    """Deterministic keyed unitary applied to the message register."""
+# Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
+# and generates non-commuting transforms.
+_PER_QUBIT_SET = np.stack([np.eye(2, dtype=complex), HADAMARD, PHASE_S, HADAMARD @ PHASE_S])
+_check_unitary(_PER_QUBIT_SET, 1e-9)  # once: a per-qubit stack is a gather from it
+_PER_QUBIT_SET.setflags(write=False)  # shared by every per-qubit transform
 
-    # one unitary per block, on the register's block axis: (..., n, 2, 2) for
-    # per-qubit keys, (..., 1, 2^n, 2^n) for a general key; trial axis first
-    unitaries: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class SigningTransform:
+    """The keyed unitary Alice and the arbitrator sign with, held as K_a's
+    signing bits, (..., signing_bits) with the trial axis first."""
+
+    bits: np.ndarray
+    n: int
+    model: SigningModel
+
+    @functools.cached_property
+    def unitaries(self) -> np.ndarray:
+        """One unitary per block, on the register's block axis: (..., n, 2, 2)
+        for per-qubit keys, (..., 1, 2^n, 2^n) for a general key. Built and
+        checked on the first read (a per-qubit stack is a gather from the
+        checked table) and read-only, so neither party can alter it."""
+        bits = self.bits
+        if self.model is SigningModel.PER_QUBIT_PRODUCT:
+            unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
+        else:
+            # each trial's 64 bits, packed big-endian, key its own Haar unitary
+            keys = np.packbits(bits.reshape(-1, bits.shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
+            u = haar_random_unitary(2**self.n, keys)
+            unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
+            _check_unitary(unitaries, 1e-9)
+        unitaries.setflags(write=False)
+        return unitaries
 
     def apply(self, register: StateVector) -> StateVector:
         """One apply_unitary call, once the block widths match: a register of
@@ -132,35 +160,26 @@ class SigningTransform:
         return apply_unitary(register, unitaries)
 
 
-# Per-qubit keyed set, indexed by 2 key bits; contains the identity (index 0)
-# and generates non-commuting transforms.
-_PER_QUBIT_SET = np.stack([np.eye(2, dtype=complex), HADAMARD, PHASE_S, HADAMARD @ PHASE_S])
-_check_unitary(_PER_QUBIT_SET, 1e-9)  # once: a per-qubit stack is a gather from it
-_PER_QUBIT_SET.setflags(write=False)  # shared by every per-qubit transform
-
-
 def derive_signing_transform(key: np.ndarray, n: int, model: SigningModel) -> SigningTransform:
-    """Deterministically derive the signing unitary from K_a's signing slice.
-
-    Each trial's transform comes from its own key. The initial phase derives
-    it once per block and hands the one transform to Alice and to the
-    arbitrator. A general key's unitaries are checked once, here; a per-qubit
-    stack is a gather from _PER_QUBIT_SET, checked at import. Both are
-    read-only, so neither party can alter what the other applies.
-    """
+    """The signing transform K_a's signing slice keys, one per trial: the
+    initial phase derives it once per block, as key bits, and hands the one
+    transform to Alice and to the arbitrator."""
     bits = key[..., ka_layout(n, model)["signing"]]
     if bits.shape[-1] < signing_bits(n, model):
         raise ValueError(f"key too short: {bits.shape[-1]} of {signing_bits(n, model)} signing bits")
-    if model is SigningModel.PER_QUBIT_PRODUCT:
-        unitaries = _PER_QUBIT_SET[2 * bits[..., 0::2] + bits[..., 1::2]]
-    else:
-        # each trial's 64 bits, packed big-endian, key its own Haar unitary
-        keys = np.packbits(bits.reshape(-1, bits.shape[-1]), axis=-1).view(">u8")[:, 0].astype(np.uint64)
-        u = haar_random_unitary(2**n, keys)
-        unitaries = u.reshape(bits.shape[:-1] + (1,) + u.shape[-2:])
-        _check_unitary(unitaries, 1e-9)
-    unitaries.setflags(write=False)
-    return SigningTransform(unitaries)
+    return SigningTransform(bits, n, model)
+
+
+@dataclass(frozen=True)
+class Signed:
+    """U x, held as the register x and the transform U: the amplitudes are
+    built only where `state` reads them."""
+
+    register: StateVector
+    transform: SigningTransform
+
+    def state(self) -> StateVector:
+        return self.transform.apply(self.register)
 
 
 @functools.cache
@@ -249,18 +268,23 @@ class Sealed:
     (itself sealed, for a field sealed twice) and its pad bits, a view of the
     key slice: no amplitude is padded until `ciphertext` reads it."""
 
-    content: StateVector | Sealed
+    content: StateVector | Signed | Sealed
     pad: np.ndarray
 
 
 def ciphertext(sealed: Sealed) -> StateVector:
-    """The padded amplitudes a party or a tap reads, the innermost pad first."""
+    """The padded amplitudes a party or a tap reads, the innermost pad first
+    and a signed register transformed before it."""
     content = sealed.content
-    return qotp_encrypt(ciphertext(content) if isinstance(content, Sealed) else content, sealed.pad)
+    if isinstance(content, Sealed):
+        content = ciphertext(content)
+    elif isinstance(content, Signed):
+        content = content.state()
+    return qotp_encrypt(content, sealed.pad)
 
 
 def _seal(value, pad: np.ndarray):
-    if isinstance(value, (StateVector, Sealed)):
+    if isinstance(value, (StateVector, Sealed, Signed)):
         return Sealed(value, pad)
     return None if value is None else classical_encrypt(value, pad)
 
@@ -288,14 +312,14 @@ def unseal(bundle: Mapping[str, object], key: np.ndarray, layout: Mapping[str, s
     return {name: _open(bundle[name], key[..., layout[name]]) for name in names}
 
 
-def make_signature(m_a: np.ndarray, r: StateVector, key: np.ndarray, model: SigningModel) -> dict:
+def make_signature(m_a: np.ndarray, r: Signed, key: np.ndarray, model: SigningModel) -> dict:
     """Seal M_a (Bell outcome positions, qubit axis last) and the signature
-    register `r` under K_a."""
+    `r` under K_a."""
     fields = {"sig_bell_bits": bell_outcomes_to_bits(m_a), "sig_state": r}
-    return seal(fields, key, ka_layout(qubit_count(r), model))
+    return seal(fields, key, ka_layout(m_a.shape[-1], model))
 
 
-def open_signature(sig: Mapping[str, object], key: np.ndarray, model: SigningModel) -> tuple[np.ndarray, StateVector]:
+def open_signature(sig: Mapping[str, object], key: np.ndarray, model: SigningModel) -> tuple[np.ndarray, Signed | StateVector]:
     """M_a and R from a bundle holding the K_a-sealed signature fields."""
     n = sig["sig_bell_bits"].shape[-1] // 2
     opened = unseal(sig, key, ka_layout(n, model), ("sig_bell_bits", "sig_state"))

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import comparison, crypto, qsim
-from .crypto import SigningModel, SigningTransform
+from .crypto import Signed, SigningModel, SigningTransform
 from .qsim import BellOutcome, PauliOp, StateVector, XOutcome
 
 
@@ -73,10 +73,10 @@ class ProtocolVariant:
 
 
 # Largest n per path. Per-qubit keys and comparison keep every register as n
-# blocks of at most 4 qubits (a message qubit and its GHZ triple), each step one
-# call over all of them, so memory is linear in n. Whole-register paths act on
-# 2^n amplitudes and 2^n x 2^n unitaries, 4^n entries per trial; at n = 6
-# that is 4096, and a block within the 2^18-amplitude ceiling holds 64 trials.
+# blocks of at most 3 qubits (a GHZ triple), each step one call over all of
+# them, so memory is linear in n. Whole-register paths act on 2^n amplitudes,
+# and where U x is read on 2^n x 2^n unitaries, 4^n entries per trial: 4096
+# at n = 6, so a block within the 2^18-amplitude ceiling holds 64 trials.
 MAX_N_PER_QUBIT = 64
 MAX_N_WHOLE_REGISTER = 6
 
@@ -208,9 +208,9 @@ def initialize(n: int, seed, variant: ProtocolVariant, size: int):
     transform K_a keys, and one GHZ triple per message qubit.
 
     `seed` is an int or a Generator, as numpy's default_rng takes it. K_a and
-    K_b are (size, length) 0/1 arrays; the transform, derived once per block,
-    is the one Alice and the arbitrator apply. The GHZ triples are a register
-    of n three-qubit blocks that every trial of the block shares.
+    K_b are (size, length) 0/1 arrays; the transform, derived once per block
+    as key bits, is the one Alice and the arbitrator sign with. The GHZ
+    triples are a register of n three-qubit blocks that every trial shares.
     """
     if n < 1:
         raise ValueError("message needs at least one qubit")
@@ -236,7 +236,7 @@ def alice_sign(
     Bob and the arbitrator their correlated pair; one bell_measure call covers
     every qubit. No message (x) GHZ joint is built: the measurement takes its
     basis rows from the two factors, two rows at a time (see qsim "Measurement").
-    The signature state is `transform` applied to another fresh copy. Returns
+    The signature state is another fresh copy signed by `transform`. Returns
     (signature bundle sealed under K_a, message to transmit, M_a, shared
     Bob/arbitrator pairs).
     """
@@ -247,8 +247,7 @@ def alice_sign(
         raise ValueError("message size does not match GHZ share count")
     # shared pairs: qubits (Bob, arbitrator) of each triple
     m_a, shared_pairs = qsim.bell_measure((message, ghz_triples), 0, 1, rng)
-    r = transform.apply(message)
-    sig = crypto.make_signature(m_a, r, k_a, variant.key_model)
+    sig = crypto.make_signature(m_a, Signed(message, transform), k_a, variant.key_model)
     return sig, message, m_a, shared_pairs
 
 
@@ -271,9 +270,18 @@ def bob_receive_and_forward(
     return crypto.seal(fields, k_b, crypto.kb_layout(n)["y_b"]), m_b, particles
 
 
-def _differ(a: StateVector, b: StateVector, variant: ProtocolVariant, rng: np.random.Generator) -> np.ndarray:
+def _differ(a, b, variant: ProtocolVariant, rng: np.random.Generator) -> np.ndarray:
     """Per trial, whether the variant's comparison proved a and b different:
-    one SWAP test per qubit pair, or one on the joined registers."""
+    one SWAP test per qubit pair, or one on the joined registers.
+
+    a and b are registers or Signed values. Two signed by the one transform
+    are compared as their registers, as <Ua|Ub> = <a|b>, so U is not built;
+    any other Signed value is read as U x.
+    """
+    if isinstance(a, Signed) and isinstance(b, Signed) and a.transform is b.transform:
+        a, b = a.register, b.register
+    else:
+        a, b = (x.state() if isinstance(x, Signed) else x for x in (a, b))
     if variant.comparison_mode is ComparisonMode.WHOLE_REGISTER:
         a, b = qsim.join(a), qsim.join(b)
     return comparison.swap_test(a, b, rng).any(-1)
@@ -291,7 +299,7 @@ def arbitrator_verify(
     """Arbitrator's forgery test: gamma, M_t, and the y_tb bundle.
 
     `particles` are the arbitrator's GHZ shares after Bob's x-measurements;
-    `transform` is the one K_a keys, as Alice applied it.
+    `transform` is the one K_a keys, as Alice signed with it.
     The comparison acts on copies, so they reach M_t undisturbed.
     Returns (gamma, m_t or None, y_tb).
     """
@@ -304,9 +312,7 @@ def arbitrator_verify(
     source = p_received  # R', the comparison candidate, is the transform of the variant's source
     if variant.r_prime_source is RPrimeSource.FROM_GHZ_PARTICLE:
         source = qsim.apply_pauli(particles, pauli_frame()[m_a, m_b], 0)
-    r_prime = transform.apply(source)
-
-    different = _differ(r, r_prime, variant, rng)
+    different = _differ(r, Signed(source, transform), variant, rng)
 
     m_t = out_particles = None
     if variant.m_t_mode is MtMode.MEASURE_X:

@@ -19,10 +19,11 @@ act on every block of every trial.
 Checks. Each value is checked once, where it is made: StateVector(...) checks
 states that enter (callers' arrays, new_basis_state, ghz_state, the Haar
 sampler), operations on checked states build their results unchecked through
-StateVector.owning, crypto.derive_signing_transform checks general-key
-unitary stacks, crypto checks its per-qubit table once at import (a
-per-qubit stack is a gather from it), and protocol solves and checks the
-Pauli frame once per process, each entry on one block of probes.
+StateVector.owning, crypto.SigningTransform checks a general-key unitary
+stack where it is built, on its first read, crypto checks its per-qubit
+table once at import (a per-qubit stack is a gather from it), and protocol
+solves and checks the Pauli frame once per process, each entry on one block
+of probes.
 
 One-qubit blocks. On (T, n, 2) registers the 2x2 products (apply_unitary) and
 the per-row norms and inner products (_norm_sq, inner_product) are elementwise or
@@ -42,10 +43,8 @@ a with half of b, tensor's own products, built for the two outcomes that
 read it and freed before the next two (_factor_rows). One draw loop serves
 both sources, and measure keeps only the drawn branch. A gate
 on one qubit (apply_one_qubit) is the same 2x2 product as apply_unitary's,
-elementwise, and Haar unitaries up to 16 x 16 are products of Householder
-reflections built over the trial axis. What still reaches BLAS or LAPACK
-does so once per row or matrix: np.vecdot, np.matmul for d > 2 and, for
-d >= 32, the Haar QR.
+elementwise. What still reaches BLAS or LAPACK does so once per row or
+matrix: np.vecdot, np.matmul for d > 2 and the Haar QR.
 
 Outcomes. Measurement outcomes are positions in the fixed order of an
 `Ordered` enum (BellOutcome, XOutcome), and Pauli corrections positions in
@@ -245,24 +244,24 @@ _UNITARY_CACHE: set[bytes] = set()
 # A stack of matrices is derived and checked in chunks of at most this many
 # bytes: 256 trials at a time for 3-qubit matrices, 4 for the 64 x 64
 # unitaries of n = 6, whose 256-trial stack is 16 MiB. Deriving a keyed Haar
-# chunk takes at most about 5 chunks of scratch (its hash, uniforms and
-# normals, d(d+1)/2 per key for d <= 16 and d^2 above, then the Householder
-# product's working copy or the QR), so a long block's derivation needs no
-# more scratch than a 256-trial one.
+# chunk takes at most about 5 chunks of scratch (its hash, uniforms and d^2
+# normals per key, then the QR), so a long block's derivation needs no more
+# scratch than a 256-trial one.
 _CHUNK_BYTES = 2**18
 
 
 def _chunks(stack: np.ndarray):
-    """Consecutive slices of a (len, d, d) stack, each within _CHUNK_BYTES."""
+    """Slices of consecutive rows of a (len, d, d) stack, each within _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // (stack.itemsize * stack[0].size))
-    return (stack[start : start + step] for start in range(0, len(stack), step))
+    return (slice(start, start + step) for start in range(0, len(stack), step))
 
 
 def _check_unitary(matrix: np.ndarray, atol: float) -> None:
     """Raise unless every matrix of the stack (..., d, d) is unitary."""
     d = matrix.shape[-1]
-    for chunk in _chunks(matrix.reshape(-1, d, d)):
-        deviation = np.matmul(np.swapaxes(chunk.conj(), -1, -2), chunk)
+    stack = matrix.reshape(-1, d, d)
+    for rows in _chunks(stack):
+        deviation = np.matmul(np.swapaxes(stack[rows].conj(), -1, -2), stack[rows])
         deviation -= np.eye(d)
         # np.allclose(U^H U, I, atol) and its default rtol, without its temporaries
         if not (np.abs(deviation) <= atol + 1e-5 * np.eye(d)).all():
@@ -296,7 +295,8 @@ def apply_pauli(state: StateVector, pauli, target: int) -> StateVector:
 
 def apply_unitary(state: StateVector, unitary: np.ndarray) -> StateVector:
     """Apply a full-register unitary: one (d, d) matrix, or one per trial. Callers pass
-    unitaries checked where they were made: SigningTransform stacks and their krons.
+    unitaries checked where they were made: SigningTransform stacks, checked
+    where they are built, and their krons.
 
     One-qubit blocks take the 2x2 product elementwise, which equals np.matmul's
     bit for bit without its call per matrix; wider blocks keep np.matmul.
@@ -566,93 +566,22 @@ def _keyed_normals(keys: np.ndarray, count: int) -> np.ndarray:
     return z
 
 
-def _ginibre_q(keys: np.ndarray, out: np.ndarray) -> None:
-    """Haar unitaries as the Q of the QR of keyed Ginibre matrices (entry e,
-    row-major, the key's normal e), each column's phase fixed by R's
-    diagonal (Mezzadri 2007), written to `out`: one LAPACK QR per matrix."""
-    q, r = np.linalg.qr(_keyed_normals(keys, out[0].size).reshape(out.shape))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
-
-
-def _householder_q(keys: np.ndarray, out: np.ndarray) -> None:
-    """Haar unitaries as Stewart's products of Householder reflections (SIAM
-    J. Numer. Anal. 17:403, 1980) of d(d+1)/2 keyed normals each, to `out`.
-
-    The normals fill a lower triangle row by row; column k holds x_k, d - k
-    normals. From the 1 x 1 phase x_{d-1}/|x_{d-1}|, M <- H_k (l_k (+) M) for
-    k = d-2, ..., 0: H_k reflects x_k onto -e^(i arg x_k0) |x_k| e_1, and
-    l_k = -x_k0/|x_k0| makes R's diagonal positive (Mezzadri 2007), so M is
-    the phase-fixed Q of a Ginibre matrix whose reduced columns are the x_k,
-    and Haar. x_k0 is never 0, as Box-Muller's radius is positive. Column 0
-    of H_k (l_k (+) M) is x_k/|x_k|; with a = x_k[1:]/|x_k| and w = a^H M,
-    row 0 is l_k w and the rest M - a (s_k w), s_k = |x_k|/(|x_k| + |x_k0|).
-    Every operation is elementwise over the trial axis, last, and each sum
-    runs in a fixed order, so a trial's bits do not depend on the stack.
-    """
-    d = out.shape[-1]
-    # numpy drops a trial axis of length 1, and its complex products then
-    # take another kernel, which rounds differently: a lone key is derived
-    # beside a copy of itself
-    keys = np.resize(keys, max(2, len(keys)))
-    x = np.ascontiguousarray(_keyed_normals(keys, d * (d + 1) // 2).T)
-    rows = [slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2) for i in range(d)]
-    heads = [i * (i + 3) // 2 for i in range(d)]
-    # every column's |x_k| (summed down its rows, in order), l_k and s_k at once
-    square = x.real**2 + x.imag**2
-    norm = np.zeros((d, len(keys)))
-    for i, row in enumerate(rows):
-        norm[: i + 1] += square[row]
-    np.sqrt(norm, out=norm)
-    head = np.sqrt(square[heads])
-    phase = x[heads] * (-1.0 / head)
-    shrink = norm / (norm + head)
-    # entry (i, j) of the product at m[i, j]: the lower triangle starts as the
-    # columns x_k/|x_k|, and step k writes row k and updates the block below it
-    m = np.empty((d, d, len(keys)), dtype=complex)
-    inverse_norm = np.divide(1.0, norm, out=norm)
-    for i, row in enumerate(rows):
-        np.multiply(x[row], inverse_norm[: i + 1], out=m[i, : i + 1])
-    w, scratch = np.empty((2, d - 1, len(keys)), dtype=complex)
-    for k in range(d - 2, -1, -1):
-        a, block = m[k + 1 :, k], m[k + 1 :, k + 1 :]
-        a_conj, wk, sk = a.conj(), w[: len(a)], scratch[: len(a)]
-        np.multiply(a_conj[0], block[0], out=wk)
-        for i in range(1, len(a)):
-            wk += np.multiply(a_conj[i], block[i], out=sk)
-        np.multiply(phase[k], wk, out=m[k, k + 1 :])
-        wk *= shrink[k]
-        for i in range(len(a)):
-            block[i] -= np.multiply(a[i], wk, out=sk)
-    np.copyto(out, m[..., : len(out)].transpose(2, 0, 1))
-
-
-# Largest dimension built by _householder_q; larger ones take _ginibre_q.
-# Medians per 256 KiB chunk, one BLAS thread (BENCH_householder.json
-# "derivation"), Householder against QR: d = 16 (64 keys) 1.7 against 2.2 ms,
-# d = 32 (16 keys) 3.4 against 2.1, d = 64 (4 keys) 10.4 against 2.7. Its
-# O(d^2) numpy calls act on ever fewer keys as d grows, so the QR is faster
-# from d = 32 on.
-_HOUSEHOLDER_MAX_DIM = 16
-
-
 def haar_random_unitary(dim: int, keys: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries: for dim <= 16 Stewart's products of
-    Householder reflections of d(d+1)/2 normals each (_householder_q), above
-    the phase-fixed QR of d^2-normal Ginibre matrices (_ginibre_q). The two
-    samplers give different unitaries from one key; both are Haar.
+    """Haar-distributed unitaries: the Q of the QR of keyed Ginibre matrices
+    (entry e, row-major, the key's normal e), each column's phase fixed by
+    R's diagonal (Mezzadri 2007), one LAPACK QR per matrix.
 
     A (T,) uint64 array of keys derives a (T, dim, dim) stack: row t is a
     function of keys[t] alone (the SplitMix64 stream it seeds, see
     _keyed_normals). The stack is derived chunk by chunk (_CHUNK_BYTES).
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    derive = _householder_q if dim <= _HOUSEHOLDER_MAX_DIM else _ginibre_q
     u = np.empty((len(keys), dim, dim), dtype=complex)
-    done = 0
-    for chunk in _chunks(u):
-        derive(keys[done : done + len(chunk)], out=chunk)
-        done += len(chunk)
+    for rows in _chunks(u):
+        q, r = np.linalg.qr(_keyed_normals(keys[rows], dim * dim).reshape(u[rows].shape))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        np.multiply(q, (d / np.abs(d))[..., None, :], out=u[rows])
+        del q, r  # freed before the next chunk's normals and QR
     return u
 
 

@@ -169,8 +169,10 @@ class TestEstimators:
         assert report["ci_low"] <= 0.625 <= report["ci_high"]
 
     def test_general_key_block_checks_its_unitaries_once(self, monkeypatch):
-        # a block's fresh general-key stack is checked where it is derived,
-        # and apply_unitary trusts it, however many times it applies it
+        # a block's general-key stack is checked where it is built, on its
+        # first read, and apply_unitary trusts it however many times it
+        # applies it: a forgery block reads no U x, a garble block reads it
+        # in the tap and in the arbitrator's R'
         callers = []
         check_unitary = qsim._check_unitary
 
@@ -182,7 +184,9 @@ class TestEstimators:
         monkeypatch.setattr(crypto, "_check_unitary", recording)
         cfg = RunConfig(3, WHOLE_REGISTER_VARIANT)
         _attack_trials(cfg, ForgeryStrategy(StrategyKind.REPLACE_WHOLE_REGISTER), rng(12), BLOCK_TRIALS)
-        assert callers == ["derive_signing_transform"]
+        assert callers == []
+        _attack_trials(RunConfig(1, WHOLE_REGISTER_VARIANT), ForgeryStrategy(StrategyKind.GARBLE_SIGNATURE), rng(12), BLOCK_TRIALS)
+        assert callers == ["unitaries"]
 
     def test_per_qubit_block_checks_no_unitaries(self, monkeypatch):
         # a per-qubit stack is a gather from crypto's table, checked at import

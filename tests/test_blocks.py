@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqsim import crypto, qsim
+from aqsim import crypto, qsim, serialize
 from aqsim.attacks import BLOCK_TRIALS, ForgeryStrategy, StrategyKind, _garble_tap, block_rng, forge
 from aqsim.crypto import Sealed, SigningModel, ciphertext
 from aqsim.protocol import (
@@ -223,6 +223,33 @@ def test_pads_reach_amplitudes_only_where_a_ciphertext_is_read(monkeypatch, name
         monkeypatch, lambda: run_protocol(config, block_rng(41, 0), channel_tap=tap, size=BLOCK_TRIALS), (crypto,)
     )
     assert (counts["qotp_encrypt"], counts["qotp_decrypt"], counts["_qotp"]) == (pads, pads, 2 * pads)
+
+
+_WHOLE_GENERAL, _FORGING_WHOLE = CASES["whole-register-general-key"]
+# name: (n, channel tap, whether the transcript is serialized, stacks built)
+SIGNED_READS = {
+    "forgery": (2, _FORGING_WHOLE, False, 0),
+    "garble": (1, _garble_tap, False, 1),
+    "forgery-transcript": (2, _FORGING_WHOLE, True, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_READS))
+def test_unitaries_built_only_where_a_signed_state_is_read(monkeypatch, name):
+    # R and R' are compared under the one transform without building it, so
+    # a general-key forgery block builds no unitary; the garble tap reads
+    # U x, and so does a transcript (the signature's ciphertext in y_b and
+    # y_tb), and either builds and checks the block's stack once
+    n, tap, serialized, builds = SIGNED_READS[name]
+
+    def run():
+        transcript = run_protocol(RunConfig(n, _WHOLE_GENERAL.variant), block_rng(43, 0), channel_tap=tap, size=BLOCK_TRIALS)
+        if serialized:
+            serialize.transcript_to_dict(transcript)
+
+    counts = _calls(monkeypatch, run, (qsim, crypto))
+    assert (counts["haar_random_unitary"], counts["_check_unitary"]) == (builds, builds)
+    assert (counts["apply_unitary"] > 0) == (builds > 0)
 
 
 def test_block_footprint_per_qubit_row():

@@ -621,16 +621,13 @@ def test_report_digest_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-def _ginibre_qr_unitaries(dim, keys):
-    """haar_random_unitary's d >= 16 sampler, the phase-fixed QR of keyed
-    Ginibre matrices, at any dimension."""
-    u = np.empty((len(keys), dim, dim), dtype=complex)
-    qsim._ginibre_q(np.asarray(keys, dtype=np.uint64), out=u)
-    return u
+def _inverse_haar_unitaries(dim, keys):
+    """Haar unitaries other than haar_random_unitary's from the same keys:
+    their inverses, Haar as well."""
+    return np.swapaxes(qsim.haar_random_unitary(dim, keys).conj(), -1, -2).copy()
 
 
-# General-key lines (n, flags) whose unitaries are 2 x 2 to 8 x 8, where the
-# default sampler is the Householder product
+# General-key lines (n, flags), whose unitaries are 2 x 2 to 16 x 16
 SAMPLER_LINES = {
     "whole-n1": (1, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
     "whole-n2": (2, ["--scenario", "forgery", "--strategy", "replace-whole-register", *_GENERAL_WHOLE]),
@@ -644,21 +641,43 @@ SAMPLER_LINES = {
 @pytest.mark.parametrize("name", sorted(SAMPLER_LINES))
 def test_report_independent_of_the_haar_sampler(tmp_path, monkeypatch, name):
     # every SWAP test compares two states under the same U, so a report sees
-    # U only through rounding, and the two Haar samplers write the same bytes
+    # U only through rounding. R and R' are signed by the one transform, and
+    # the arbitrator compares their registers (<Ua|Ub> = <a|b>): no U x is
+    # built unless the garble tap read one. Handed another transform of the
+    # same key bits, and another Haar sampler, it builds U x on both sides
+    # from other unitaries, and writes the same bytes
     n, flags = SAMPLER_LINES[name]
     argv = [*flags, "--n", str(n), "--trials", "600", "--seed", "8"]
-    assert run_main(tmp_path, argv, "householder.json")[0] == 0
-    keys = []
+    applied, keys = [], []
+    apply = crypto.SigningTransform.apply
 
-    def ginibre_qr(dim, block_keys):
+    def counted(transform, register):
+        applied.append(transform)
+        return apply(transform, register)
+
+    monkeypatch.setattr(crypto.SigningTransform, "apply", counted)
+    assert run_main(tmp_path, argv, "shared.json")[0] == 0
+    shared = len(applied)
+    verify = protocol.arbitrator_verify
+
+    def unshared(y_b, particles, k_a, k_b, transform, variant, rng):
+        copy = crypto.SigningTransform(transform.bits, transform.n, transform.model)
+        return verify(y_b, particles, k_a, k_b, copy, variant, rng)
+
+    def inverse_sampler(dim, block_keys):
         keys.append(block_keys)
-        return _ginibre_qr_unitaries(dim, block_keys)
+        return _inverse_haar_unitaries(dim, block_keys)
 
-    monkeypatch.setattr(crypto, "haar_random_unitary", ginibre_qr)
-    assert run_main(tmp_path, argv, "qr.json")[0] == 0
-    assert (tmp_path / "householder.json").read_bytes() == (tmp_path / "qr.json").read_bytes()
+    monkeypatch.setattr(protocol, "arbitrator_verify", unshared)
+    monkeypatch.setattr(crypto, "haar_random_unitary", inverse_sampler)
+    assert run_main(tmp_path, argv, "unshared.json")[0] == 0
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "unshared.json").read_bytes()
+    if name.startswith("garble"):  # the tap reads U x, so the arbitrator builds U x on either path
+        assert len(applied) == 2 * shared > 0
+    else:
+        assert shared == 0 and len(applied) > 0
     # and the samplers differ: the same keys give other unitaries
-    assert not np.allclose(qsim.haar_random_unitary(2**n, keys[0]), _ginibre_qr_unitaries(2**n, keys[0]))
+    assert not np.allclose(qsim.haar_random_unitary(2**n, keys[0]), _inverse_haar_unitaries(2**n, keys[0]))
 
 
 class TestExitCodes:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqsim import crypto, qsim
+from aqsim import crypto, qsim, serialize
+from aqsim.attacks import _garble_tap
+from aqsim.cli import main
 from aqsim.crypto import (
     SigningModel,
     classical_decrypt,
@@ -18,6 +20,7 @@ from aqsim.crypto import (
     qotp_decrypt,
     qotp_encrypt,
 )
+from aqsim.protocol import ComparisonMode, MessageKnowledge, MtMode, ProtocolVariant, RPrimeSource, RunConfig, run_protocol
 from aqsim.qsim import ATOL, PauliOp, StateVector, haar_random_state, new_basis_state
 
 
@@ -157,22 +160,39 @@ class TestSigningTransform:
         with pytest.raises(ValueError):
             derive_signing_transform(make_key([0, 1]), 3, SigningModel.PER_QUBIT_PRODUCT)
 
-    def test_derivation_rejects_non_unitary(self, monkeypatch):
-        # the one check of a signing stack is at its derivation
+    def test_derivation_rejects_non_unitary(self, monkeypatch, tmp_path, capsys):
+        # a general key's stack is checked where it is first built: when its
+        # unitaries are read, on the garble path (the tap reads U x) and on
+        # the transcript path (a ciphertext of U x), before any report is written
         def doubled_identity(dim, keys):
             return 2 * np.broadcast_to(np.eye(dim, dtype=complex), (len(keys), dim, dim))
 
         monkeypatch.setattr(crypto, "haar_random_unitary", doubled_identity)
         key = random_ka(2, SigningModel.GENERAL_UNITARY, seed=7)
+        transform = derive_signing_transform(key, 2, SigningModel.GENERAL_UNITARY)  # key bits: nothing built
         with pytest.raises(ValueError, match="not unitary"):
-            derive_signing_transform(key, 2, SigningModel.GENERAL_UNITARY)
+            transform.unitaries  # the first read builds and checks them
+        general = ProtocolVariant(RPrimeSource.FROM_MESSAGE_P, MtMode.MEASURE_X, MessageKnowledge.ALICE_ONLY,
+                                  SigningModel.GENERAL_UNITARY, ComparisonMode.WHOLE_REGISTER)
+        with pytest.raises(ValueError, match="not unitary"):
+            run_protocol(RunConfig(1, general), 7, 4, channel_tap=_garble_tap)
+        transcript = run_protocol(RunConfig(2, general), 7, 4)  # the arbitrator compares without U
+        with pytest.raises(ValueError, match="not unitary"):
+            serialize.transcript_to_dict(transcript)
+        out = tmp_path / "garble.json"
+        argv = ["--scenario", "forgery", "--strategy", "garble-signature", "--key-model", "general",
+                "--comparison", "whole-register", "--n", "1", "--trials", "50", "--out", str(out)]
+        assert main(argv) == 2 and not out.exists()
+        assert "not unitary" in capsys.readouterr().err
 
     def test_sign_and_invert(self):
         key = random_ka(2, SigningModel.PER_QUBIT_PRODUCT, seed=7)
         t = derive_signing_transform(key, 2, SigningModel.PER_QUBIT_PRODUCT)
         p = haar_random_state(2, rng(8), (1,))  # one entangled block
-        inverse = crypto.SigningTransform(np.swapaxes(t.unitaries.conj(), -1, -2))
-        back = inverse.apply(t.apply(p))
+        signed = crypto.Signed(p, t)
+        assert signed.register is p  # held unsigned until read
+        inverse = np.swapaxes(qsim.kron_blocks(t.unitaries).conj(), -1, -2)
+        back = qsim.apply_unitary(signed.state(), inverse)
         assert qsim.register_fidelity(back, p) >= 1 - ATOL
 
     def test_hadamard_entry(self):

@@ -19,6 +19,7 @@ from aqsim.protocol import (
     ProtocolVariant,
     RPrimeSource,
     RunConfig,
+    _differ,
     alice_sign,
     arbitrator_verify,
     bob_final_verify,
@@ -124,7 +125,9 @@ class TestAliceSign:
         sig, _, m_a, _ = alice_sign(msg, zero_ka, identity, triples, v, rng(3))
         opened_ma, r = crypto.open_signature(sig, zero_ka, v.key_model)
         assert np.array_equal(opened_ma, m_a)
-        assert qsim.register_fidelity(r, msg) >= 1 - ATOL
+        # the signature holds the message itself and the transform, and reads as the message
+        assert r.register is msg and r.transform is identity
+        assert qsim.register_fidelity(r.state(), msg) >= 1 - ATOL
 
     def test_shared_pair_matches_outcome(self):
         # Whatever M_a was sampled, the Bob/arbitrator pair must equal the
@@ -218,8 +221,9 @@ class TestEndToEnd:
             assert np.all(t.gamma == 1) and t.accepted.all()
 
     def test_general_key_draws_one_unitary_per_run(self, monkeypatch):
-        # Alice and the arbitrator both apply the signing transform K_a keys;
-        # the Haar unitary behind it is drawn and QR-factored once
+        # Alice and the arbitrator both sign with the transform K_a keys, and
+        # compare under it without building it; the Haar unitary behind it is
+        # drawn once, where a transcript first reads the signature's amplitudes
         draws = []
         draw = crypto.haar_random_unitary
 
@@ -229,7 +233,9 @@ class TestEndToEnd:
 
         monkeypatch.setattr(crypto, "haar_random_unitary", counted)
         general = variant(keys=SigningModel.GENERAL_UNITARY, cmp=ComparisonMode.WHOLE_REGISTER)
-        run_protocol(RunConfig(3, general), 21, 1)
+        transcript = run_protocol(RunConfig(3, general), 21, 1)
+        assert draws == []
+        serialize.transcript_to_dict(transcript)  # y_b and y_tb both carry the signature
         assert draws == [8]
 
     @pytest.mark.parametrize("model", list(SigningModel))
@@ -440,3 +446,56 @@ class TestMessage:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             RunConfig(0, REPAIRED)
+
+
+class _ProbeRng:
+    """A generator's stand-in for one SWAP test: its uniforms never fall
+    below p, and it keeps each p they were compared with."""
+
+    def __init__(self):
+        self.p = []
+
+    def random(self, shape):
+        return self
+
+    def __lt__(self, p):
+        self.p.append(p)
+        return np.zeros(np.shape(p), dtype=bool)
+
+
+SIGNED_CASES = [
+    (n, model, cmp)
+    for n in range(1, 7)
+    for model in SigningModel
+    for cmp in ComparisonMode
+    if n == 1 or not (model is SigningModel.GENERAL_UNITARY and cmp is ComparisonMode.PER_QUBIT)
+]
+
+
+@pytest.mark.parametrize("n, model, cmp", SIGNED_CASES)
+def test_signed_detection_probability_independent_of_u(n, model, cmp):
+    # two values signed by the one transform are compared as their registers;
+    # a transform of the same key bits that is another object makes _differ
+    # build U x on both sides. <Ua|Ub> = <a|b>, so over random keys and
+    # registers the two SWAP tests' p agree up to the eager side's rounding:
+    # a kron'd per-qubit entry is a product of n factors, then U x and the
+    # inner products round a few times more, so (n + 4) eps, 1.1e-15 at
+    # n = 1 and 2.2e-15 at n = 6
+    r = rng(60 + n)
+    trials = 64
+    v = variant(keys=model, cmp=cmp)
+    k_a = r.integers(0, 2, size=(trials, crypto.ka_bits_required(n, model)), dtype=np.uint8)
+    shared, other = (crypto.derive_signing_transform(k_a, n, model) for _ in range(2))
+    a = haar_product_message(n, r, (trials,))
+    if cmp is ComparisonMode.PER_QUBIT:  # a forgery replacing every qubit
+        b = haar_product_message(n, r, (trials,))
+    else:  # a forgery replacing the whole register
+        b = qsim.haar_random_state(n, r, (trials, 1))
+    lazy, eager = _ProbeRng(), _ProbeRng()
+    _differ(crypto.Signed(a, shared), crypto.Signed(b, shared), v, lazy)
+    assert "unitaries" not in vars(shared)  # compared without U
+    _differ(crypto.Signed(a, shared), crypto.Signed(b, other), v, eager)
+    (p_lazy,), (p_eager,) = lazy.p, eager.p
+    assert p_lazy.shape == p_eager.shape == (trials, n if cmp is ComparisonMode.PER_QUBIT else 1)
+    assert p_lazy.max() > 0.1
+    assert np.abs(p_lazy - p_eager).max() <= (n + 4) * np.finfo(float).eps

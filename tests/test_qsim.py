@@ -727,15 +727,9 @@ class TestKeyedHaar:
         u = qsim.haar_random_unitary(8, rng(25).integers(0, 2**64, size=64, dtype=np.uint64))
         assert np.allclose(np.swapaxes(u.conj(), -1, -2) @ u, np.eye(8), atol=1e-12)
 
-    def test_pinned_entry(self):
-        # a change of the stream, the Box-Muller map, the normals' layout or
-        # the Householder product moves it
-        u = qsim.haar_random_unitary(4, np.array([0x0123456789ABCDEF], dtype=np.uint64))
-        assert u[0, 1, 2] == pytest.approx(-0.08224710453106875 - 0.3912810788213322j, abs=1e-12)
-
     def test_qr_path_pinned_entry(self):
-        # d >= 32 takes the phase-fixed QR of the keyed Ginibre matrix: this
-        # entry, recorded while d = 16 still took the QR, holds bit for bit
+        # the phase-fixed QR of the keyed Ginibre matrix: a change of the
+        # stream, the Box-Muller map, the normals' layout or the QR moves it
         u = qsim.haar_random_unitary(32, np.array([0x0123456789ABCDEF], dtype=np.uint64))
         assert u[0, 3, 11] == complex(-0.046357088791599464, -0.4051746677967855)
 
@@ -743,7 +737,7 @@ class TestKeyedHaar:
     def test_ginibre_bits_equal_the_integer_to_float_formula(self, d):
         # the uniforms (b + 1/2) 2^-52 of the 52-bit integers b, as astype,
         # +0.5 and *2^-52 make them, then Box-Muller: the same bits, for a
-        # Ginibre matrix's d^2 normals and a Householder product's d(d+1)/2
+        # Ginibre matrix's d^2 normals and for d(d+1)/2, not a square
         keys = np.concatenate([rng(26).integers(0, 2**64, size=500, dtype=np.uint64), np.array([0, 2**64 - 1], dtype=np.uint64)])
         for count in (d * d, d * (d + 1) // 2):
             bits = qsim.splitmix64(keys, 2 * count) >> np.uint64(12)
@@ -752,35 +746,6 @@ class TestKeyedHaar:
             expected = np.sqrt(-np.log(uniform[..., 0])) * (np.cos(2 * np.pi * uniform[..., 1]) + 1j * np.sin(2 * np.pi * uniform[..., 1]))
             assert np.array_equal(qsim._keyed_normals(keys, count), expected)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 16])
-    def test_householder_unitary(self, d):
-        keys = rng(28).integers(0, 2**64, size=20000, dtype=np.uint64)
-        u = qsim.haar_random_unitary(d, keys)
-        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)).max() <= 1e-13
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_householder_equals_the_dense_product(self, d):
-        # U = H_0 (l_0 (+) H_1 (l_1 (+) ... (+) x_{d-1}/|x_{d-1}|)), each H_k
-        # the dense reflection I - 2 v v^H / v^H v, v = x_k + e^(i arg x_k0) |x_k| e_1,
-        # and x_k column k of the key's normals filling a lower triangle row by row
-        keys = rng(29).integers(0, 2**64, size=50, dtype=np.uint64)
-        normals = qsim._keyed_normals(keys, d * (d + 1) // 2)
-        u = qsim.haar_random_unitary(d, keys)
-        for t in range(len(keys)):
-            x = np.zeros((d, d), dtype=complex)
-            x[np.tril_indices(d)] = normals[t]
-            m = x[-1:, -1:] / abs(x[-1, -1])
-            for k in range(d - 2, -1, -1):
-                column = x[k:, k]
-                phase = column[0] / abs(column[0])
-                v = column.copy()
-                v[0] += phase * np.linalg.norm(column)
-                h = np.eye(d - k) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
-                assert np.allclose(h @ column, -phase * np.linalg.norm(column) * np.eye(d - k)[0], atol=1e-13)
-                block = np.zeros((d - k, d - k), dtype=complex)
-                block[0, 0], block[1:, 1:] = -phase, m
-                m = h @ block
-            assert np.abs(u[t] - m).max() <= 1e-13
 
 class TestTeleportation:
     def test_all_outcome_pairs_correct_to_message(self):
